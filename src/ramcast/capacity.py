@@ -14,13 +14,14 @@ as the packet length u grows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
-from .regions import RegionFrontier, p_grid, pareto_frontier
+from .regions import RegionFrontier, factored_rates, sweep
 
 __all__ = [
     "RateBounds",
@@ -68,10 +69,10 @@ def rate_bounds(channel: ChannelModel, access: AccessProbabilities) -> RateBound
 def rate_bounds_grid(
     channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized rate caps over arrays of access probabilities."""
-    r1 = np.minimum(*_rate_terms(channel, p1, p2, 1))
-    r2 = np.minimum(*_rate_terms(channel, p2, p1, 2))
-    return r1, r2
+    """Vectorized rate caps over paired arrays of access probabilities."""
+    return factored_rates(
+        lambda source, q: np.minimum(*_rate_terms(channel, 1.0, q, source)), p1, p2
+    )
 
 
 @dataclass(frozen=True)
@@ -122,19 +123,7 @@ def capacity_sweep(
     Returns (p1, p2, r1, r2, frontier) with the first four as flat arrays
     covering the full grid.
     """
-    grid = p_grid(grid_step)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s = P1.ravel()
-    p2s = P2.ravel()
-    r1, r2 = rate_bounds_grid(channel, p1s, p2s)
-    frontier = RegionFrontier(
-        kind="capacity",
-        points=pareto_frontier(
-            zip(r1.tolist(), r2.tolist(), p1s.tolist(), p2s.tolist())
-        ),
-        grid_step=grid_step,
-    )
-    return p1s, p2s, r1, r2, frontier
+    return sweep(functools.partial(rate_bounds_grid, channel), grid_step, "capacity")
 
 
 def capacity_frontier(channel: ChannelModel, grid_step: float = 0.01) -> RegionFrontier:

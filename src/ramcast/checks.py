@@ -276,7 +276,6 @@ def check_figure_structure(
     K_list: tuple[int, ...] = (1, 2, 5, 10, 50),
     out_dir: str | Path | None = None,
     variant: str = "paper",
-    jobs: int = 1,
 ) -> CheckResult:
     """Criterion 5: structural reproduction of the region figures.
 
@@ -309,8 +308,6 @@ def check_figure_structure(
                     repr(step),
                     "--variant",
                     variant,
-                    "--jobs",
-                    str(jobs),
                     "--out",
                     str(cdir),
                 ]

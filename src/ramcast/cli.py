@@ -156,20 +156,18 @@ def _frontier_rows(frontier) -> list[list]:
     ]
 
 
-def _compute_frontier(kind: str, channel, step: float, K: int, variant: str, jobs: int):
+def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
     if kind == "capacity":
         return capacity_sweep(channel, step)[4]
     return stable_equals_throughput_frontier(
-        kind, channel, step, K=K if kind == "rlc" else None, variant=variant, jobs=jobs
+        kind, channel, step, K=K if kind == "rlc" else None, variant=variant
     )
 
 
 def cmd_region(args) -> int:
     started = time.time()
     channel = load_channel(args.channel)
-    frontier = _compute_frontier(
-        args.kind, channel, args.step, args.K, args.variant, args.jobs
-    )
+    frontier = _compute_frontier(args.kind, channel, args.step, args.K, args.variant)
     out = _resolve_out(args.out)
     write_csv(out, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
     _write_manifest(
@@ -181,7 +179,6 @@ def cmd_region(args) -> int:
             "K": args.K,
             "step": args.step,
             "variant": args.variant,
-            "jobs": args.jobs,
         },
         None,
         started,
@@ -395,16 +392,14 @@ def cmd_figure(args) -> int:
     write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
     outputs.append(path)
 
-    frontier = stable_equals_throughput_frontier(
-        "retrans", channel, args.step, jobs=args.jobs
-    )
+    frontier = stable_equals_throughput_frontier("retrans", channel, args.step)
     path = out_dir / "retrans.csv"
     write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
     outputs.append(path)
 
     for k in k_list:
         frontier = stable_equals_throughput_frontier(
-            "rlc", channel, args.step, K=k, variant=args.variant, jobs=args.jobs
+            "rlc", channel, args.step, K=k, variant=args.variant
         )
         path = out_dir / f"rlc_K{k}.csv"
         write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
@@ -422,7 +417,6 @@ def cmd_figure(args) -> int:
             "K_list": k_list,
             "step": args.step,
             "variant": args.variant,
-            "jobs": args.jobs,
         },
         "seed": None,
         "outputs": [p.name for p in outputs],
@@ -492,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K", type=int, default=1)
     p.add_argument("--step", type=float, default=DEFAULTS["grid_step"])
     p.add_argument("--variant", choices=("paper", "exact"), default="paper")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_region)
 
@@ -534,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--K-list", dest="K_list", default="1,2,5,10,50")
     p.add_argument("--step", type=float, default=DEFAULTS["grid_step"])
     p.add_argument("--variant", choices=("paper", "exact"), default="paper")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_figure)
 

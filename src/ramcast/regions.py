@@ -3,14 +3,16 @@
 The achievable-rate regions produced elsewhere in the package are all
 "closures over the access-probability square": sweep (p1, p2) over a
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
-pairs.  This module owns that reduction plus the per-point stability
-region (union of the two dominant-system constraint sets) and the
-containment test used to compare frontiers.
+pairs.  Each rate factors as p_own * g(p_other), so a sweep evaluates
+g once per distinct grid value and source (``factored_rates``), not
+once per point.  This module owns that sweep and its reduction plus
+the per-point stability region (union of the two dominant-system
+constraint sets) and the containment test used to compare frontiers.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -21,6 +23,8 @@ __all__ = [
     "StabilityRegion",
     "p_grid",
     "pareto_frontier",
+    "factored_rates",
+    "sweep",
     "frontier_value",
     "frontier_contains",
     "stability_region_at",
@@ -83,23 +87,59 @@ def p_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
-def pareto_frontier(
-    points: Iterable[tuple[float, float, float, float]]
-) -> list[FrontierPoint]:
+def pareto_frontier(points) -> list[FrontierPoint]:
     """Reduce (x, y, p1, p2) records to the Pareto-maximal set.
 
+    ``points`` is anything ``np.asarray`` turns into an (n, 4) array.
     Dominance ties (identical x and y) keep the lexicographically
     smallest (p1, p2) witness so that repeated sweeps are reproducible.
     """
-    recs = sorted(points, key=lambda r: (-r[0], -r[1], r[2], r[3]))
-    out: list[FrontierPoint] = []
-    best_y = -np.inf
-    for x, y, p1, p2 in recs:
-        if y > best_y:
-            out.append(FrontierPoint(x, y, p1, p2))
-            best_y = y
-    out.reverse()
-    return out
+    recs = np.asarray(points, dtype=float).reshape(-1, 4)
+    x, y, p1, p2 = recs.T
+    # x descending, then y descending, then the smallest witness first:
+    # a record survives iff its y beats every record sorted before it.
+    recs = recs[np.lexsort((p2, p1, -y, -x))]
+    ys = recs[:, 1]
+    best_before = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[:-1]
+    keep = recs[ys > best_before][::-1]
+    return [FrontierPoint(*rec) for rec in keep.tolist()]
+
+
+def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
+    """Rate pairs (p1 * g(1, p2), p2 * g(2, p1)) over paired access arrays.
+
+    Every rate here carries the own access probability as a factor:
+    mu_n(p_own, p_other) = p_own * g_n(p_other) with g_n(q) = mu_n(1, q).
+    ``g(source, q)`` maps an array of distinct p_other values to g_n, and
+    is called once per source, so each distinct value costs one
+    evaluation however many points share it.
+    """
+    p1 = np.asarray(p1, dtype=float)
+    p2 = np.asarray(p2, dtype=float)
+    q2, at2 = np.unique(p2, return_inverse=True)
+    q1, at1 = np.unique(p1, return_inverse=True)
+    return p1 * np.asarray(g(1, q2))[at2], p2 * np.asarray(g(2, q1))[at1]
+
+
+def sweep(rates_grid, grid_step: float, kind: str, K: int | None = None):
+    """Evaluate a region over the (p1, p2) grid and reduce it to a frontier.
+
+    ``rates_grid(p1, p2)`` returns the rate pairs over paired arrays.
+    Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
+    arrays covering the grid, p1-major.
+    """
+    grid = p_grid(grid_step)
+    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
+    p1s = P1.ravel()
+    p2s = P2.ravel()
+    mu1, mu2 = rates_grid(p1s, p2s)
+    frontier = RegionFrontier(
+        kind=kind,
+        points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))),
+        grid_step=grid_step,
+        K=K,
+    )
+    return p1s, p2s, mu1, mu2, frontier
 
 
 def frontier_value(frontier: RegionFrontier, x: float | np.ndarray) -> np.ndarray:
@@ -201,34 +241,21 @@ def stability_region_at(mu) -> StabilityRegion:
     )
 
 
-def _policy_rates(
-    policy: str,
-    channel,
-    grid_step: float,
-    K: int | None,
-    variant: str,
-    jobs: int,
-):
-    """Backlogged service-rate pairs over the (p1, p2) grid for one policy."""
+def _policy_sweep(policy: str, channel, grid_step: float, K: int | None, variant: str):
+    """``sweep`` of one policy's backlogged service rates."""
+    # Imported here: both modules import this one.
     from . import retrans as _retrans
+    from . import rlc_markov as _rlc
 
-    grid = p_grid(grid_step)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s = P1.ravel()
-    p2s = P2.ravel()
     if policy == "retrans":
-        mu1, mu2 = _retrans.service_rates_grid(channel, p1s, p2s)
-        return p1s, p2s, mu1, mu2
-    if policy == "rlc":
-        from . import rlc_markov as _rlc
-
+        rates, K = functools.partial(_retrans.service_rates_grid, channel), None
+    elif policy == "rlc":
         if K is None or K < 1:
             raise ValueError("rlc policy requires K >= 1")
-        mu1, mu2 = _rlc.service_rates_grid(
-            channel, p1s, p2s, K, variant=variant, jobs=jobs
-        )
-        return p1s, p2s, mu1, mu2
-    raise ValueError(f"unknown policy {policy!r}")
+        rates = functools.partial(_rlc.service_rates_grid, channel, K=K, variant=variant)
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
+    return sweep(rates, grid_step, policy, K)
 
 
 def stable_equals_throughput_frontier(
@@ -237,7 +264,6 @@ def stable_equals_throughput_frontier(
     grid_step: float = 0.01,
     K: int | None = None,
     variant: str = "paper",
-    jobs: int = 1,
 ) -> RegionFrontier:
     """Stable-throughput frontier for a policy: Pareto closure of the
     backlogged service-rate pairs over the (p1, p2) grid.
@@ -246,11 +272,7 @@ def stable_equals_throughput_frontier(
     for the two-source system, so the Pareto frontier of (mu_1b, mu_2b)
     is the stable-throughput frontier.
     """
-    p1s, p2s, mu1, mu2 = _policy_rates(policy, channel, grid_step, K, variant, jobs)
-    pts = pareto_frontier(zip(mu1.tolist(), mu2.tolist(), p1s.tolist(), p2s.tolist()))
-    return RegionFrontier(
-        kind=policy, points=pts, grid_step=grid_step, K=K if policy == "rlc" else None
-    )
+    return _policy_sweep(policy, channel, grid_step, K, variant)[4]
 
 
 def theorem2_overshoot(
@@ -268,33 +290,25 @@ def theorem2_overshoot(
     swept frontier polyline.  A small positive value bounded by the grid
     discretization confirms that the union of per-point regions does not
     exceed the frontier.
+
+    The empty rates come from the same sweep: an empty competitor is one
+    with access probability 0, and the grid contains 0, so
+    mu_1e(p1) = p1 * g_1(0) is the sweep's rate at (p1, 0) and
+    mu_2e(p2) the one at (0, p2).
     """
-    from . import retrans as _retrans
-
-    frontier = stable_equals_throughput_frontier(
-        policy, channel, grid_step, K=K, variant=variant
-    )
-    grid = p_grid(grid_step)
+    _, _, mu1, mu2, frontier = _policy_sweep(policy, channel, grid_step, K, variant)
+    n = p_grid(grid_step).size
+    mu1 = mu1.reshape(n, n)
+    mu2 = mu2.reshape(n, n)
     worst = 0.0
-    for p1 in grid:
-        for p2 in grid:
-            if policy == "retrans":
-                from .channel import AccessProbabilities
-
-                rates = _retrans.retrans_service_rates(
-                    channel, AccessProbabilities(float(p1), float(p2))
-                )
-            else:
-                from . import rlc_markov as _rlc
-                from .channel import AccessProbabilities
-
-                rates = _rlc.rlc_service_rates(
-                    channel,
-                    AccessProbabilities(float(p1), float(p2)),
-                    K or 1,
-                    variant=variant,
-                )
-            region = stability_region_at(rates)
+    for a in range(n):
+        for b in range(n):
+            region = StabilityRegion(
+                mu_1b=float(mu1[a, b]),
+                mu_2b=float(mu2[a, b]),
+                mu_1e=float(mu1[a, 0]),
+                mu_2e=float(mu2[0, b]),
+            )
             if region.mu_1b <= 0 or region.mu_2b <= 0:
                 continue
             for t in np.linspace(0.0, 1.0, samples_per_edge):

@@ -20,6 +20,7 @@ import numpy as np
 
 from .capacity import RateBounds, rate_bounds
 from .channel import AccessProbabilities, ChannelModel
+from .regions import factored_rates
 
 __all__ = [
     "SuccessParams",
@@ -136,9 +137,11 @@ def service_rates_grid(
     channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized backlogged rates (mu_1b, mu_2b) over access-probability arrays."""
-    mu1 = _rate_formula(p1, *_success_triplet(channel, 1, p2))
-    mu2 = _rate_formula(p2, *_success_triplet(channel, 2, p1))
-    return np.asarray(mu1), np.asarray(mu2)
+    return factored_rates(
+        lambda source, q: _rate_formula(1.0, *_success_triplet(channel, source, q)),
+        p1,
+        p2,
+    )
 
 
 def jensen_bound(channel: ChannelModel, access: AccessProbabilities) -> RateBounds:

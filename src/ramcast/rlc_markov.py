@@ -28,7 +28,6 @@ slot per cycle, which is not part of the service time).
 """
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -36,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .channel import AccessProbabilities, ChannelModel
+from .regions import factored_rates
 from .retrans import ServiceRates
 
 __all__ = [
@@ -66,41 +66,32 @@ class SteadyStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class _StateSpace:
-    """Static state enumeration and edge topology for one (K, variant)."""
+    """Static state enumeration and edge topology for one (K, variant).
+
+    States are ordered by level i + j + k, then i, then j; every edge
+    raises the level, so the edge arrays ``e_src``/``e_dst`` (all
+    families, grouped by the source state's level) admit a single
+    forward pass.
+    """
 
     K: int
     variant: str
-    states: tuple[State, ...]
-    index: dict[State, int]
     I: np.ndarray
     J: np.ndarray
     C: np.ndarray
+    lookup: np.ndarray               # lookup[i, j, k] -> state index, or -1
     absorbing: np.ndarray            # state indices with i == j == K
-    transient: np.ndarray
     fam_src: dict[str, np.ndarray]   # family name -> source state indices
-    fam_dst: dict[str, np.ndarray]
     edge_order: np.ndarray           # permutation sorting concat edges by level
+    e_src: np.ndarray                # edges, level-ordered: family edges
+    e_dst: np.ndarray                # concatenated, then taken in edge_order
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
     fam_names: tuple[str, ...]
 
     @property
     def n_states(self) -> int:
-        return len(self.states)
-
-
-def _enumerate_states(K: int, variant: str) -> list[State]:
-    out = []
-    for total in range(0, 3 * K + 1):
-        for i in range(K + 1):
-            for j in range(K + 1):
-                k = total - i - j
-                if k < 0 or k > min(i, j):
-                    continue
-                if variant == "exact" and k < i + j - K:
-                    continue
-                out.append((i, j, k))
-    return out
+        return self.I.size
 
 
 _PAPER_FAMS: tuple[tuple[str, int, int, int], ...] = (
@@ -124,23 +115,36 @@ _EXACT_FAMS: tuple[tuple[str, int, int, int], ...] = (
 )
 
 
+def _slices(bounds: np.ndarray) -> tuple[tuple[int, int], ...]:
+    return tuple(zip(bounds[:-1].tolist(), bounds[1:].tolist()))
+
+
 @lru_cache(maxsize=None)
 def _state_space(K: int, variant: str) -> _StateSpace:
-    states = _enumerate_states(K, variant)
-    index = {s: n for n, s in enumerate(states)}
-    I = np.array([s[0] for s in states], dtype=np.int64)
-    J = np.array([s[1] for s in states], dtype=np.int64)
-    C = np.array([s[2] for s in states], dtype=np.int64)
+    # int32 indices halve the memory of the cached spaces (94k states for
+    # K = 64 "paper"), which a region sweep keeps in its one process.
+    r = np.arange(K + 1, dtype=np.int32)
+    I, J, C = (a.ravel() for a in np.meshgrid(r, r, r, indexing="ij"))
+    valid = C <= np.minimum(I, J)
+    if variant == "exact":
+        valid &= C >= I + J - K
+    I, J, C = I[valid], J[valid], C[valid]
+    order = np.lexsort((J, I, I + J + C))
+    I, J, C = I[order], J[order], C[order]
+    # One slack slot per axis so that every family target i + 1, j + 1,
+    # k + 2 indexes the array and reads -1 outside the state space.
+    lookup = np.full((K + 2, K + 2, K + 3), -1, dtype=np.int32)
+    lookup[I, J, C] = np.arange(I.size, dtype=np.int32)
     absorbing = np.flatnonzero((I == K) & (J == K))
-    transient = np.flatnonzero((I < K) | (J < K))
 
     interior = np.flatnonzero((I < K) & (J < K))
     bnd_jK = np.flatnonzero((I < K) & (J == K))
     bnd_iK = np.flatnonzero((I == K) & (J < K))
+    transient = np.flatnonzero((I < K) | (J < K))
 
     fams = _PAPER_FAMS if variant == "paper" else _EXACT_FAMS
     fam_src: dict[str, np.ndarray] = {}
-    fam_dst: dict[str, np.ndarray] = {}
+    fam_dst: list[np.ndarray] = []
     for name, di, dj, dk in fams:
         if variant == "paper":
             base = (
@@ -150,55 +154,35 @@ def _state_space(K: int, variant: str) -> _StateSpace:
             )
         else:
             base = transient
-        srcs = []
-        dsts = []
-        for s in base:
-            tgt = (int(I[s]) + di, int(J[s]) + dj, int(C[s]) + dk)
-            t = index.get(tgt)
-            if t is not None:
-                srcs.append(s)
-                dsts.append(t)
-        fam_src[name] = np.array(srcs, dtype=np.int64)
-        fam_dst[name] = np.array(dsts, dtype=np.int64)
+        tgt = lookup[I[base] + di, J[base] + dj, C[base] + dk]
+        hit = tgt >= 0
+        fam_src[name] = base[hit].astype(np.int32)
+        fam_dst.append(tgt[hit])
 
     # Topological grouping: every edge strictly increases i + j + k, so
     # processing states level-by-level makes the visit-count recursion a
     # single forward pass.
     level = I + J + C
-    n_levels = int(level.max()) + 1
-    # states are enumerated in level order already
-    level_state_slices = []
-    start = 0
-    for lv in range(n_levels):
-        end = int(np.searchsorted(level, lv + 1))
-        level_state_slices.append((start, end))
-        start = end
-
-    e_src_all = np.concatenate([fam_src[n] for n, *_ in fams]) if fams else np.array([], dtype=np.int64)
-    edge_order = np.argsort(level[e_src_all], kind="stable") if e_src_all.size else np.array([], dtype=np.int64)
-    e_lv = level[e_src_all][edge_order] if e_src_all.size else np.array([], dtype=np.int64)
-    level_edge_slices = []
-    start = 0
-    for lv in range(n_levels):
-        end = int(np.searchsorted(e_lv, lv + 1))
-        level_edge_slices.append((start, end))
-        start = end
+    bounds = np.arange(int(level[-1]) + 2)
+    e_src = np.concatenate([fam_src[n] for n, *_ in fams])
+    edge_order = np.argsort(level[e_src], kind="stable").astype(np.int32)
+    e_src = e_src[edge_order]
+    e_dst = np.concatenate(fam_dst)[edge_order]
 
     return _StateSpace(
         K=K,
         variant=variant,
-        states=tuple(states),
-        index=index,
         I=I,
         J=J,
         C=C,
+        lookup=lookup,
         absorbing=absorbing,
-        transient=transient,
         fam_src=fam_src,
-        fam_dst=fam_dst,
         edge_order=edge_order,
-        level_state_slices=tuple(level_state_slices),
-        level_edge_slices=tuple(level_edge_slices),
+        e_src=e_src,
+        e_dst=e_dst,
+        level_state_slices=_slices(np.searchsorted(level, bounds)),
+        level_edge_slices=_slices(np.searchsorted(level[e_src], bounds)),
         fam_names=tuple(n for n, *_ in fams),
     )
 
@@ -349,18 +333,27 @@ class ChainModel:
 
     @property
     def states(self) -> tuple[State, ...]:
-        return self.space.states
+        """Every state (i, j, k), in index order; built on each access."""
+        space = self.space
+        return tuple(zip(space.I.tolist(), space.J.tolist(), space.C.tolist()))
 
     @property
     def n_states(self) -> int:
         return self.space.n_states
 
     def state_index(self, state: State) -> int:
-        return self.space.index[state]
+        i, j, k = state
+        K = self.K
+        n = -1
+        if 0 <= i <= K and 0 <= j <= K and 0 <= k <= K:
+            n = int(self.space.lookup[i, j, k])
+        if n < 0:
+            raise KeyError(state)
+        return n
 
     @property
     def absorbing_states(self) -> list[State]:
-        return [self.space.states[i] for i in self.space.absorbing]
+        return [(self.K, self.K, int(k)) for k in self.space.C[self.space.absorbing]]
 
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
@@ -372,7 +365,7 @@ class ChainModel:
     def transition_matrix(self, sparse: bool = False):
         """Full row-stochastic matrix including the renewal closure."""
         n = self.n_states
-        zero = self.space.index[(0, 0, 0)]
+        zero = self.state_index((0, 0, 0))
         rows = np.concatenate([np.arange(n), self.e_src, self.space.absorbing])
         cols = np.concatenate(
             [np.arange(n), self.e_dst, np.full(self.space.absorbing.size, zero)]
@@ -409,10 +402,7 @@ def build_chain(
     p_own = access.of(source)
     p_other = access.other(source) if other_backlogged else 0.0
     probs, self_p = _family_probs(space, channel, source, p_own, p_other)
-    e_src = np.concatenate([space.fam_src[n] for n in space.fam_names])
-    e_dst = np.concatenate([space.fam_dst[n] for n in space.fam_names])
     e_prob = np.concatenate([probs[n] for n in space.fam_names])
-    order = space.edge_order
     return ChainModel(
         K=K,
         variant=variant,
@@ -422,9 +412,9 @@ def build_chain(
         channel=channel,
         space=space,
         self_p=self_p,
-        e_src=e_src[order],
-        e_dst=e_dst[order],
-        e_prob=e_prob[order],
+        e_src=space.e_src,
+        e_dst=space.e_dst,
+        e_prob=e_prob[space.edge_order],
     )
 
 
@@ -465,7 +455,7 @@ def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
     space = chain.space
     n = space.n_states
     inflow = np.zeros(n)
-    inflow[space.index[(0, 0, 0)]] = 1.0
+    inflow[chain.state_index((0, 0, 0))] = 1.0
     visits = np.zeros(n)
     e_src, e_dst, e_prob = chain.e_src, chain.e_dst, chain.e_prob
     is_abs = np.zeros(n, dtype=bool)
@@ -606,22 +596,21 @@ def rlc_service_rates(
     )
 
 
-def _mu_point(
-    channel: ChannelModel, p_own: float, p_other: float, source: int, K: int, variant: str
-) -> float:
-    access = AccessProbabilities(
-        p_own if source == 1 else p_other, p_other if source == 1 else p_own
-    )
-    return service_rate(build_chain(channel, access, source, True, K, variant))
+def _rates_at_full_access(
+    channel: ChannelModel, source: int, q: np.ndarray, K: int, variant: str
+) -> np.ndarray:
+    """g_n(q) = mu_nb(p_own=1, p_other=q), one chain solve per value of q.
 
-
-def _grid_chunk(args) -> list[tuple[int, float, float]]:
-    channel, chunk, K, variant = args
-    out = []
-    for idx, p1, p2 in chunk:
-        mu1 = _mu_point(channel, p1, p2, 1, K, variant)
-        mu2 = _mu_point(channel, p2, p1, 2, K, variant)
-        out.append((idx, mu1, mu2))
+    Every edge of the chain carries the factor p_own and every self-loop
+    is (1 - p_own) + p_own * (...), so the expected service time is
+    T(1, q) / p_own and mu_nb(p_own, q) = p_own * g_n(q).
+    """
+    out = np.empty(len(q))
+    for n, p_other in enumerate(q.tolist()):
+        access = AccessProbabilities(
+            *((1.0, p_other) if source == 1 else (p_other, 1.0))
+        )
+        out[n] = service_rate(build_chain(channel, access, source, True, K, variant))
     return out
 
 
@@ -631,24 +620,14 @@ def service_rates_grid(
     p2: np.ndarray,
     K: int,
     variant: str = "paper",
-    jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backlogged rates (mu_1b, mu_2b) over paired access-probability arrays."""
+    """Backlogged rates (mu_1b, mu_2b) over paired access-probability arrays.
+
+    Costs one chain solve per distinct value of p2 (for source 1) and of
+    p1 (for source 2), not two per point.
+    """
     if not 1 <= K <= MAX_K:
         raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
-    points = [(i, float(a), float(b)) for i, (a, b) in enumerate(zip(p1, p2))]
-    mu1 = np.zeros(len(points))
-    mu2 = np.zeros(len(points))
-    if jobs <= 1 or len(points) < 4:
-        results = [_grid_chunk((channel, points, K, variant))]
-    else:
-        chunks = [points[i::jobs] for i in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(
-                pool.map(_grid_chunk, [(channel, c, K, variant) for c in chunks])
-            )
-    for res in results:
-        for idx, a, b in res:
-            mu1[idx] = a
-            mu2[idx] = b
-    return mu1, mu2
+    return factored_rates(
+        lambda source, q: _rates_at_full_access(channel, source, q, K, variant), p1, p2
+    )

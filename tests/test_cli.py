@@ -61,7 +61,7 @@ def test_unknown_channel_is_an_error(capsys):
 def test_region_command(tmp_path):
     out = tmp_path / "region.csv"
     assert run_cli("region", "--channel", "strong_mpr", "--kind", "rlc", "--K", "2",
-                   "--step", "0.1", "--jobs", "1", "--out", out) == 0
+                   "--step", "0.1", "--out", out) == 0
     header, rows = read_csv(out)
     assert header == ["kind", "K", "p1", "p2", "x", "y"]
     assert all(r[0] == "rlc" and r[1] == "2" for r in rows)
@@ -107,7 +107,7 @@ def test_verify_chain_command(tmp_path):
 def test_figure_command(tmp_path):
     out = tmp_path / "fig"
     assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1,2",
-                   "--step", "0.1", "--jobs", "1", "--out", out) == 0
+                   "--step", "0.1", "--out", out) == 0
     for name in ("capacity.csv", "retrans.csv", "rlc_K1.csv", "rlc_K2.csv",
                  "plot_figure.py", "manifest.json"):
         assert (out / name).exists(), name

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.capacity import capacity_frontier
+from ramcast.capacity import capacity_frontier, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, collision_channel
 from ramcast.regions import (
     FrontierPoint,
@@ -18,6 +18,9 @@ from ramcast.regions import (
     theorem2_overshoot,
 )
 from ramcast.retrans import ServiceRates, retrans_service_rates
+from ramcast.retrans import service_rates_grid as retrans_grid
+from ramcast.rlc_markov import rlc_service_rates
+from ramcast.rlc_markov import service_rates_grid as rlc_grid
 
 
 def test_rate_point_nonnegative():
@@ -68,6 +71,68 @@ def test_pareto_frontier_properties(raw):
     # no frontier point dominates another, every input point is dominated
     for x, y in raw:
         assert any(fx >= x and fy >= y for fx, fy in zip(xs, ys))
+
+
+def _brute_force_frontier(pts):
+    """O(n^2) oracle: undominated (x, y) pairs, each with its smallest witness."""
+    out = {}
+    for x, y, p1, p2 in pts:
+        if any(a >= x and b >= y and (a, b) != (x, y) for a, b, *_ in pts):
+            continue
+        out[(x, y)] = min(out.get((x, y), (p1, p2)), (p1, p2))
+    return sorted((x, y, *w) for (x, y), w in out.items())
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in range(4))),
+        max_size=30,
+    )
+)
+def test_pareto_frontier_matches_brute_force(pts):
+    # A coarse value set forces exact (x, y) ties with different witnesses
+    # and fully duplicated records.
+    got = [(p.x, p.y, p.p1, p.p2) for p in pareto_frontier(pts)]
+    assert got == _brute_force_frontier(pts)
+
+
+def test_pareto_frontier_single_and_empty():
+    assert pareto_frontier([]) == []
+    assert pareto_frontier(np.empty((0, 4))) == []
+    only = pareto_frontier([(0.3, 0.2, 0.5, 0.6)])
+    assert [(p.x, p.y, p.p1, p.p2) for p in only] == [(0.3, 0.2, 0.5, 0.6)]
+
+
+@pytest.mark.parametrize("K", [1, 4])
+def test_dead_points_rate_exactly_zero(strong, K):
+    # p_own = 0 kills a source on any channel; on the collision channel
+    # (q_joint = 0) so does p_other = 1.
+    grid = p_grid(0.1)
+    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
+    p1s, p2s = P1.ravel(), P2.ravel()
+    for ch in (strong, collision_channel()):
+        for rates_grid in (
+            rate_bounds_grid,
+            retrans_grid,
+            lambda c, a, b: rlc_grid(c, a, b, K),
+            lambda c, a, b: rlc_grid(c, a, b, K, variant="exact"),
+        ):
+            mu1, mu2 = rates_grid(ch, p1s, p2s)
+            dead1 = p1s == 0.0
+            dead2 = p2s == 0.0
+            if ch.joint(1, 1) == 0.0:
+                dead1 |= p2s == 1.0
+                dead2 |= p1s == 1.0
+            assert np.all(mu1[dead1] == 0.0) and np.all(mu2[dead2] == 0.0)
+    coll = collision_channel()
+    for p in grid.tolist():
+        for access in (AccessProbabilities(p, 1.0), AccessProbabilities(1.0, p),
+                       AccessProbabilities(0.0, p), AccessProbabilities(p, 0.0)):
+            for variant in ("paper", "exact"):
+                rates = rlc_service_rates(coll, access, K, variant=variant)
+                for n in (0, 1):
+                    assert rates.backlogged[n] <= rates.empty[n]
 
 
 def test_frontier_contains_reflexive(strong):

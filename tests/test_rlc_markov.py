@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ramcast.capacity import rate_bounds
 from ramcast.channel import AccessProbabilities, ChannelModel
 from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
+    _EXACT_FAMS,
+    _PAPER_FAMS,
     ChainError,
+    _state_space,
     absorbing_entry_sets,
     build_chain,
     expected_service_time,
@@ -16,7 +21,7 @@ from ramcast.rlc_markov import (
     steady_state,
 )
 
-from conftest import random_channel
+from conftest import channel_models, random_channel
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
 ACCESS = AccessProbabilities(0.5, 0.5)
@@ -197,10 +202,115 @@ def test_build_chain_validates_parameters(strong):
         build_chain(strong, ACCESS, source=3, K=2)
 
 
-def test_grid_jobs_deterministic(strong):
-    p1s = np.linspace(0, 1, 9)
-    p2s = np.linspace(1, 0, 9)
-    seq = service_rates_grid(strong, p1s, p2s, 2, jobs=1)
-    par = service_rates_grid(strong, p1s, p2s, 2, jobs=2)
-    assert np.array_equal(seq[0], par[0])
-    assert np.array_equal(seq[1], par[1])
+@settings(max_examples=25, deadline=None)
+@given(channel_models(), st.floats(0.05, 1.0, allow_nan=False))
+def test_rate_factors_out_own_access(ch, p_own):
+    # mu_nb(p_own, p_other) = p_own * mu_nb(1, p_other): every edge of the
+    # chain carries p_own and every self-loop is (1 - p_own) + p_own * (...).
+    for variant in ("paper", "exact"):
+        for K in (1, 4, 10):
+            for p_other in (0.0, 0.3, 0.7, 1.0):
+                for source in (1, 2):
+                    def rate(p):
+                        pair = (p, p_other) if source == 1 else (p_other, p)
+                        access = AccessProbabilities(*pair)
+                        return service_rate(build_chain(ch, access, source, True, K, variant))
+
+                    q_min = min(
+                        (1 - p_other) * ch.solo(source, m) + p_other * ch.joint(source, m)
+                        for m in (1, 2)
+                    )
+                    if q_min == 0.0:
+                        assert rate(p_own) == rate(1.0) == 0.0
+                    elif p_own * q_min >= 1e-3:
+                        assert rate(p_own) == pytest.approx(
+                            p_own * rate(1.0), rel=1e-12, abs=0
+                        )
+                    # Below that, the direct evaluation at p_own itself loses
+                    # about eps / (p_own * q_min) per level to the cancellation
+                    # in 1 - self_p, so it is no reference at 1e-12.
+
+
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+def test_grid_matches_pointwise_chain(strong, weak, variant):
+    grid = np.linspace(0, 1, 6)
+    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
+    p1s, p2s = P1.ravel(), P2.ravel()
+    for ch in (strong, weak):
+        for K in (1, 3):
+            m1, m2 = service_rates_grid(ch, p1s, p2s, K, variant)
+            for a, b, x, y in zip(p1s.tolist(), p2s.tolist(), m1, m2):
+                access = AccessProbabilities(a, b)
+                want1 = service_rate(build_chain(ch, access, 1, True, K, variant))
+                want2 = service_rate(build_chain(ch, access, 2, True, K, variant))
+                assert x == pytest.approx(want1, rel=1e-12, abs=0)
+                assert y == pytest.approx(want2, rel=1e-12, abs=0)
+
+
+def _oracle_space(K, variant):
+    """Loop-built state order, family edges and level slices of the chain."""
+    states = []
+    for total in range(0, 3 * K + 1):
+        for i in range(K + 1):
+            for j in range(K + 1):
+                k = total - i - j
+                if k < 0 or k > min(i, j):
+                    continue
+                if variant == "exact" and k < i + j - K:
+                    continue
+                states.append((i, j, k))
+    index = {s: n for n, s in enumerate(states)}
+    fams = _PAPER_FAMS if variant == "paper" else _EXACT_FAMS
+    edges = {}
+    for name, di, dj, dk in fams:
+        pairs = []
+        for n, (i, j, k) in enumerate(states):
+            if variant == "paper":
+                if name.startswith("move"):
+                    inside = i < K and j < K
+                elif name in ("bnd_i", "bnd_ik"):
+                    inside = i < K and j == K
+                else:
+                    inside = i == K and j < K
+            else:
+                inside = i < K or j < K
+            t = index.get((i + di, j + dj, k + dk))
+            if inside and t is not None:
+                pairs.append((n, t))
+        edges[name] = pairs
+    level = [sum(s) for s in states]
+    e_level = sorted(level[n] for name, *_ in fams for n, _ in edges[name])
+    state_slices, edge_slices = [], []
+    for lv in range(3 * K + 1):
+        lo = sum(1 for v in level if v < lv)
+        state_slices.append((lo, lo + level.count(lv)))
+        lo = sum(1 for v in e_level if v < lv)
+        edge_slices.append((lo, lo + e_level.count(lv)))
+    return states, edges, state_slices, edge_slices
+
+
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 6, 7, 8, 50])
+def test_state_space_matches_loop_oracle(K, variant):
+    states, edges, state_slices, edge_slices = _oracle_space(K, variant)
+    space = _state_space(K, variant)
+    got = list(zip(space.I.tolist(), space.J.tolist(), space.C.tolist()))
+    assert got == states
+    assert space.fam_names == tuple(edges)
+    # Undo the level ordering to recover each family's (src, dst) pairs.
+    cat_src = np.empty_like(space.e_src)
+    cat_dst = np.empty_like(space.e_dst)
+    cat_src[space.edge_order] = space.e_src
+    cat_dst[space.edge_order] = space.e_dst
+    start = 0
+    for name, pairs in edges.items():
+        stop = start + len(pairs)
+        assert space.fam_src[name].tolist() == [s for s, _ in pairs]
+        assert list(zip(cat_src[start:stop].tolist(), cat_dst[start:stop].tolist())) == pairs
+        start = stop
+    assert start == space.e_src.size
+    assert list(space.level_state_slices) == state_slices
+    assert list(space.level_edge_slices) == edge_slices
+    src_level = (space.I + space.J + space.C)[space.e_src]
+    for lv, (e0, e1) in enumerate(space.level_edge_slices):
+        assert np.all(src_level[e0:e1] == lv)
