@@ -9,7 +9,6 @@ from .channel import (
     collision_channel,
     load_channel,
     strong_mpr,
-    success_prob,
     validate,
     weak_mpr,
 )
@@ -17,36 +16,23 @@ from .capacity import (
     MutualInfoReport,
     RateBounds,
     binary_entropy,
-    capacity_frontier,
     mutual_info,
     rate_bounds,
 )
-from .retrans import (
-    ServiceRates,
-    SuccessParams,
-    jensen_bound,
-    retrans_service_rates,
-    success_params,
-)
+from .retrans import ServiceRates, retrans_service_rates
 from .gf2 import (
     BinaryMatrix,
-    RankDistribution,
     decode,
     encode,
     expected_decode_count,
-    is_innovative,
-    rank,
     rank_cdf,
-    rank_distribution,
     rank_pmf,
 )
 from .rlc_markov import (
     ChainModel,
-    absorbing_entry_sets,
     build_chain,
     rlc_service_rates,
     service_rate,
-    steady_state,
 )
 from .regions import (
     RegionFrontier,

@@ -31,7 +31,6 @@ __all__ = [
     "rate_bounds_grid",
     "mutual_info",
     "capacity_sweep",
-    "capacity_frontier",
 ]
 
 
@@ -60,7 +59,13 @@ def _rate_terms(channel: ChannelModel, p_own, p_other, source: int):
 
 
 def rate_bounds(channel: ChannelModel, access: AccessProbabilities) -> RateBounds:
-    """Rate caps at fixed access probabilities (the capacity integrand)."""
+    """Rate caps at fixed access probabilities (the capacity integrand).
+
+    They also bound every policy's backlogged service rate (Jensen): the
+    service time is the max of the per-destination delivery times, and
+    E[max] >= the max of the expectations, so mu_nb never exceeds the
+    min-over-destinations success rate, which is exactly this cap.
+    """
     r1 = min(_rate_terms(channel, access.p1, access.p2, 1))
     r2 = min(_rate_terms(channel, access.p2, access.p1, 2))
     return RateBounds(r1_max=r1, r2_max=r2)
@@ -124,8 +129,3 @@ def capacity_sweep(
     covering the full grid.
     """
     return sweep(functools.partial(rate_bounds_grid, channel), grid_step, "capacity")
-
-
-def capacity_frontier(channel: ChannelModel, grid_step: float = 0.01) -> RegionFrontier:
-    """Pareto frontier of the capacity region, swept at the given grid step."""
-    return capacity_sweep(channel, grid_step)[4]

@@ -18,7 +18,6 @@ __all__ = [
     "AccessProbabilities",
     "ArrivalRates",
     "validate",
-    "success_prob",
     "collision_channel",
     "strong_mpr",
     "weak_mpr",
@@ -91,19 +90,6 @@ def validate(channel: ChannelModel) -> ChannelModel:
                     f"q_joint[{n}][{m}]={joint!r}"
                 )
     return channel
-
-
-def success_prob(
-    channel: ChannelModel, transmitter: int, dest: int, other_transmits: bool
-) -> float:
-    """Per-slot reception probability for one link, given the transmit pattern."""
-    if transmitter not in (1, 2):
-        raise ChannelError(f"transmitter must be 1 or 2, got {transmitter!r}")
-    if dest not in (1, 2):
-        raise ChannelError(f"dest must be 1 or 2, got {dest!r}")
-    if other_transmits:
-        return channel.joint(transmitter, dest)
-    return channel.solo(transmitter, dest)
 
 
 def collision_channel() -> ChannelModel:

@@ -15,12 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import capacity_sweep, rate_bounds_grid
+from .capacity import rate_bounds_grid
 from .channel import AccessProbabilities, strong_mpr, weak_mpr
-from .gf2 import expected_decode_count, rank_cdf_fraction
-from .regions import RegionFrontier, frontier_contains, frontier_value, p_grid
+from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
+from .regions import FrontierPoint, RegionFrontier, frontier_contains, frontier_value, p_grid
 from .retrans import retrans_service_rates, service_rates_grid
-from .rlc_markov import build_chain, rlc_service_rates, service_rate, service_rates_grid as rlc_grid
+from .rlc_markov import build_chain, service_rate, service_rates_grid as rlc_grid
 from .sim import SimConfig, run as sim_run
 
 __all__ = ["CheckResult", "run_checks"]
@@ -45,14 +45,7 @@ def _enumerate_full_rank(K: int, j: int) -> Fraction:
         basis: dict[int, int] = {}
         r = 0
         for v in cols:
-            while v:
-                top = v.bit_length() - 1
-                b = basis.get(top)
-                if b is None:
-                    basis[top] = v
-                    r += 1
-                    break
-                v ^= b
+            r += basis_insert(basis, v)
             if r == K:
                 break
         if r == K:
@@ -62,7 +55,6 @@ def _enumerate_full_rank(K: int, j: int) -> Fraction:
 
 def check_rank_distribution(kmax: int = 3, jmax: int = 6) -> CheckResult:
     """Criterion 1: rank cdf formula equals exhaustive enumeration exactly."""
-    worst = None
     for K in range(1, kmax + 1):
         for j in range(0, jmax + 1):
             expected = _enumerate_full_rank(K, j) if j * K <= 20 else None
@@ -75,7 +67,6 @@ def check_rank_distribution(kmax: int = 3, jmax: int = 6) -> CheckResult:
                     False,
                     f"F_{K}({j}) = {got} but enumeration gives {expected}",
                 )
-            worst = (K, j)
     return CheckResult(
         "rank-distribution",
         True,
@@ -261,7 +252,6 @@ def check_jensen_dominance(
 
 def _load_frontier(path: Path, kind: str, K: int | None, step: float) -> RegionFrontier:
     from .cli import read_csv
-    from .regions import FrontierPoint
 
     _, rows = read_csv(path)
     pts = [

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .capacity import capacity_sweep, rate_bounds
+from .capacity import capacity_sweep
 from .channel import (
     AccessProbabilities,
     ArrivalRates,
@@ -53,9 +53,10 @@ def _fmt(cell) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write ``rows`` (any iterable, consumed once) line by line."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(_fmt(c) for c in row) + "\n" for row in rows)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -66,9 +67,9 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 
 
 def _write_manifest(
-    out_files: list[Path], command: str, params: dict, seed, started: float
+    out_files: list[Path], command: str, params: dict, seed, started: float, path=None
 ) -> Path:
-    target = out_files[0]
+    """Write the run's manifest, by default as ``<first output>.manifest.json``."""
     manifest = {
         "command": command,
         "tool": "ramcast",
@@ -79,7 +80,8 @@ def _write_manifest(
         "defaults": DEFAULTS,
         "duration_s": round(time.time() - started, 3),
     }
-    path = target.with_name(target.stem + ".manifest.json")
+    if path is None:
+        path = out_files[0].with_name(out_files[0].stem + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return path
 
@@ -95,15 +97,15 @@ def cmd_capacity(args) -> int:
     p1s, p2s, r1, r2, frontier = capacity_sweep(channel, args.step)
     on = {(pt.p1, pt.p2) for pt in frontier.points}
     out = _resolve_out(args.out)
-    rows = [
-        [float(a), float(b), float(x), float(y), int((a, b) in on)]
+    rows = (
+        [a, b, x, y, int((a, b) in on)]
         for a, b, x, y in zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist())
-    ]
+    )
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
     _write_manifest(
         [out], "capacity", {**_channel_params(args.channel), "step": args.step}, None, started
     )
-    print(f"wrote {out} ({len(rows)} grid points, {len(frontier.points)} on frontier)")
+    print(f"wrote {out} ({p1s.size} grid points, {len(frontier.points)} on frontier)")
     return 0
 
 
@@ -386,45 +388,29 @@ def cmd_figure(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     k_list = [int(k) for k in args.K_list.split(",") if k]
     outputs = []
-
-    frontier = capacity_sweep(channel, args.step)[4]
-    path = out_dir / "capacity.csv"
-    write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
-    outputs.append(path)
-
-    frontier = stable_equals_throughput_frontier("retrans", channel, args.step)
-    path = out_dir / "retrans.csv"
-    write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
-    outputs.append(path)
-
-    for k in k_list:
-        frontier = stable_equals_throughput_frontier(
-            "rlc", channel, args.step, K=k, variant=args.variant
-        )
-        path = out_dir / f"rlc_K{k}.csv"
+    runs = [("capacity", None, "capacity.csv"), ("retrans", None, "retrans.csv")]
+    runs += [("rlc", k, f"rlc_K{k}.csv") for k in k_list]
+    for kind, k, name in runs:
+        frontier = _compute_frontier(kind, channel, args.step, k, args.variant)
+        path = out_dir / name
         write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
         outputs.append(path)
 
     script = out_dir / "plot_figure.py"
     script.write_text(_PLOT_SCRIPT, encoding="utf-8")
     outputs.append(script)
-    manifest = {
-        "command": "figure",
-        "tool": "ramcast",
-        "version": __version__,
-        "params": {
+    _write_manifest(
+        outputs,
+        "figure",
+        {
             **_channel_params(args.channel),
             "K_list": k_list,
             "step": args.step,
             "variant": args.variant,
         },
-        "seed": None,
-        "outputs": [p.name for p in outputs],
-        "defaults": DEFAULTS,
-        "duration_s": round(time.time() - started, 3),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        None,
+        started,
+        path=out_dir / "manifest.json",
     )
     print(f"wrote {len(outputs)} files to {out_dir}")
     return 0

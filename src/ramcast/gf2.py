@@ -11,38 +11,50 @@ K; the number N of received coded packets needed has cdf
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
+    "MAX_K",
     "BinaryMatrix",
-    "RankDistribution",
-    "rank",
-    "is_innovative",
+    "basis_insert",
     "rank_cdf",
     "rank_cdf_fraction",
     "rank_pmf",
-    "rank_distribution",
     "expected_decode_count",
     "encode",
     "decode",
 ]
 
-MAX_GENERATION = 64
+MAX_K = 64  # largest generation size anywhere in the package
 
 
 def _check_generation_size(K: int) -> None:
-    if not 1 <= K <= MAX_GENERATION:
-        raise ValueError(f"generation size K must be in [1, {MAX_GENERATION}], got {K!r}")
+    if not 1 <= K <= MAX_K:
+        raise ValueError(f"generation size K must be in [1, {MAX_K}], got {K!r}")
+
+
+def basis_insert(basis: dict[int, int], v: int) -> int:
+    """Insert a vector into a triangular GF(2) basis; 1 if rank grew.
+
+    ``basis`` maps the leading bit of each basis vector to the vector.
+    """
+    while v:
+        top = v.bit_length() - 1
+        b = basis.get(top)
+        if b is None:
+            basis[top] = v
+            return 1
+        v ^= b
+    return 0
 
 
 class BinaryMatrix:
     """A K-row binary matrix stored as bit-packed columns.
 
     Columns are appended as they are received; an internal echelon basis
-    is kept incrementally so innovation checks and rank queries are O(K)
-    per column.
+    (see :func:`basis_insert`) is kept incrementally, so each append
+    reports whether the column was innovative and the rank is O(1).
     """
 
     __slots__ = ("rows", "_columns", "_basis")
@@ -84,46 +96,12 @@ class BinaryMatrix:
     def rank(self) -> int:
         return len(self._basis)
 
-    def _residual(self, col: int) -> int:
-        v = col
-        basis = self._basis
-        while v:
-            b = basis.get(v.bit_length() - 1)
-            if b is None:
-                break
-            v ^= b
-        return v
-
-    def is_innovative(self, col: int) -> bool:
-        """True iff appending ``col`` would increase the rank."""
-        if col >> self.rows:
-            raise ValueError(f"column {col:#x} has bits beyond row {self.rows - 1}")
-        return self._residual(col) != 0
-
     def append_column(self, col: int) -> bool:
         """Append a column; returns True when it increased the rank."""
         if col >> self.rows:
             raise ValueError(f"column {col:#x} has bits beyond row {self.rows - 1}")
         self._columns.append(col)
-        v = self._residual(col)
-        if v:
-            self._basis[v.bit_length() - 1] = v
-            return True
-        return False
-
-
-def rank(m: BinaryMatrix) -> int:
-    """GF(2) rank of the collected columns."""
-    return m.rank
-
-
-def is_innovative(m: BinaryMatrix, col: int | Sequence[int]) -> bool:
-    """True iff the coefficient vector lies outside the span of ``m``'s columns."""
-    if not isinstance(col, int):
-        if len(col) != m.rows:
-            raise ValueError(f"column length {len(col)} != rows {m.rows}")
-        col = sum(1 << r for r, bit in enumerate(col) if bit & 1)
-    return m.is_innovative(col)
+        return bool(basis_insert(self._basis, col))
 
 
 def rank_cdf(K: int, j: int) -> float:
@@ -191,38 +169,6 @@ def expected_decode_count(K: int, tol: float = 1e-12) -> float:
         total += s
         j += 1
     return total
-
-
-@dataclass
-class RankDistribution:
-    """Decode-count distribution for a generation of K packets."""
-
-    K: int
-    tail_cutoff: int
-    expected_n: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.expected_n = expected_decode_count(self.K)
-
-    def cdf(self, j: int) -> float:
-        return rank_cdf(self.K, j)
-
-    def pmf(self, j: int) -> float:
-        return rank_pmf(self.K, j)
-
-    @property
-    def overhead_ratio(self) -> float:
-        """E[N]/K; approaches 1 as the generation grows."""
-        return self.expected_n / self.K
-
-
-def rank_distribution(K: int, tol: float = 1e-12) -> RankDistribution:
-    """Decode-count distribution with the tail cut where 1 - F_K(j) < tol."""
-    _check_generation_size(K)
-    j = K
-    while _survival(K, j) >= tol and j < K + 1100:
-        j += 1
-    return RankDistribution(K=K, tail_cutoff=j)
 
 
 def encode(

@@ -18,49 +18,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import RateBounds, rate_bounds
 from .channel import AccessProbabilities, ChannelModel
 from .regions import factored_rates
 
 __all__ = [
-    "SuccessParams",
     "ServiceRates",
-    "success_params",
     "retrans_service_rates",
     "service_rates_grid",
-    "jensen_bound",
 ]
 
 _TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SuccessParams:
-    """Per-transmission success probabilities, indexed by source - 1.
-
-    ``dest1``/``dest2`` condition on the source transmitting with the
-    other source backlogged; ``both`` is simultaneous success at the two
-    destinations (independent links, so products of per-link terms).
-    """
-
-    dest1: tuple[float, float]
-    dest2: tuple[float, float]
-    both: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        for n in (0, 1):
-            phi, sigma, tau = self.dest1[n], self.dest2[n], self.both[n]
-            for name, v in (("dest1", phi), ("dest2", sigma), ("both", tau)):
-                if not -_TOL <= v <= 1.0 + _TOL:
-                    raise ValueError(f"{name}[{n + 1}]={v!r} outside [0, 1]")
-            if tau > min(phi, sigma) + _TOL:
-                raise ValueError(
-                    f"both[{n + 1}]={tau!r} exceeds min(dest1, dest2)"
-                )
-            if tau < phi + sigma - 1.0 - _TOL:
-                raise ValueError(
-                    f"both[{n + 1}]={tau!r} below union bound {phi + sigma - 1.0!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -90,15 +57,6 @@ def _success_triplet(channel: ChannelModel, source: int, p_other) -> tuple:
     sigma = (1 - p_other) * s2 + p_other * j2
     tau = (1 - p_other) * s1 * s2 + p_other * j1 * j2
     return phi, sigma, tau
-
-
-def success_params(channel: ChannelModel, access: AccessProbabilities) -> SuccessParams:
-    """Success probabilities for both sources with the other source backlogged."""
-    phi1, sigma1, tau1 = _success_triplet(channel, 1, access.p2)
-    phi2, sigma2, tau2 = _success_triplet(channel, 2, access.p1)
-    return SuccessParams(
-        dest1=(phi1, phi2), dest2=(sigma1, sigma2), both=(tau1, tau2)
-    )
 
 
 def _rate_formula(p, phi, sigma, tau):
@@ -142,13 +100,3 @@ def service_rates_grid(
         p1,
         p2,
     )
-
-
-def jensen_bound(channel: ChannelModel, access: AccessProbabilities) -> RateBounds:
-    """Capacity-region rate caps, which upper-bound the backlogged rates.
-
-    E[max of the per-destination service times] >= max of the expectations,
-    so mu_nb never exceeds the min-over-destinations success rate; that
-    right-hand side is exactly the capacity integrand.
-    """
-    return rate_bounds(channel, access)

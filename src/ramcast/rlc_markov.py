@@ -20,11 +20,10 @@ Two transition models are provided:
   intersections can grow by 2 in a slot, and (K, K, K) is the single
   completion state.
 
-The service rate is K packets per expected service time.  With the
-renewal closure this equals K times the stationary probability flux
-into the completion states divided by the stationary mass outside them
-(the closure parks the chain in a completion state for one bookkeeping
-slot per cycle, which is not part of the service time).
+The service rate is K packets per expected service time.  Every
+transition raises i + j + k, so the expected visits to each state in one
+renewal cycle follow from a single level-ordered forward pass
+(``_visit_counts``); their sum is the expected service time.
 """
 from __future__ import annotations
 
@@ -32,36 +31,27 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 from .channel import AccessProbabilities, ChannelModel
+from .gf2 import MAX_K
 from .regions import factored_rates
 from .retrans import ServiceRates
 
 __all__ = [
-    "MAX_K",
     "ChainError",
-    "SteadyStateError",
     "ChainModel",
     "build_chain",
-    "absorbing_entry_sets",
-    "steady_state",
     "expected_service_time",
     "service_rate",
     "rlc_service_rates",
     "service_rates_grid",
 ]
 
-MAX_K = 64
 State = tuple[int, int, int]
 
 
 class ChainError(ValueError):
     """Raised for invalid chain parameters."""
-
-
-class SteadyStateError(RuntimeError):
-    """Raised when the balance equations cannot be solved reliably."""
 
 
 @dataclass(frozen=True)
@@ -329,7 +319,6 @@ class ChainModel:
     e_src: np.ndarray = field(repr=False)
     e_dst: np.ndarray = field(repr=False)
     e_prob: np.ndarray = field(repr=False)
-    pi: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -361,22 +350,6 @@ class ChainModel:
         np.add.at(sums, self.e_src, self.e_prob)
         sums[self.space.absorbing] = 1.0
         return sums
-
-    def transition_matrix(self, sparse: bool = False):
-        """Full row-stochastic matrix including the renewal closure."""
-        n = self.n_states
-        zero = self.state_index((0, 0, 0))
-        rows = np.concatenate([np.arange(n), self.e_src, self.space.absorbing])
-        cols = np.concatenate(
-            [np.arange(n), self.e_dst, np.full(self.space.absorbing.size, zero)]
-        )
-        vals = np.concatenate(
-            [self.self_p, self.e_prob, np.ones(self.space.absorbing.size)]
-        )
-        mat = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        if sparse:
-            return mat
-        return mat.toarray()
 
 
 def build_chain(
@@ -416,34 +389,6 @@ def build_chain(
         e_dst=space.e_dst,
         e_prob=e_prob[space.edge_order],
     )
-
-
-def absorbing_entry_sets(K: int) -> list[frozenset[State]]:
-    """States with a one-step transition into each completion state (K, K, k).
-
-    Returns A_0 .. A_K; members with k - 1 < 0 or violating
-    k <= min(i, j) are dropped.
-    """
-    if not 1 <= K <= MAX_K:
-        raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
-
-    def valid(s: State) -> bool:
-        i, j, k = s
-        return 0 <= k <= min(i, j) and 0 <= i <= K and 0 <= j <= K
-
-    out: list[frozenset[State]] = []
-    for k in range(K):
-        cands = [
-            (K - 1, K, k),
-            (K - 1, K, k - 1),
-            (K, K - 1, k),
-            (K, K - 1, k - 1),
-            (K - 1, K - 1, k - 1),
-        ]
-        out.append(frozenset(s for s in cands if valid(s)))
-    cands = [(K - 1, K, K - 1), (K, K - 1, K - 1), (K - 1, K - 1, K - 1)]
-    out.append(frozenset(s for s in cands if valid(s)))
-    return out
 
 
 def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
@@ -495,81 +440,6 @@ def service_rate(chain: ChainModel) -> float:
     if not np.isfinite(et) or et <= 0:
         return 0.0
     return chain.K / et
-
-
-def steady_state(chain: ChainModel, method: str = "auto") -> np.ndarray:
-    """Stationary distribution of the renewal-closed chain.
-
-    ``method`` is "dense" (direct solve of the balance equations),
-    "power" (sparse power iteration; the default above K = 16), or
-    "dp" (exact renewal-cycle visit counts).  The result is cached on
-    the chain.
-    """
-    if method == "auto":
-        method = "dense" if chain.K <= 16 else "power"
-    n = chain.n_states
-    if method == "dp":
-        vc = _visit_counts(chain)
-        if vc is None:
-            raise SteadyStateError("chain never reaches a completion state")
-        visits, flux = vc
-        pi = visits.copy()
-        pi[chain.space.absorbing] = flux
-        pi /= pi.sum()
-    elif method == "dense":
-        P = chain.transition_matrix(sparse=False)
-        A = P.T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        try:
-            pi = np.linalg.solve(A, b)
-        except np.linalg.LinAlgError as exc:
-            raise SteadyStateError(f"balance equations singular: {exc}") from exc
-        resid = float(np.max(np.abs(pi @ P - pi)))
-        if resid > 1e-9 or np.min(pi) < -1e-9:
-            raise SteadyStateError(
-                f"balance solution unreliable (residual {resid:.3e}, "
-                f"min {float(np.min(pi)):.3e})"
-            )
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-    elif method == "power":
-        P = chain.transition_matrix(sparse=True)
-        pi = np.full(n, 1.0 / n)
-        for _ in range(2_000_000):
-            nxt = pi @ P
-            delta = float(np.abs(nxt - pi).sum())
-            pi = nxt
-            if delta < 1e-14:
-                break
-        else:
-            raise SteadyStateError("power iteration did not converge")
-        pi = np.clip(pi, 0.0, None)
-        pi /= pi.sum()
-    else:
-        raise ChainError(f"unknown steady-state method {method!r}")
-    chain.pi = pi
-    return pi
-
-
-def service_rate_from_pi(chain: ChainModel, pi: np.ndarray | None = None) -> float:
-    """Service rate via the stationary absorption flux.
-
-    K times the per-slot probability of entering a completion state,
-    normalized to the slots spent in service (the renewal closure parks
-    one bookkeeping slot per cycle in the completion state).
-    """
-    if pi is None:
-        pi = chain.pi if chain.pi is not None else steady_state(chain)
-    is_abs = np.zeros(chain.n_states, dtype=bool)
-    is_abs[chain.space.absorbing] = True
-    into = is_abs[chain.e_dst]
-    flux = float(np.sum(pi[chain.e_src[into]] * chain.e_prob[into]))
-    mass_abs = float(pi[chain.space.absorbing].sum())
-    if mass_abs >= 1.0 - 1e-15:
-        return 0.0
-    return chain.K * flux / (1.0 - mass_abs)
 
 
 def rlc_service_rates(
@@ -626,8 +496,6 @@ def service_rates_grid(
     Costs one chain solve per distinct value of p2 (for source 1) and of
     p1 (for source 2), not two per point.
     """
-    if not 1 <= K <= MAX_K:
-        raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
     return factored_rates(
         lambda source, q: _rates_at_full_access(channel, source, q, K, variant), p1, p2
     )

@@ -18,11 +18,12 @@ tests instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import AccessProbabilities, ArrivalRates, ChannelModel, validate
+from .gf2 import MAX_K, basis_insert
 
 __all__ = [
     "SimConfig",
@@ -60,8 +61,8 @@ class SimConfig:
             raise ValueError(f"mode must be 'saturated' or 'arrivals', got {self.mode!r}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots!r}")
-        if self.policy == "rlc" and not 1 <= self.K <= 64:
-            raise ValueError(f"K must be in [1, 64] for rlc, got {self.K!r}")
+        if self.policy == "rlc" and not 1 <= self.K <= MAX_K:
+            raise ValueError(f"K must be in [1, {MAX_K}] for rlc, got {self.K!r}")
         validate(self.channel)
 
 
@@ -94,18 +95,6 @@ class SimResult:
     slots: int
     seed: int
     sources: tuple[SourceResult, SourceResult]
-
-
-def _basis_insert(basis: dict[int, int], v: int) -> int:
-    """Insert a vector into a triangular GF(2) basis; 1 if rank grew."""
-    while v:
-        top = v.bit_length() - 1
-        b = basis.get(top)
-        if b is None:
-            basis[top] = v
-            return 1
-        v ^= b
-    return 0
 
 
 def _draw_coeffs(rng: np.random.Generator, n: int, K: int) -> list[int]:
@@ -231,12 +220,12 @@ def run(config: SimConfig) -> SimResult:
                     got2 = rank2[n] < K and ur[n][1][s] < thr[1]
                     if got1:
                         nrecv[n][0] += 1
-                        rank1[n] += _basis_insert(basis1[n], v)
+                        rank1[n] += basis_insert(basis1[n], v)
                     if got2:
                         nrecv[n][1] += 1
-                        rank2[n] += _basis_insert(basis2[n], v)
+                        rank2[n] += basis_insert(basis2[n], v)
                     if (got1 or got2) and ranku[n] < K:
-                        ranku[n] += _basis_insert(basisu[n], v)
+                        ranku[n] += basis_insert(basisu[n], v)
                     if rank1[n] == K and rank2[n] == K:
                         dep[n] += K
                         batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += K

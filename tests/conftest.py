@@ -43,3 +43,42 @@ def channel_models(draw) -> ChannelModel:
 def access_probs(draw) -> AccessProbabilities:
     p = st.floats(0.0, 1.0, allow_nan=False)
     return AccessProbabilities(draw(p), draw(p))
+
+
+def dense_stationary(chain) -> np.ndarray:
+    """Stationary distribution of the renewal-closed chain by a dense solve.
+
+    Builds the full row-stochastic matrix (self-loops, the level-raising
+    edges, and the renewal rows (K, K, k) -> (0, 0, 0)) and solves the
+    balance equations directly; this is the oracle for the library's
+    visit-count pass.
+    """
+    n = chain.n_states
+    P = np.diag(chain.self_p)
+    np.add.at(P, (chain.e_src, chain.e_dst), chain.e_prob)
+    P[chain.space.absorbing, chain.state_index((0, 0, 0))] = 1.0
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = np.linalg.solve(A, b)
+    resid = float(np.max(np.abs(pi @ P - pi)))
+    assert resid <= 1e-9 and np.min(pi) >= -1e-9, (
+        f"balance solution unreliable (residual {resid:.3e}, min {float(np.min(pi)):.3e})"
+    )
+    pi = np.clip(pi, 0.0, None)
+    return pi / pi.sum()
+
+
+def flux_rate(chain, pi: np.ndarray) -> float:
+    """Service rate from a stationary distribution of the closed chain.
+
+    K times the per-slot flux into the completion states, normalized to
+    the slots spent in service (the renewal closure parks one bookkeeping
+    slot per cycle in a completion state).
+    """
+    is_abs = np.zeros(chain.n_states, dtype=bool)
+    is_abs[chain.space.absorbing] = True
+    into = is_abs[chain.e_dst]
+    flux = float(np.sum(pi[chain.e_src[into]] * chain.e_prob[into]))
+    return chain.K * flux / (1.0 - float(pi[chain.space.absorbing].sum()))

@@ -6,7 +6,6 @@ import pytest
 
 from ramcast.capacity import (
     binary_entropy,
-    capacity_frontier,
     capacity_sweep,
     mutual_info,
     rate_bounds,
@@ -191,7 +190,7 @@ def test_mutual_info_rejects_short_packets(strong):
 
 
 def test_capacity_frontier_collision_corners():
-    frontier = capacity_frontier(collision_channel(), grid_step=0.01)
+    frontier = capacity_sweep(collision_channel(), grid_step=0.01)[4]
     xs = frontier.xs()
     ys = frontier.ys()
     assert xs.max() >= 0.99
@@ -199,13 +198,13 @@ def test_capacity_frontier_collision_corners():
 
 
 def test_capacity_frontier_strong_symmetric_point(strong):
-    frontier = capacity_frontier(strong, grid_step=0.01)
+    frontier = capacity_sweep(strong, grid_step=0.01)[4]
     best = max(min(pt.x, pt.y) for pt in frontier.points)
     assert best == pytest.approx(0.6, abs=1e-12)
 
 
 def test_capacity_frontier_is_pareto_sorted(strong):
-    frontier = capacity_frontier(strong, grid_step=0.05)
+    frontier = capacity_sweep(strong, grid_step=0.05)[4]
     xs = frontier.xs()
     ys = frontier.ys()
     assert np.all(np.diff(xs) > 0)
@@ -214,9 +213,9 @@ def test_capacity_frontier_is_pareto_sorted(strong):
 
 def test_capacity_frontier_grid_step_validation(strong):
     with pytest.raises(ValueError):
-        capacity_frontier(strong, grid_step=0.2)
+        capacity_sweep(strong, grid_step=0.2)
     with pytest.raises(ValueError):
-        capacity_frontier(strong, grid_step=0.0)
+        capacity_sweep(strong, grid_step=0.0)
 
 
 def test_channel_monotonicity_grows_frontier():
@@ -242,8 +241,8 @@ def test_channel_monotonicity_grows_frontier():
         rb1, rb2 = rate_bounds_grid(big, P1.ravel(), P2.ravel())
         assert np.all(rb1 >= rs1 - 1e-15)
         assert np.all(rb2 >= rs2 - 1e-15)
-        f_small = capacity_frontier(small, 0.1)
-        f_big = capacity_frontier(big, 0.1)
+        f_small = capacity_sweep(small, 0.1)[4]
+        f_big = capacity_sweep(big, 0.1)[4]
         assert frontier_contains(f_big, f_small, tol=1e-12)
 
 

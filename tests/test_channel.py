@@ -11,7 +11,6 @@ from ramcast.channel import (
     collision_channel,
     load_channel,
     strong_mpr,
-    success_prob,
     validate,
     weak_mpr,
 )
@@ -53,22 +52,15 @@ def test_presets_match_figure_captions():
 
 
 def test_success_prob_lookups(strong):
-    assert success_prob(strong, 1, 1, other_transmits=False) == 0.8
-    assert success_prob(strong, 1, 2, other_transmits=True) == 0.6
-    assert success_prob(collision_channel(), 2, 1, other_transmits=True) == 0.0
-
-
-def test_success_prob_rejects_bad_ids(strong):
-    with pytest.raises(ChannelError):
-        success_prob(strong, 3, 1, False)
-    with pytest.raises(ChannelError):
-        success_prob(strong, 1, 0, False)
+    assert strong.solo(1, 1) == 0.8
+    assert strong.joint(1, 2) == 0.6
+    assert collision_channel().joint(2, 1) == 0.0
 
 
 def test_validate_idempotent_and_lookup_pure(strong):
     assert validate(validate(strong)) is strong
-    a = success_prob(strong, 2, 2, True)
-    b = success_prob(strong, 2, 2, True)
+    a = strong.joint(2, 2)
+    b = strong.joint(2, 2)
     assert a == b
 
 
@@ -77,7 +69,7 @@ def test_interference_never_helps(ch):
     validate(ch)
     for n in (1, 2):
         for m in (1, 2):
-            assert success_prob(ch, n, m, True) < success_prob(ch, n, m, False)
+            assert ch.joint(n, m) < ch.solo(n, m)
 
 
 def test_load_channel_presets():

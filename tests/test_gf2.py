@@ -9,42 +9,42 @@ from hypothesis import strategies as st
 
 from ramcast.gf2 import (
     BinaryMatrix,
+    _survival,
     decode,
     encode,
     expected_decode_count,
-    is_innovative,
-    rank,
     rank_cdf,
     rank_cdf_fraction,
-    rank_distribution,
     rank_pmf,
 )
 
 
 def test_rank_identity_and_zero():
-    assert rank(BinaryMatrix.identity(5)) == 5
+    assert BinaryMatrix.identity(5).rank == 5
     zero = BinaryMatrix(3, [0, 0, 0, 0, 0])
-    assert rank(zero) == 0
+    assert zero.rank == 0
     assert zero.cols == 5
 
 
 def test_rank_hand_example():
     m = BinaryMatrix.from_bit_columns(2, [(1, 1), (1, 1), (0, 1)])
-    assert rank(m) == 2
+    assert m.rank == 2
 
 
 def test_is_innovative_basics():
+    # append_column reports whether the column was innovative.
     empty = BinaryMatrix(4)
-    assert not is_innovative(empty, 0)
-    assert is_innovative(empty, 0b1010)
+    assert not empty.append_column(0)
+    assert empty.append_column(0b1010)
     m = BinaryMatrix(3, [0b001])
-    assert not is_innovative(m, (1, 0, 0))
-    assert is_innovative(m, (0, 1, 0))
+    assert not m.append_column(0b001)
+    assert m.append_column(0b010)
+    assert m.rank == 2
 
 
 def test_is_innovative_rejects_wide_columns():
     with pytest.raises(ValueError):
-        is_innovative(BinaryMatrix(2), 0b100)
+        BinaryMatrix(2).append_column(0b100)
 
 
 def test_rank_cdf_values():
@@ -58,7 +58,7 @@ def test_rank_cdf_matches_enumeration_2x2():
     full = 0
     for cols in itertools.product(range(4), repeat=2):
         m = BinaryMatrix(2, cols)
-        if rank(m) == 2:
+        if m.rank == 2:
             full += 1
     assert full == 6
     assert rank_cdf_fraction(2, 2) == Fraction(6, 16)
@@ -69,7 +69,7 @@ def test_rank_cdf_matches_enumeration_small(K, jmax):
     for j in range(jmax + 1):
         full = 0
         for cols in itertools.product(range(1 << K), repeat=j):
-            if rank(BinaryMatrix(K, cols)) == K:
+            if BinaryMatrix(K, cols).rank == K:
                 full += 1
         assert rank_cdf_fraction(K, j) == Fraction(full, (1 << K) ** j)
 
@@ -121,13 +121,17 @@ def test_overhead_ratio_bounds():
 
 
 def test_rank_distribution_summary():
-    dist = rank_distribution(4)
-    assert dist.K == 4
-    assert dist.cdf(3) == 0.0
-    assert dist.pmf(4) == pytest.approx(rank_cdf(4, 4), abs=1e-15)
-    assert dist.expected_n == pytest.approx(expected_decode_count(4), abs=1e-12)
-    assert dist.overhead_ratio >= 1.0
-    assert dist.cdf(dist.tail_cutoff) > 1 - 1e-11
+    K = 4
+    assert rank_cdf(K, 3) == 0.0
+    assert rank_pmf(K, 4) == pytest.approx(rank_cdf(K, 4), abs=1e-15)
+    assert expected_decode_count(K) / K >= 1.0
+    # Tail cut where 1 - F_K(j) < 1e-12; the pmf's mean up to it is E[N].
+    cutoff = K
+    while _survival(K, cutoff) >= 1e-12:
+        cutoff += 1
+    assert rank_cdf(K, cutoff) > 1 - 1e-11
+    mean = math.fsum(j * rank_pmf(K, j) for j in range(K, cutoff + 1))
+    assert mean == pytest.approx(expected_decode_count(K), abs=1e-9)
 
 
 @pytest.mark.parametrize("K", [1, 2, 4])
@@ -205,9 +209,7 @@ def test_encode_decode_roundtrip_exactly_at_rank_k(K, seed):
     innovations = 0
     for _ in range(1000):
         payload, coeffs = encode(generation, rng)
-        if is_innovative(matrix, coeffs):
-            innovations += 1
-        matrix.append_column(coeffs)
+        innovations += matrix.append_column(coeffs)
         payloads.append(payload)
         if innovations < K:
             with pytest.raises(ValueError):

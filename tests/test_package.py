@@ -1,0 +1,58 @@
+"""Package-wide invariants: one generation-size limit and the import graph."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import ramcast.sim
+from ramcast.channel import AccessProbabilities
+from ramcast.gf2 import MAX_K
+from ramcast.rlc_markov import ChainError, build_chain, service_rates_grid
+from ramcast.sim import SimConfig
+
+PKG = Path(ramcast.sim.__file__).resolve().parent
+
+
+@pytest.mark.parametrize("K", [0, MAX_K + 1])
+def test_generation_size_limit_is_shared(strong, K):
+    access = AccessProbabilities(0.5, 0.5)
+    with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
+        SimConfig(channel=strong, access=access, policy="rlc", K=K)
+    with pytest.raises(ChainError, match=f"K must be in \\[1, {MAX_K}\\]"):
+        build_chain(strong, access, K=K)
+    with pytest.raises(ChainError, match=f"K must be in \\[1, {MAX_K}\\]"):
+        service_rates_grid(strong, np.array([0.5]), np.array([0.5]), K)
+
+
+def test_cli_import_pulls_in_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))
+    code = (
+        "import sys, ramcast.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_simulator_imports_no_chain_code():
+    # The simulator is the independent oracle for the chain: inside the
+    # package it may import only the channel model and GF(2) primitives.
+    tree = ast.parse((PKG / "sim.py").read_text(encoding="utf-8"))
+    local = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                local.add(node.module)
+            else:
+                assert node.module.split(".")[0] != "ramcast", node.module
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                assert alias.name.split(".")[0] != "ramcast", alias.name
+    assert local == {"channel", "gf2"}

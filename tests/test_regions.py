@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.capacity import capacity_frontier, rate_bounds_grid
+from ramcast.capacity import capacity_sweep, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, collision_channel
 from ramcast.regions import (
     FrontierPoint,
@@ -136,13 +136,13 @@ def test_dead_points_rate_exactly_zero(strong, K):
 
 
 def test_frontier_contains_reflexive(strong):
-    f = capacity_frontier(strong, 0.05)
+    f = capacity_sweep(strong, 0.05)[4]
     assert frontier_contains(f, f, tol=0.0)
 
 
 def test_capacity_contains_retrans_but_not_conversely(strong, weak):
     for ch in (strong, weak):
-        cap = capacity_frontier(ch, 0.05)
+        cap = capacity_sweep(ch, 0.05)[4]
         ret = stable_equals_throughput_frontier("retrans", ch, 0.05)
         tol = 2 * 0.05 * 1.0
         assert frontier_contains(cap, ret, tol)
@@ -235,13 +235,13 @@ def test_theorem2_vertices_exactly_dominated(strong):
 
 
 def test_collision_capacity_frontier_contains_corners():
-    frontier = capacity_frontier(collision_channel(), 0.05)
+    frontier = capacity_sweep(collision_channel(), 0.05)[4]
     assert frontier.max_x() == pytest.approx(1.0, abs=1e-12)
     assert frontier.points[0].y == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frontier_contains_requires_nonempty(strong):
-    f = capacity_frontier(strong, 0.1)
+    f = capacity_sweep(strong, 0.1)[4]
     empty = RegionFrontier(kind="capacity", points=[], grid_step=0.1)
     with pytest.raises(ValueError):
         frontier_contains(f, empty, 0.0)

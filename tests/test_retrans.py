@@ -6,10 +6,9 @@ from ramcast.capacity import rate_bounds, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
 from ramcast.retrans import (
     ServiceRates,
-    jensen_bound,
+    _success_triplet,
     retrans_service_rates,
     service_rates_grid,
-    success_params,
 )
 
 from conftest import access_probs, channel_models, random_channel
@@ -18,27 +17,26 @@ PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.
 
 
 def test_success_params_strong_example(strong):
-    sp = success_params(strong, AccessProbabilities(0.5, 0.5))
+    phi, _, tau = _success_triplet(strong, 1, 0.5)
     # 0.5*0.8 + 0.5*0.6 and 0.5*(0.8*0.7) + 0.5*(0.6*0.6)
-    assert sp.dest1[0] == pytest.approx(0.7, abs=1e-12)
-    assert sp.both[0] == pytest.approx(0.46, abs=1e-12)
+    assert phi == pytest.approx(0.7, abs=1e-12)
+    assert tau == pytest.approx(0.46, abs=1e-12)
 
 
 def test_success_params_collision_sole_transmitter():
-    sp = success_params(collision_channel(), AccessProbabilities(0.8, 0.0))
-    assert sp.dest1[0] == 1.0
-    assert sp.dest2[0] == 1.0
-    assert sp.both[0] == 1.0
+    # Source 1 transmits alone because p2 = 0.
+    assert _success_triplet(collision_channel(), 1, 0.0) == (1.0, 1.0, 1.0)
 
 
 def test_success_params_invariants_random():
     rng = np.random.default_rng(5)
     for _ in range(300):
         ch = random_channel(rng)
-        sp = success_params(ch, AccessProbabilities(*rng.uniform(0, 1, 2)))
-        for n in (0, 1):
-            assert sp.both[n] <= min(sp.dest1[n], sp.dest2[n]) + 1e-12
-            assert sp.both[n] >= sp.dest1[n] + sp.dest2[n] - 1.0 - 1e-12
+        p1, p2 = rng.uniform(0, 1, 2)
+        for source, p_other in ((1, p2), (2, p1)):
+            phi, sigma, tau = _success_triplet(ch, source, p_other)
+            assert tau <= min(phi, sigma) + 1e-12
+            assert tau >= phi + sigma - 1.0 - 1e-12
 
 
 def test_perfect_channel_rate_is_access_probability():
@@ -73,18 +71,21 @@ def test_dead_source_rate_zero(strong):
 
 
 def test_jensen_bound_equals_rate_bounds(strong):
+    # The Jensen bound p_n * min(phi, sigma) is the capacity integrand.
     access = AccessProbabilities(0.3, 0.9)
-    jb = jensen_bound(strong, access)
     rb = rate_bounds(strong, access)
-    assert jb == rb
+    phi, sigma, _ = _success_triplet(strong, 1, 0.9)
+    assert rb.r1_max == pytest.approx(0.3 * min(phi, sigma), abs=1e-15)
+    phi, sigma, _ = _success_triplet(strong, 2, 0.3)
+    assert rb.r2_max == pytest.approx(0.9 * min(phi, sigma), abs=1e-15)
 
 
 def test_jensen_bound_examples(strong):
     access = AccessProbabilities(0.5, 0.5)
-    assert jensen_bound(strong, access).r1_max == pytest.approx(0.325, abs=1e-12)
+    assert rate_bounds(strong, access).r1_max == pytest.approx(0.325, abs=1e-12)
     assert retrans_service_rates(strong, access).backlogged[0] <= 0.325
     coll = collision_channel()
-    assert jensen_bound(coll, access).r1_max == pytest.approx(0.25, abs=1e-12)
+    assert rate_bounds(coll, access).r1_max == pytest.approx(0.25, abs=1e-12)
     assert retrans_service_rates(coll, access).backlogged[0] <= 0.25 + 1e-12
 
 

@@ -11,20 +11,44 @@ from ramcast.rlc_markov import (
     _PAPER_FAMS,
     ChainError,
     _state_space,
-    absorbing_entry_sets,
+    _visit_counts,
     build_chain,
     expected_service_time,
     rlc_service_rates,
     service_rate,
-    service_rate_from_pi,
     service_rates_grid,
-    steady_state,
 )
 
-from conftest import channel_models, random_channel
+from conftest import channel_models, dense_stationary, flux_rate, random_channel
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
 ACCESS = AccessProbabilities(0.5, 0.5)
+
+
+def absorbing_entry_sets(K):
+    """The paper's A_0 .. A_K: states with a one-step transition into each
+    completion state (K, K, k).
+
+    Members with k - 1 < 0 or violating k <= min(i, j) are dropped.
+    """
+
+    def valid(s):
+        i, j, k = s
+        return 0 <= k <= min(i, j) and 0 <= i <= K and 0 <= j <= K
+
+    out = []
+    for k in range(K):
+        cands = [
+            (K - 1, K, k),
+            (K - 1, K, k - 1),
+            (K, K - 1, k),
+            (K, K - 1, k - 1),
+            (K - 1, K - 1, k - 1),
+        ]
+        out.append(frozenset(s for s in cands if valid(s)))
+    cands = [(K - 1, K, K - 1), (K, K - 1, K - 1), (K - 1, K - 1, K - 1)]
+    out.append(frozenset(s for s in cands if valid(s)))
+    return out
 
 
 def test_k1_state_space(strong):
@@ -94,37 +118,39 @@ def test_perfect_channel_k1_hand_solve():
                         other_backlogged=False, K=1)
     assert expected_service_time(chain) == pytest.approx(2.0, abs=1e-12)
     assert service_rate(chain) == pytest.approx(0.5, abs=1e-12)
-    pi = steady_state(chain, method="dense")
+    pi = dense_stationary(chain)
     lookup = {s: p for s, p in zip(chain.states, pi)}
     assert lookup[(0, 0, 0)] == pytest.approx(2 / 3, abs=1e-12)
     assert lookup[(1, 1, 1)] == pytest.approx(1 / 3, abs=1e-12)
-    assert service_rate_from_pi(chain, pi) == pytest.approx(0.5, abs=1e-12)
+    assert flux_rate(chain, pi) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_steady_state_sums_to_one(strong, weak):
     for ch in (strong, weak):
         for K in (1, 2, 5):
             chain = build_chain(ch, ACCESS, K=K)
-            pi = steady_state(chain, method="dense")
+            pi = dense_stationary(chain)
             assert pi.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(pi >= 0)
 
 
 def test_steady_state_methods_agree_at_k16(strong):
+    # Per-cycle visit counts, with the completion states weighted by their
+    # entry probabilities, are the stationary distribution up to scale.
     chain = build_chain(strong, ACCESS, K=16)
-    dense = steady_state(chain, method="dense")
-    power = steady_state(chain, method="power")
-    dp = steady_state(chain, method="dp")
-    assert float(np.abs(dense - power).max()) < 1e-10
-    assert float(np.abs(dense - dp).max()) < 1e-10
+    visits, flux = _visit_counts(chain)
+    dp = visits.copy()
+    dp[chain.space.absorbing] = flux
+    dp /= dp.sum()
+    assert float(np.abs(dense_stationary(chain) - dp).max()) < 1e-10
 
 
 @pytest.mark.parametrize("variant", ["paper", "exact"])
 @pytest.mark.parametrize("K", [1, 2, 4, 8])
 def test_flux_formula_equals_renewal_rate(strong, K, variant):
     chain = build_chain(strong, ACCESS, K=K, variant=variant)
-    pi = steady_state(chain, method="dense")
-    assert service_rate_from_pi(chain, pi) == pytest.approx(
+    pi = dense_stationary(chain)
+    assert flux_rate(chain, pi) == pytest.approx(
         service_rate(chain), abs=1e-10
     )
 

@@ -6,8 +6,10 @@ import pytest
 from ramcast.channel import AccessProbabilities, ArrivalRates, ChannelModel
 from ramcast.gf2 import rank_pmf
 from ramcast.retrans import retrans_service_rates
-from ramcast.rlc_markov import build_chain, service_rate, steady_state
+from ramcast.rlc_markov import build_chain, service_rate
 from ramcast.sim import SimConfig, estimate_service_rate, run, stability_probe
+
+from conftest import dense_stationary
 
 ACCESS = AccessProbabilities(0.5, 0.5)
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((0.0, 0.0), (0.0, 0.0)),
@@ -133,7 +135,7 @@ def test_occupancy_matches_exact_chain_pi(strong):
     reps = 24
     slots = 25_000
     chain = build_chain(strong, ACCESS, K=2, variant="exact")
-    pi = steady_state(chain, method="dense")
+    pi = dense_stationary(chain)
     absorbing = set(chain.absorbing_states)
     pi_t = {s: p for s, p in zip(chain.states, pi) if s not in absorbing}
     mass = sum(pi_t.values())
