@@ -41,6 +41,6 @@ from .regions import (
     stability_region_at,
     stable_equals_throughput_frontier,
 )
-from .sim import SimConfig, SimResult, estimate_service_rate, run, stability_probe
+from .sim import SimConfig, SimResult, run, stability_probe
 
 __version__ = "0.1.0"

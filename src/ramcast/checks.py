@@ -7,6 +7,7 @@ full sizes, ``--quick`` at reduced ones).
 """
 from __future__ import annotations
 
+import contextlib
 import itertools
 import tempfile
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ import numpy as np
 from .capacity import rate_bounds_grid
 from .channel import AccessProbabilities, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
-from .regions import FrontierPoint, RegionFrontier, frontier_contains, frontier_value, p_grid
+from .regions import FrontierPoint, RegionFrontier, frontier_contains, frontier_value, grid_points
 from .retrans import retrans_service_rates, service_rates_grid
 from .rlc_markov import build_chain, service_rate, service_rates_grid as rlc_grid
 from .sim import SimConfig, run as sim_run
@@ -212,9 +213,7 @@ def check_jensen_dominance(
     summary = []
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        grid = p_grid(step)
-        P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-        p1s, p2s = P1.ravel(), P2.ravel()
+        p1s, p2s = grid_points(step)
         b1, b2 = rate_bounds_grid(channel, p1s, p2s)
         m1, m2 = service_rates_grid(channel, p1s, p2s)
         if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
@@ -250,6 +249,16 @@ def check_jensen_dominance(
     )
 
 
+@contextlib.contextmanager
+def _output_dir(out_dir: str | Path | None):
+    """Yield ``out_dir`` as a Path, or a temporary directory removed on exit."""
+    if out_dir is not None:
+        yield Path(out_dir)
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        yield Path(tmp)
+
+
 def _load_frontier(path: Path, kind: str, K: int | None, step: float) -> RegionFrontier:
     from .cli import read_csv
 
@@ -276,15 +285,10 @@ def check_figure_structure(
     """
     from .cli import main as cli_main
 
-    tmp_ctx = None
-    if out_dir is None:
-        tmp_ctx = tempfile.TemporaryDirectory()
-        out_dir = tmp_ctx.name
-    out_dir = Path(out_dir)
     max_rate = 1.0
     tol = 2.0 * step * max_rate
     details = []
-    try:
+    with _output_dir(out_dir) as out_dir:
         for cname, _ in _CHANNELS:
             cdir = out_dir / cname
             rc = cli_main(
@@ -355,9 +359,6 @@ def check_figure_structure(
                 details.append(
                     f"retrans exceeds rlc(K={k0}) by up to {max(cross, 0.0):.4f}"
                 )
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
     return CheckResult(
         "figure-structure",
         True,
@@ -383,9 +384,7 @@ def check_figure_gap(
     as the defect; the check reports the measured gap.
     """
     channel = strong_mpr()
-    grid = p_grid(step)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s, p2s = P1.ravel(), P2.ravel()
+    p1s, p2s = grid_points(step)
     b1, b2 = rate_bounds_grid(channel, p1s, p2s)
     r1, r2 = rlc_grid(channel, p1s, p2s, K, variant=variant)
     mask1 = b1 > 1e-9
@@ -472,11 +471,6 @@ def check_determinism(out_dir: str | Path | None = None) -> CheckResult:
     """Criterion 8: identical command lines and seeds give byte-identical CSVs."""
     from .cli import main as cli_main
 
-    tmp_ctx = None
-    if out_dir is None:
-        tmp_ctx = tempfile.TemporaryDirectory()
-        out_dir = tmp_ctx.name
-    out_dir = Path(out_dir)
     commands = [
         ["capacity", "--channel", "strong_mpr", "--step", "0.05", "--out", "{}"],
         ["rankdist", "--K", "4", "--max-j", "12", "--out", "{}"],
@@ -511,7 +505,7 @@ def check_determinism(out_dir: str | Path | None = None) -> CheckResult:
             "{}",
         ],
     ]
-    try:
+    with _output_dir(out_dir) as out_dir:
         for i, template in enumerate(commands):
             outs = []
             for rep in ("a", "b"):
@@ -529,9 +523,6 @@ def check_determinism(out_dir: str | Path | None = None) -> CheckResult:
                     False,
                     f"command {template[0]} produced differing bytes across reruns",
                 )
-    finally:
-        if tmp_ctx is not None:
-            tmp_ctx.cleanup()
     return CheckResult(
         "determinism", True, f"{len(commands)} commands byte-identical across reruns"
     )

@@ -1,11 +1,13 @@
 """Command-line front end: sweeps, simulations, verification, figures.
 
-Every command that writes files also writes a JSON manifest alongside
-them recording the resolved configuration, tool version, seeds and
-output list, so any artifact can be reproduced from its manifest alone.
-CSV files use UTF-8, LF line endings, a header row, and ``repr``-format
-floats (shortest round-trip), so re-reading a CSV recovers the exact
-values and identical invocations produce byte-identical files.
+Each command computes and returns the files it wrote; ``main`` loads
+the channel, times the run and writes a JSON manifest alongside the
+files recording the parsed arguments, the resolved channel, tool
+version, seed and output list, so any artifact can be reproduced from
+its manifest alone.  CSV files use UTF-8, LF line endings, a header row,
+and ``str`` of each cell, which for a Python float is its shortest
+round-trip ``repr``, so re-reading a CSV recovers the exact values and
+identical invocations produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -46,17 +48,11 @@ def _resolve_out(path: str | Path) -> Path:
     return p
 
 
-def _fmt(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)
-
-
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``rows`` (any iterable, consumed once) line by line."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(_fmt(c) for c in row) + "\n" for row in rows)
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -66,34 +62,47 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return header, [ln.split(",") for ln in lines[1:]]
 
 
-def _write_manifest(
-    out_files: list[Path], command: str, params: dict, seed, started: float, path=None
-) -> Path:
-    """Write the run's manifest, by default as ``<first output>.manifest.json``."""
+# Parsed arguments that are bookkeeping, not parameters of the run.
+_NOT_PARAMS = ("command", "func", "out", "seed")
+
+
+def _write_manifest(args, channel, out_files: list[Path], started: float) -> None:
+    """Record the run next to its outputs.
+
+    The parameters are the parsed arguments plus the resolved channel.
+    The manifest is ``manifest.json`` inside an ``--out`` directory
+    (``figure``) and ``<stem>.manifest.json`` beside an ``--out`` file.
+    """
+    params = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMS}
+    if channel is not None:
+        params.update(channel.as_dict())
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool": "ramcast",
         "version": __version__,
         "params": params,
-        "seed": seed,
+        "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in out_files],
         "defaults": DEFAULTS,
         "duration_s": round(time.time() - started, 3),
     }
-    if path is None:
-        path = out_files[0].with_name(out_files[0].stem + ".manifest.json")
+    out = _resolve_out(args.out)
+    path = out / "manifest.json" if out.is_dir() else out.with_name(out.stem + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
 
 
-def _channel_params(spec: str) -> dict:
-    ch = load_channel(spec)
-    return {"channel": spec, **ch.as_dict()}
+def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
+    """Print a CSV table to stdout and, with ``--out``, write it there too."""
+    for row in [header] + rows:
+        print(",".join(map(str, row)))
+    if not args.out:
+        return []
+    out = _resolve_out(args.out)
+    write_csv(out, header, rows)
+    return [out]
 
 
-def cmd_capacity(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_capacity(args, channel) -> list[Path]:
     p1s, p2s, r1, r2, frontier = capacity_sweep(channel, args.step)
     on = {(pt.p1, pt.p2) for pt in frontier.points}
     out = _resolve_out(args.out)
@@ -102,16 +111,11 @@ def cmd_capacity(args) -> int:
         for a, b, x, y in zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist())
     )
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
-    _write_manifest(
-        [out], "capacity", {**_channel_params(args.channel), "step": args.step}, None, started
-    )
     print(f"wrote {out} ({p1s.size} grid points, {len(frontier.points)} on frontier)")
-    return 0
+    return [out]
 
 
-def cmd_rates(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_rates(args, channel) -> list[Path]:
     access = AccessProbabilities(args.p1, args.p2)
     if args.policy == "retrans":
         rates = retrans_service_rates(channel, access)
@@ -128,34 +132,13 @@ def cmd_rates(args) -> int:
         rates.backlogged[1],
         rates.empty[1],
     ]
-    print(",".join(header))
-    print(",".join(_fmt(c) for c in row))
-    if args.out:
-        out = _resolve_out(args.out)
-        write_csv(out, header, [row])
-        _write_manifest(
-            [out],
-            "rates",
-            {
-                **_channel_params(args.channel),
-                "policy": args.policy,
-                "K": args.K,
-                "p1": args.p1,
-                "p2": args.p2,
-                "variant": args.variant,
-            },
-            None,
-            started,
-        )
-    return 0
+    return _emit_table(args, header, [row])
 
 
-def _frontier_rows(frontier) -> list[list]:
-    kind = frontier.kind
+def _write_frontier(path: Path, frontier) -> None:
     K = frontier.K if frontier.K is not None else ""
-    return [
-        [kind, K, pt.p1, pt.p2, pt.x, pt.y] for pt in frontier.points
-    ]
+    rows = ([frontier.kind, K, pt.p1, pt.p2, pt.x, pt.y] for pt in frontier.points)
+    write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], rows)
 
 
 def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
@@ -166,42 +149,23 @@ def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
     )
 
 
-def cmd_region(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_region(args, channel) -> list[Path]:
     frontier = _compute_frontier(args.kind, channel, args.step, args.K, args.variant)
     out = _resolve_out(args.out)
-    write_csv(out, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
-    _write_manifest(
-        [out],
-        "region",
-        {
-            **_channel_params(args.channel),
-            "kind": args.kind,
-            "K": args.K,
-            "step": args.step,
-            "variant": args.variant,
-        },
-        None,
-        started,
-    )
+    _write_frontier(out, frontier)
     print(f"wrote {out} ({len(frontier.points)} frontier points)")
-    return 0
+    return [out]
 
 
-def cmd_rankdist(args) -> int:
-    started = time.time()
+def cmd_rankdist(args, channel) -> list[Path]:
     out = _resolve_out(args.out)
     rows = [[j, rank_cdf(args.K, j), rank_pmf(args.K, j)] for j in range(args.max_j + 1)]
     write_csv(out, ["j", "cdf", "pmf"], rows)
-    _write_manifest([out], "rankdist", {"K": args.K, "max_j": args.max_j}, None, started)
     print(f"wrote {out}")
-    return 0
+    return [out]
 
 
-def cmd_sim(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_sim(args, channel) -> list[Path]:
     config = SimConfig(
         channel=channel,
         access=AccessProbabilities(args.p1, args.p2),
@@ -250,34 +214,10 @@ def cmd_sim(args) -> int:
                 d2,
             ]
         )
-    for row in [header] + rows:
-        print(",".join(_fmt(c) for c in row))
-    if args.out:
-        out = _resolve_out(args.out)
-        write_csv(out, header, rows)
-        _write_manifest(
-            [out],
-            "sim",
-            {
-                **_channel_params(args.channel),
-                "policy": args.policy,
-                "K": args.K,
-                "p1": args.p1,
-                "p2": args.p2,
-                "lambda1": args.lambda1,
-                "lambda2": args.lambda2,
-                "slots": args.slots,
-                "mode": args.mode,
-            },
-            args.seed,
-            started,
-        )
-    return 0
+    return _emit_table(args, header, rows)
 
 
-def cmd_verify_chain(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_verify_chain(args, channel) -> list[Path]:
     access = AccessProbabilities(args.p1, args.p2)
     sim_res = sim_run(
         SimConfig(
@@ -321,21 +261,8 @@ def cmd_verify_chain(args) -> int:
             worst = max(worst, abs(rel))
     out = _resolve_out(args.out)
     write_csv(out, header, rows)
-    _write_manifest(
-        [out],
-        "verify-chain",
-        {
-            **_channel_params(args.channel),
-            "K": args.K,
-            "p1": args.p1,
-            "p2": args.p2,
-            "slots": args.slots,
-        },
-        args.seed,
-        started,
-    )
     print(f"wrote {out} (worst |rel delta| vs simulation: {worst:.4%})")
-    return 0
+    return [out]
 
 
 _PLOT_SCRIPT = """\
@@ -381,39 +308,22 @@ print("wrote", os.path.join(here, "figure.png"))
 """
 
 
-def cmd_figure(args) -> int:
-    started = time.time()
-    channel = load_channel(args.channel)
+def cmd_figure(args, channel) -> list[Path]:
     out_dir = _resolve_out(Path(args.out) / "x").parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    k_list = [int(k) for k in args.K_list.split(",") if k]
     outputs = []
     runs = [("capacity", None, "capacity.csv"), ("retrans", None, "retrans.csv")]
-    runs += [("rlc", k, f"rlc_K{k}.csv") for k in k_list]
+    runs += [("rlc", k, f"rlc_K{k}.csv") for k in args.K_list]
     for kind, k, name in runs:
         frontier = _compute_frontier(kind, channel, args.step, k, args.variant)
         path = out_dir / name
-        write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], _frontier_rows(frontier))
+        _write_frontier(path, frontier)
         outputs.append(path)
 
     script = out_dir / "plot_figure.py"
     script.write_text(_PLOT_SCRIPT, encoding="utf-8")
     outputs.append(script)
-    _write_manifest(
-        outputs,
-        "figure",
-        {
-            **_channel_params(args.channel),
-            "K_list": k_list,
-            "step": args.step,
-            "variant": args.variant,
-        },
-        None,
-        started,
-        path=out_dir / "manifest.json",
-    )
     print(f"wrote {len(outputs)} files to {out_dir}")
-    return 0
+    return outputs
 
 
 def cmd_check(args) -> int:
@@ -426,6 +336,11 @@ def cmd_check(args) -> int:
         print(f"{status} {res.name}: {res.detail}")
         ok = ok and res.passed
     return 0 if ok else 1
+
+
+def int_list(text: str) -> list[int]:
+    """Comma-separated integers; empty entries are skipped."""
+    return [int(k) for k in text.split(",") if k]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit all region CSVs plus a plot script")
     add_channel(p)
-    p.add_argument("--K-list", dest="K_list", default="1,2,5,10,50")
+    p.add_argument("--K-list", dest="K_list", type=int_list, default="1,2,5,10,50")
     p.add_argument("--step", type=float, default=DEFAULTS["grid_step"])
     p.add_argument("--variant", choices=("paper", "exact"), default="paper")
     p.add_argument("--out", required=True, help="output directory")
@@ -518,18 +433,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run the cross-validation suite")
     p.add_argument("--quick", action="store_true", help="reduced sizes, skips slow probes")
-    p.set_defaults(func=cmd_check)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: load its channel, time it and write its manifest.
+
+    A command returns the files it wrote; ``check`` writes none and
+    returns its exit code instead.
+    """
+    args = build_parser().parse_args(argv)
+    started = time.time()
     try:
-        return args.func(args)
+        if args.command == "check":
+            return cmd_check(args)
+        channel = load_channel(args.channel) if "channel" in vars(args) else None
+        outputs = args.func(args, channel)
+        if outputs:
+            _write_manifest(args, channel, outputs, started)
     except (ChannelError, ChainError, ValueError, OSError) as exc:
         print(f"ramcast: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

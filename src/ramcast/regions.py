@@ -22,6 +22,7 @@ __all__ = [
     "RegionFrontier",
     "StabilityRegion",
     "p_grid",
+    "grid_points",
     "pareto_frontier",
     "factored_rates",
     "sweep",
@@ -87,6 +88,13 @@ def p_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 1)
 
 
+def grid_points(step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat (p1, p2) arrays covering the ``p_grid(step)`` square, p1-major."""
+    grid = p_grid(step)
+    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
+    return P1.ravel(), P2.ravel()
+
+
 def pareto_frontier(points) -> list[FrontierPoint]:
     """Reduce (x, y, p1, p2) records to the Pareto-maximal set.
 
@@ -128,10 +136,7 @@ def sweep(rates_grid, grid_step: float, kind: str, K: int | None = None):
     Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
     arrays covering the grid, p1-major.
     """
-    grid = p_grid(grid_step)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s = P1.ravel()
-    p2s = P2.ravel()
+    p1s, p2s = grid_points(grid_step)
     mu1, mu2 = rates_grid(p1s, p2s)
     frontier = RegionFrontier(
         kind=kind,

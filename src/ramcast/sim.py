@@ -29,10 +29,8 @@ __all__ = [
     "SimConfig",
     "SourceResult",
     "SimResult",
-    "RateEstimate",
     "ProbeVerdict",
     "run",
-    "estimate_service_rate",
     "stability_probe",
 ]
 
@@ -310,66 +308,6 @@ def run(config: SimConfig) -> SimResult:
             )
         )
     return SimResult(config=config, slots=slots, seed=config.seed, sources=(sources[0], sources[1]))
-
-
-@dataclass
-class RateEstimate:
-    """Aggregated saturated departure-rate estimate for one source."""
-
-    rate: float
-    stderr: float
-    replications: int
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return (self.rate - 1.96 * self.stderr, self.rate + 1.96 * self.stderr)
-
-
-def estimate_service_rate(
-    config: SimConfig, replications: int = 1
-) -> tuple[RateEstimate, RateEstimate]:
-    """Saturated service-rate estimate per source over independent runs.
-
-    Replication r uses seed stream ``SeedSequence((config.seed, r))``;
-    a single replication falls back to the run's batch-means stderr.
-    """
-    if config.mode != "saturated":
-        raise ValueError("service-rate estimation requires mode='saturated'")
-    if replications < 1:
-        raise ValueError(f"replications must be >= 1, got {replications!r}")
-    if replications == 1:
-        res = run(config)
-        return tuple(
-            RateEstimate(rate=s.departure_rate, stderr=s.stderr, replications=1)
-            for s in res.sources
-        )
-    rates: list[list[float]] = [[], []]
-    for r in range(replications):
-        seed = int(np.random.SeedSequence((config.seed, r)).generate_state(1)[0])
-        res = run(
-            SimConfig(
-                channel=config.channel,
-                access=config.access,
-                arrivals=config.arrivals,
-                policy=config.policy,
-                K=config.K,
-                slots=config.slots,
-                seed=seed,
-                mode="saturated",
-            )
-        )
-        for n in (0, 1):
-            rates[n].append(res.sources[n].departure_rate)
-    out = []
-    for n in (0, 1):
-        mu = sum(rates[n]) / replications
-        var = sum((x - mu) ** 2 for x in rates[n]) / (replications - 1)
-        out.append(
-            RateEstimate(
-                rate=mu, stderr=math.sqrt(var / replications), replications=replications
-            )
-        )
-    return (out[0], out[1])
 
 
 @dataclass

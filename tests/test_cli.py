@@ -115,6 +115,66 @@ def test_figure_command(tmp_path):
     assert manifest["params"]["K_list"] == [1, 2]
 
 
+CHANNEL_PARAMS = {"channel"} | {
+    f"q_{kind}.{n}.{m}" for kind in ("solo", "joint") for n in (1, 2) for m in (1, 2)
+}
+
+MANIFEST_CASES = [
+    (["capacity", "--channel", "strong_mpr", "--step", "0.1", "--out", "a.csv"],
+     "a.manifest.json", {"step"} | CHANNEL_PARAMS, None),
+    (["rates", "--channel", "strong_mpr", "--policy", "rlc", "--K", "2", "--p1", "0.5",
+      "--p2", "0.5", "--out", "a.csv"],
+     "a.manifest.json", {"policy", "K", "p1", "p2", "variant"} | CHANNEL_PARAMS, None),
+    (["region", "--channel", "strong_mpr", "--kind", "retrans", "--step", "0.1",
+      "--out", "a.csv"],
+     "a.manifest.json", {"kind", "K", "step", "variant"} | CHANNEL_PARAMS, None),
+    (["rankdist", "--K", "3", "--max-j", "5", "--out", "a.csv"],
+     "a.manifest.json", {"K", "max_j"}, None),
+    (["sim", "--channel", "strong_mpr", "--p1", "0.5", "--p2", "0.5", "--slots", "2000",
+      "--seed", "5", "--out", "a.csv"],
+     "a.manifest.json",
+     {"policy", "K", "p1", "p2", "lambda1", "lambda2", "slots", "mode"} | CHANNEL_PARAMS, 5),
+    (["verify-chain", "--channel", "strong_mpr", "--K", "1", "--slots", "2000",
+      "--out", "a.csv"],
+     "a.manifest.json", {"K", "p1", "p2", "slots"} | CHANNEL_PARAMS, 42),
+    (["figure", "--channel", "strong_mpr", "--K-list", "1", "--step", "0.1", "--out", "fig"],
+     "fig/manifest.json", {"K_list", "step", "variant"} | CHANNEL_PARAMS, None),
+]
+
+
+@pytest.mark.parametrize("argv,manifest_name,keys,seed", MANIFEST_CASES,
+                         ids=[case[0][0] for case in MANIFEST_CASES])
+def test_manifest_params(tmp_path, argv, manifest_name, keys, seed):
+    argv = [str(tmp_path / a) if a in ("a.csv", "fig") else a for a in argv]
+    assert run_cli(*argv) == 0
+    manifest = json.loads((tmp_path / manifest_name).read_text())
+    params = manifest["params"]
+    assert set(params) == keys
+    assert not {"out", "func", "command"} & set(params)
+    assert manifest["seed"] == seed
+    if "channel" in params:
+        assert params["channel"] == "strong_mpr"
+        assert params["q_solo.1.1"] == 0.8
+
+
+def test_channel_loaded_once(tmp_path, monkeypatch):
+    import ramcast.cli as cli
+
+    specs = []
+    real = cli.load_channel
+    monkeypatch.setattr(cli, "load_channel", lambda spec: specs.append(spec) or real(spec))
+    assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1", "--step", "0.1",
+                   "--out", tmp_path / "fig") == 0
+    assert specs == ["strong_mpr"]
+
+
+def test_figure_k_list_must_be_integers(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--channel", "strong_mpr", "--K-list", "1,a", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "--K-list" in capsys.readouterr().err
+
+
 def test_byte_identical_reruns(tmp_path):
     outs = []
     for rep in ("a", "b"):

@@ -7,7 +7,7 @@ from ramcast.channel import AccessProbabilities, ArrivalRates, ChannelModel
 from ramcast.gf2 import rank_pmf
 from ramcast.retrans import retrans_service_rates
 from ramcast.rlc_markov import build_chain, service_rate
-from ramcast.sim import SimConfig, estimate_service_rate, run, stability_probe
+from ramcast.sim import SimConfig, run, stability_probe
 
 from conftest import dense_stationary
 
@@ -87,28 +87,14 @@ def test_rlc_rate_matches_exact_chain(strong):
         assert abs(src.departure_rate - mu) <= 3 * src.stderr
 
 
-def test_estimate_service_rate_replications(strong):
-    est1, est2 = estimate_service_rate(
-        _cfg(strong, policy="retrans", slots=50_000), replications=4
-    )
-    ana = retrans_service_rates(strong, ACCESS)
-    assert abs(est1.rate - ana.backlogged[0]) <= 4 * est1.stderr
-    lo, hi = est1.ci95
-    assert lo < est1.rate < hi
-    assert est1.replications == 4
-
-
 def test_ci_width_quarter_slots_scaling(strong):
     # sqrt(n) scaling: quadrupling the horizon halves the CI width.
     widths = []
     for slots in (40_000, 160_000):
         ses = []
         for rep in range(6):
-            est1, _ = estimate_service_rate(
-                _cfg(strong, policy="retrans", slots=slots, seed=900 + rep),
-                replications=1,
-            )
-            ses.append(est1.stderr)
+            res = run(_cfg(strong, policy="retrans", slots=slots, seed=900 + rep))
+            ses.append(res.sources[0].stderr)
         widths.append(sum(ses) / len(ses))
     ratio = widths[1] / widths[0]
     assert 0.375 <= ratio <= 0.625
