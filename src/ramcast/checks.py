@@ -27,6 +27,8 @@ from .sim import SimConfig, run as sim_run
 __all__ = ["CheckResult", "run_checks"]
 
 _CHANNELS = (("strong_mpr", strong_mpr), ("weak_mpr", weak_mpr))
+_SEED = 42  # every simulated check
+_VARIANT = "paper"  # the published chain, for dominance and figure structure
 
 
 @dataclass
@@ -76,7 +78,7 @@ def check_rank_distribution(kmax: int = 3, jmax: int = 6) -> CheckResult:
 
 
 def check_retrans_oracle(
-    slots: int = 1_000_000, p_values: tuple[float, ...] = (0.3, 0.5, 1.0), seed: int = 42
+    slots: int = 1_000_000, p_values: tuple[float, ...] = (0.3, 0.5, 1.0)
 ) -> CheckResult:
     """Criterion 2: closed-form backlogged rates vs saturated simulation."""
     worst_z = 0.0
@@ -92,7 +94,7 @@ def check_retrans_oracle(
                         access=access,
                         policy="retrans",
                         slots=slots,
-                        seed=seed,
+                        seed=_SEED,
                         mode="saturated",
                     )
                 )
@@ -130,7 +132,6 @@ def check_rlc_oracle(
     slots: int = 1_000_000,
     Ks: tuple[int, ...] = (1, 2, 4),
     p_values: tuple[float, ...] = (0.3, 0.5, 1.0),
-    seed: int = 42,
 ) -> CheckResult:
     """Criterion 3: chain service rates vs saturated RLC simulation.
 
@@ -156,7 +157,7 @@ def check_rlc_oracle(
                             policy="rlc",
                             K=K,
                             slots=slots,
-                            seed=seed,
+                            seed=_SEED,
                             mode="saturated",
                         )
                     )
@@ -206,7 +207,7 @@ def check_rlc_oracle(
 
 
 def check_jensen_dominance(
-    step: float = 0.05, Ks: tuple[int, ...] = (1, 4, 16), variant: str = "paper"
+    step: float = 0.05, Ks: tuple[int, ...] = (1, 4, 16)
 ) -> CheckResult:
     """Criterion 4: capacity bound dominates both policies on the grid."""
     slack = 1e-12
@@ -227,7 +228,7 @@ def check_jensen_dominance(
             )
         summary.append(f"{cname} retrans max gap {gap:.4f}")
         for K in Ks:
-            r1, r2 = rlc_grid(channel, p1s, p2s, K, variant=variant)
+            r1, r2 = rlc_grid(channel, p1s, p2s, K, variant=_VARIANT)
             if np.any(r1 > b1 + slack) or np.any(r2 > b2 + slack):
                 return CheckResult(
                     "jensen-dominance",
@@ -274,7 +275,6 @@ def check_figure_structure(
     step: float = 0.05,
     K_list: tuple[int, ...] = (1, 2, 5, 10, 50),
     out_dir: str | Path | None = None,
-    variant: str = "paper",
 ) -> CheckResult:
     """Criterion 5: structural reproduction of the region figures.
 
@@ -301,7 +301,7 @@ def check_figure_structure(
                     "--step",
                     repr(step),
                     "--variant",
-                    variant,
+                    _VARIANT,
                     "--out",
                     str(cdir),
                 ]
@@ -423,7 +423,7 @@ def check_overhead_limit() -> CheckResult:
     )
 
 
-def check_stability_boundary(slots: int = 1_000_000, seed: int = 42) -> CheckResult:
+def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
     """Criterion 7: bisection on lambda1 localizes the stability boundary."""
     from .sim import stability_probe
 
@@ -437,7 +437,7 @@ def check_stability_boundary(slots: int = 1_000_000, seed: int = 42) -> CheckRes
 
     def stable_at(lam1: float) -> bool:
         verdicts = stability_probe(
-            channel, access, "retrans", [(lam1, lam2)], slots=slots, seed=seed
+            channel, access, "retrans", [(lam1, lam2)], slots=slots, seed=_SEED
         )
         return verdicts[0].stable
 

@@ -339,8 +339,8 @@ def cmd_check(args) -> int:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers; empty entries are skipped."""
-    return [int(k) for k in text.split(",") if k]
+    """Comma-separated integers; empty entries and repeats are skipped."""
+    return list(dict.fromkeys(int(k) for k in text.split(",") if k))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -197,7 +197,7 @@ def encode(
 
 
 def decode(matrix: BinaryMatrix, payloads: Sequence[bytes]) -> list[bytes]:
-    """Recover the K original packets by Gaussian elimination.
+    """Recover the K original packets by elimination through :func:`basis_insert`.
 
     ``matrix`` holds the received coefficient columns (column c is the
     coefficient vector of ``payloads[c]``); it must have full rank K.
@@ -213,24 +213,18 @@ def decode(matrix: BinaryMatrix, payloads: Sequence[bytes]) -> list[bytes]:
     if any(len(p) != length for p in payloads):
         raise ValueError("payloads must have equal length")
 
-    # Row-reduce the received equations coeff . s = payload.
-    rows: list[tuple[int, int]] = []  # (coefficient mask, payload bits)
+    # Each equation coeff . s = payload is one vector, coefficients above
+    # the payload bits; the K coefficient pivots are back-substituted in
+    # increasing order until pivot i holds packet i alone.
+    shift = 8 * length
+    basis: dict[int, int] = {}
     for coeff, payload in zip(matrix.columns, payloads):
-        v, b = coeff, int.from_bytes(payload, "big")
-        for rc, rb in rows:
-            pivot = rc & -rc
-            if v & pivot:
-                v ^= rc
-                b ^= rb
-        if v:
-            pivot = v & -v
-            # Back-substitute into existing rows to keep them reduced.
-            rows = [
-                (rc ^ v, rb ^ b) if rc & pivot else (rc, rb) for rc, rb in rows
-            ]
-            rows.append((v, b))
-    assert len(rows) == K
-    out: list[bytes] = [b""] * K
-    for rc, rb in rows:
-        out[rc.bit_length() - 1] = rb.to_bytes(length, "big")
-    return out
+        basis_insert(basis, coeff << shift | int.from_bytes(payload, "big"))
+    rows: list[int] = []
+    for i in range(K):
+        v = basis[shift + i]
+        for j in range(i):
+            if v >> (shift + j) & 1:
+                v ^= rows[j]
+        rows.append(v)
+    return [(v & ((1 << shift) - 1)).to_bytes(length, "big") for v in rows]

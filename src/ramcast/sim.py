@@ -11,6 +11,10 @@ fixed order (arrivals 1, arrivals 2, transmit 1, transmit 2, reception
 1->1, 1->2, 2->1, 2->2, coefficients 1, coefficients 2).  Streams are
 consumed by slot index, so identical configs give bit-identical results.
 
+Retransmission is simulated as a K = 1 generation whose receptions are
+always innovative, so both policies share one service path; only RLC
+draws coefficients and keeps GF(2) bases, decode counts and occupancy.
+
 Throughput runs track coefficient vectors only; payload bits never
 influence timing and are exercised in the encode/decode round-trip
 tests instead.
@@ -108,10 +112,10 @@ def run(config: SimConfig) -> SimResult:
     ch = config.channel
     p = (config.access.p1, config.access.p2)
     lam = (config.arrivals.lambda1, config.arrivals.lambda2)
-    K = config.K if config.policy == "rlc" else 1
+    rlc = config.policy == "rlc"
+    K = config.K if rlc else 1
     slots = config.slots
     saturated = config.mode == "saturated"
-    rlc = config.policy == "rlc"
 
     solo = ((ch.solo(1, 1), ch.solo(1, 2)), (ch.solo(2, 1), ch.solo(2, 2)))
     joint = ((ch.joint(1, 1), ch.joint(1, 2)), (ch.joint(2, 1), ch.joint(2, 2)))
@@ -126,8 +130,7 @@ def run(config: SimConfig) -> SimResult:
     qmax = [0, 0]
     svc_sum = [0, 0]
     svc_count = [0, 0]
-    svc_start: list[int | None] = [0 if saturated else None, 0 if saturated else None]
-    ack = [[False, False], [False, False]]
+    svc_start = [0, 0]  # read only while active
     active = [saturated, saturated]
     basis1: list[dict[int, int]] = [{}, {}]
     basis2: list[dict[int, int]] = [{}, {}]
@@ -166,13 +169,9 @@ def run(config: SimConfig) -> SimResult:
             t = block_start + s
             if not saturated:
                 for n in (0, 1):
-                    if lam[n] > 0.0 and ua[n][s] < lam[n]:
+                    if ua[n][s] < lam[n]:
                         queue[n] += 1
                         arr[n] += 1
-                        if not rlc and queue[n] == 1:
-                            svc_start[n] = t
-                if rlc:
-                    for n in (0, 1):
                         if not active[n] and queue[n] >= K:
                             active[n] = True
                             svc_start[n] = t
@@ -183,39 +182,18 @@ def run(config: SimConfig) -> SimResult:
                         st = (rank1[n], rank2[n], rank1[n] + rank2[n] - ranku[n])
                         occ[n][st] = occ[n].get(st, 0) + 1
 
-            if rlc:
-                tx0 = active[0] and ut[0][s] < p[0]
-                tx1 = active[1] and ut[1][s] < p[1]
-            else:
-                tx0 = (saturated or queue[0] > 0) and ut[0][s] < p[0]
-                tx1 = (saturated or queue[1] > 0) and ut[1][s] < p[1]
+            tx0 = active[0] and ut[0][s] < p[0]
+            tx1 = active[1] and ut[1][s] < p[1]
             both = tx0 and tx1
 
             for n, tx in ((0, tx0), (1, tx1)):
                 if not tx:
                     continue
                 thr = joint[n] if both else solo[n]
-                if not rlc:
-                    a = ack[n]
-                    if not a[0] and ur[n][0][s] < thr[0]:
-                        a[0] = True
-                    if not a[1] and ur[n][1][s] < thr[1]:
-                        a[1] = True
-                    if a[0] and a[1]:
-                        dep[n] += 1
-                        batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += 1
-                        svc_sum[n] += t - svc_start[n] + 1
-                        svc_count[n] += 1
-                        a[0] = a[1] = False
-                        if saturated:
-                            svc_start[n] = t + 1
-                        else:
-                            queue[n] -= 1
-                            svc_start[n] = t + 1 if queue[n] > 0 else None
-                else:
+                got1 = rank1[n] < K and ur[n][0][s] < thr[0]
+                got2 = rank2[n] < K and ur[n][1][s] < thr[1]
+                if rlc:
                     v = coef[n][s]
-                    got1 = rank1[n] < K and ur[n][0][s] < thr[0]
-                    got2 = rank2[n] < K and ur[n][1][s] < thr[1]
                     if got1:
                         nrecv[n][0] += 1
                         rank1[n] += basis_insert(basis1[n], v)
@@ -224,11 +202,19 @@ def run(config: SimConfig) -> SimResult:
                         rank2[n] += basis_insert(basis2[n], v)
                     if (got1 or got2) and ranku[n] < K:
                         ranku[n] += basis_insert(basisu[n], v)
-                    if rank1[n] == K and rank2[n] == K:
-                        dep[n] += K
-                        batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += K
-                        svc_sum[n] += t - svc_start[n] + 1
-                        svc_count[n] += 1
+                else:
+                    if got1:
+                        rank1[n] += 1
+                    if got2:
+                        rank2[n] += 1
+                if rank1[n] == K and rank2[n] == K:
+                    dep[n] += K
+                    batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += K
+                    svc_sum[n] += t - svc_start[n] + 1
+                    svc_count[n] += 1
+                    svc_start[n] = t + 1
+                    rank1[n] = rank2[n] = 0
+                    if rlc:
                         n1, n2 = nrecv[n]
                         dsum[n][0] += n1
                         dsum[n][1] += n2
@@ -240,17 +226,12 @@ def run(config: SimConfig) -> SimResult:
                         basis1[n].clear()
                         basis2[n].clear()
                         basisu[n].clear()
-                        rank1[n] = rank2[n] = ranku[n] = 0
+                        ranku[n] = 0
                         nrecv[n][0] = nrecv[n][1] = 0
-                        if saturated:
-                            svc_start[n] = t + 1
-                        else:
-                            queue[n] -= K
-                            if queue[n] >= K:
-                                svc_start[n] = t + 1
-                            else:
-                                active[n] = False
-                                svc_start[n] = None
+                    if not saturated:
+                        queue[n] -= K
+                        if queue[n] < K:
+                            active[n] = False
 
             if not saturated:
                 for n in (0, 1):
@@ -266,17 +247,13 @@ def run(config: SimConfig) -> SimResult:
     sources = []
     for n in (0, 1):
         rates = [c / batch_len for c in batch_dep[n][:_RATE_BATCHES]]
-        mean_rate = dep[n] / slots
-        if len(rates) > 1 and slots >= _RATE_BATCHES:
+        stderr = float("nan")
+        if slots >= _RATE_BATCHES:
             mu = sum(rates) / len(rates)
             var = sum((r - mu) ** 2 for r in rates) / (len(rates) - 1)
             stderr = math.sqrt(var / len(rates))
-        else:
-            stderr = float("nan")
         services = svc_count[n]
-        decode_mean = None
-        corr = None
-        hist = None
+        decode_mean = corr = hist = None
         if rlc and services > 0:
             decode_mean = (dsum[n][0] / services, dsum[n][1] / services)
             hist = dhist[n]
@@ -289,7 +266,7 @@ def run(config: SimConfig) -> SimResult:
         sources.append(
             SourceResult(
                 departures=dep[n],
-                departure_rate=mean_rate,
+                departure_rate=dep[n] / slots,
                 stderr=stderr,
                 arrivals=arr[n],
                 final_queue=queue[n],
@@ -301,9 +278,7 @@ def run(config: SimConfig) -> SimResult:
                 decode_histogram=hist,
                 decode_correlation=corr,
                 occupancy=occ[n] if rlc else None,
-                drift_batch_means=[x / drift_len for x in drift_sums[n]]
-                if not saturated
-                else None,
+                drift_batch_means=None if saturated else [x / drift_len for x in drift_sums[n]],
                 drift_batch_slots=drift_len if not saturated else 0,
             )
         )

@@ -175,6 +175,18 @@ def test_figure_k_list_must_be_integers(capsys):
     assert "--K-list" in capsys.readouterr().err
 
 
+def test_figure_k_list_repeats_computed_once(tmp_path, capsys):
+    out = tmp_path / "fig"
+    assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1,1",
+                   "--step", "0.1", "--out", out) == 0
+    assert "wrote 4 files" in capsys.readouterr().out
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert sorted(manifest["outputs"]) == sorted(
+        ["capacity.csv", "retrans.csv", "rlc_K1.csv", "plot_figure.py"]
+    )
+    assert manifest["params"]["K_list"] == [1]
+
+
 def test_byte_identical_reruns(tmp_path):
     outs = []
     for rep in ("a", "b"):

@@ -5,12 +5,17 @@ recorded from the simulator before its GF(2) insert routine moved into
 ``gf2``.  Any change to the RNG draw order, the event logic or the
 statistics it accumulates changes a hash; a rewrite of the inner loop
 must reproduce every one of them.
+
+The seven-part keys, recorded before retransmission joined the RLC
+service path, cover the edges of that path: p = (1, 1), where every
+slot is a joint transmission, and the collision channel, where joint
+receptions never succeed.
 """
 import hashlib
 
 import pytest
 
-from ramcast.channel import AccessProbabilities, ArrivalRates, strong_mpr
+from ramcast.channel import AccessProbabilities, ArrivalRates, collision_channel, strong_mpr
 from ramcast.sim import SimConfig, run
 
 SLOTS = 20_000
@@ -32,13 +37,32 @@ GOLDEN = {
     ("rlc", 64, "arrivals", 2024): "fcb244b7197eaa56c42465cea224da586e101f1b93380a8eba9281894f1084a7",
     ("rlc", 64, "saturated", 7): "5bfc93aaa17ae34fb81c62328a621e7c204f45fb03048b98a6a3aa509b6b7e91",
     ("rlc", 64, "saturated", 2024): "3ef6bfedaf6e7505108ddda3f1e06e6393676d5b6269d099cc280c2c7d0f091c",
+    # Edges of the shared service path, keyed (policy, K, mode, seed, channel, p1, p2).
+    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0): "fca6b51c7c761c8b9faae1d17430209cffcd69124d24af127c7dcfc76cc843cb",
+    ("retrans", 1, "saturated", 2024, "strong_mpr", 1.0, 1.0): "21f60d0fa9988f6c99e2b46217dbbfbd5c4e720e0ac48f11669bc71d33d4a5fc",
+    ("rlc", 4, "saturated", 7, "strong_mpr", 1.0, 1.0): "614632caf4648c7cf8e6beeff383de815dbf93ece1cab08f0e6371949f3145c3",
+    ("rlc", 4, "saturated", 2024, "strong_mpr", 1.0, 1.0): "cc5db6fbc69c00ffc23cf6539f0a86d574b0e7235a99f85b4bd8ef40f622db37",
+    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4): "0a91ba55088b4ac2313b66f41a5079df776f8b38569f20bff8137d0707b3665d",
+    ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "55ca4dc6321b944b592935a422a7ddb5c7e5b29c1e999df90bdea9a47ccdf63d",
+    ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "5e55483b9204a1f211b24befca37af0b2f9af40b714ff26edccea40cd0f3a3df",
+    ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "be4087346b4914a5e18c561a4e9ab0968fb24bb871c9db95616e65fce9b2294e",
 }
 
+CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
 
-def _digest(policy: str, K: int, mode: str, seed: int) -> str:
+
+def _digest(
+    policy: str,
+    K: int,
+    mode: str,
+    seed: int,
+    channel: str = "strong_mpr",
+    p1: float = 0.6,
+    p2: float = 0.4,
+) -> str:
     config = SimConfig(
-        channel=strong_mpr(),
-        access=AccessProbabilities(0.6, 0.4),
+        channel=CHANNELS[channel](),
+        access=AccessProbabilities(p1, p2),
         arrivals=ArrivalRates(0.12, 0.08) if mode == "arrivals" else ArrivalRates(0.0, 0.0),
         policy=policy,
         K=K,
