@@ -4,7 +4,7 @@ At fixed access probabilities the achievable rate of source 1 is capped,
 at each destination m, by the per-slot probability that a packet from
 source 1 lands there:
 
-    r1(m) = p1*(1-p2)*q_solo[1][m] + p1*p2*q_joint[1][m]
+    r1(m) = p1 * ((1-p2)*q_solo[1][m] + p2*q_joint[1][m])
 
 and symmetrically for source 2.  The capacity region is the closure of
 these caps over all (p1, p2); the finite-packet-length mutual
@@ -51,13 +51,6 @@ class RateBounds:
     r2_max: float
 
 
-def _rate_terms(channel: ChannelModel, p_own, p_other, source: int):
-    """Per-destination success rates for one source; accepts scalars or arrays."""
-    t1 = p_own * (1 - p_other) * channel.solo(source, 1) + p_own * p_other * channel.joint(source, 1)
-    t2 = p_own * (1 - p_other) * channel.solo(source, 2) + p_own * p_other * channel.joint(source, 2)
-    return t1, t2
-
-
 def rate_bounds(channel: ChannelModel, access: AccessProbabilities) -> RateBounds:
     """Rate caps at fixed access probabilities (the capacity integrand).
 
@@ -66,9 +59,8 @@ def rate_bounds(channel: ChannelModel, access: AccessProbabilities) -> RateBound
     E[max] >= the max of the expectations, so mu_nb never exceeds the
     min-over-destinations success rate, which is exactly this cap.
     """
-    r1 = min(_rate_terms(channel, access.p1, access.p2, 1))
-    r2 = min(_rate_terms(channel, access.p2, access.p1, 2))
-    return RateBounds(r1_max=r1, r2_max=r2)
+    r1, r2 = rate_bounds_grid(channel, [access.p1], [access.p2])
+    return RateBounds(r1_max=float(r1[0]), r2_max=float(r2[0]))
 
 
 def rate_bounds_grid(
@@ -76,7 +68,7 @@ def rate_bounds_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized rate caps over paired arrays of access probabilities."""
     return factored_rates(
-        lambda source, q: np.minimum(*_rate_terms(channel, 1.0, q, source)), p1, p2
+        lambda source, q: np.minimum(*channel.reception(source, q)[:2]), p1, p2
     )
 
 
@@ -104,8 +96,8 @@ def mutual_info(
         raise ValueError(f"packet length u must be >= 1 bit, got {u!r}")
     h1 = binary_entropy(access.p1)
     h2 = binary_entropy(access.p2)
-    r1 = _rate_terms(channel, access.p1, access.p2, 1)
-    r2 = _rate_terms(channel, access.p2, access.p1, 2)
+    r1 = [access.p1 * r for r in channel.reception(1, access.p2)[:2]]
+    r2 = [access.p2 * r for r in channel.reception(2, access.p1)[:2]]
     i1 = tuple(h1 + u * r for r in r1)
     i2 = tuple(h2 + u * r for r in r2)
     # Inputs are independent, so the joint term decomposes exactly into

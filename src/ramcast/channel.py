@@ -51,6 +51,21 @@ class ChannelModel:
     def joint(self, source: int, dest: int) -> float:
         return self.q_joint[source - 1][dest - 1]
 
+    def reception(self, source: int, p_other):
+        """(phi, sigma, tau) for one transmission of ``source``.
+
+        phi and sigma are the probabilities that it reaches destination 1
+        and 2, tau that it reaches both, when the other source transmits
+        in the same slot with probability ``p_other`` (a scalar or an
+        array).
+        """
+        s1, s2 = self.solo(source, 1), self.solo(source, 2)
+        j1, j2 = self.joint(source, 1), self.joint(source, 2)
+        phi = (1 - p_other) * s1 + p_other * j1
+        sigma = (1 - p_other) * s2 + p_other * j2
+        tau = (1 - p_other) * s1 * s2 + p_other * j1 * j2
+        return phi, sigma, tau
+
     def as_dict(self) -> dict[str, float]:
         """Flat key/value form, matching the config-file schema."""
         out: dict[str, float] = {}
@@ -220,7 +235,7 @@ class ArrivalRates:
 
     def __post_init__(self) -> None:
         for name, v in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
-            if v < 0.0:
+            if not v >= 0.0:  # also rejects NaN
                 raise ChannelError(f"{name}={v!r} must be >= 0")
 
     def of(self, source: int) -> float:

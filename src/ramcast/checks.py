@@ -379,7 +379,8 @@ def check_figure_gap(
     coupling penalty across the two destinations, which decays only like
     1/sqrt(K) and contributes about 5% at K=50 where the two
     destination rates coincide, so the true gap is near 8% and the 5%
-    threshold is unattainable at K=50 (it would need K of roughly 130).
+    threshold is unattainable at K=50 (the smallest K that meets it is
+    102, with the exact chain at step 0.05).
     The simulator confirms the chain value, leaving the threshold itself
     as the defect; the check reports the measured gap.
     """

@@ -158,6 +158,8 @@ def cmd_region(args, channel) -> list[Path]:
 
 
 def cmd_rankdist(args, channel) -> list[Path]:
+    if args.max_j < 0:
+        raise ValueError(f"--max-j must be >= 0, got {args.max_j}")
     out = _resolve_out(args.out)
     rows = [[j, rank_cdf(args.K, j), rank_pmf(args.K, j)] for j in range(args.max_j + 1)]
     write_csv(out, ["j", "cdf", "pmf"], rows)
@@ -339,8 +341,12 @@ def cmd_check(args) -> int:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers; empty entries and repeats are skipped."""
-    return list(dict.fromkeys(int(k) for k in text.split(",") if k))
+    """Comma-separated integers; empty entries and repeats are skipped,
+    and at least one integer is required."""
+    values = list(dict.fromkeys(int(k) for k in text.split(",") if k))
+    if not values:
+        raise ValueError(text)
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,7 +5,8 @@ The achievable-rate regions produced elsewhere in the package are all
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
 pairs.  Each rate factors as p_own * g(p_other), so a sweep evaluates
 g once per distinct grid value and source (``factored_rates``), not
-once per point.  This module owns that sweep and its reduction plus
+once per point; a single point's rates take the same path
+(``point_rates``).  This module owns that sweep and its reduction plus
 the per-point stability region (union of the two dominant-system
 constraint sets) and the containment test used to compare frontiers.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "grid_points",
     "pareto_frontier",
     "factored_rates",
+    "point_rates",
     "sweep",
     "frontier_value",
     "frontier_contains",
@@ -127,6 +129,19 @@ def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
     q2, at2 = np.unique(p2, return_inverse=True)
     q1, at1 = np.unique(p1, return_inverse=True)
     return p1 * np.asarray(g(1, q2))[at2], p2 * np.asarray(g(2, q1))[at1]
+
+
+def point_rates(rates_grid, access) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Backlogged and empty rate pairs at one (p1, p2), from a ``rates_grid``.
+
+    An empty competitor has access probability 0, so the empty rates are
+    the grid's rates at (p1, 0) and (0, p2).  All three points go through
+    the same p_own * g_n(p_other) as a sweep.
+    """
+    mu1, mu2 = rates_grid(
+        np.array([access.p1, access.p1, 0.0]), np.array([access.p2, 0.0, access.p2])
+    )
+    return (float(mu1[0]), float(mu2[0])), (float(mu1[1]), float(mu2[2]))
 
 
 def sweep(rates_grid, grid_step: float, kind: str, K: int | None = None):

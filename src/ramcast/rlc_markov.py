@@ -28,13 +28,13 @@ renewal cycle follow from a single level-ordered forward pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
 from .gf2 import MAX_K
-from .regions import factored_rates
+from .regions import factored_rates, point_rates
 from .retrans import ServiceRates
 
 __all__ = [
@@ -183,20 +183,20 @@ def _pow2(exp: np.ndarray) -> np.ndarray:
 
 
 def _family_probs(
-    space: _StateSpace,
-    channel: ChannelModel,
-    source: int,
-    p_own: float,
-    p_other: float,
+    space: _StateSpace, channel: ChannelModel, source: int, p_other: float
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-family edge probabilities and per-state self-loop probabilities."""
+    """Per-family edge probabilities and per-state self-loop probabilities
+    of the chain at p_own = 1 (the source transmits in every slot).
+
+    The self-loops of the completion states are left for ``build_chain``.
+    """
     K = space.K
     I, J, C = space.I, space.J, space.C
     s1, s2 = channel.solo(source, 1), channel.solo(source, 2)
     j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
-    p, po = p_own, p_other
+    po = p_other
 
-    def blend(f_solo: float, f_joint: float) -> float:
+    def mix(f_solo, f_joint):
         return (1.0 - po) * f_solo + po * f_joint
 
     ei = _pow2(I - K)
@@ -204,7 +204,6 @@ def _family_probs(
     ek = _pow2(C - K)
     pw = float(np.ldexp(1.0, -K))
     probs: dict[str, np.ndarray] = {}
-    self_p = np.zeros(space.n_states)
 
     if space.variant == "paper":
         # Interior families: both destinations still collecting.
@@ -212,17 +211,17 @@ def _family_probs(
             src = space.fam_src[name]
             gi, gj, gk = ei[src], ej[src], ek[src]
             if name == "move_i":
-                val = p * (
+                val = (
                     (1 - po) * (s1 * (1 - s2) * (1 - gi) + s1 * s2 * (gj - gk))
                     + po * (j1 * (1 - j2) * (1 - gi) + j1 * j2 * (gj - gk))
                 )
             elif name == "move_j":
-                val = p * (
+                val = (
                     (1 - po) * ((1 - s1) * s2 * (1 - gj) + s1 * s2 * (gi - gk))
                     + po * ((1 - j1) * j2 * (1 - gj) + j1 * j2 * (gi - gk))
                 )
             else:
-                val = p * blend(s1 * s2, j1 * j2) * (1 - (gi + gj - gk))
+                val = mix(s1 * s2, j1 * j2) * (1 - (gi + gj - gk))
             probs[name] = val
         # Boundary families: one destination already has full rank; only
         # the other destination's reception matters, and the published
@@ -235,72 +234,47 @@ def _family_probs(
             src = space.fam_src[name]
             g = gexp[src]
             kk = C[src]
-            probs[name] = p * blend(q_s, q_j) * (1 - (g + (K - kk) * pw))
+            probs[name] = mix(q_s, q_j) * (1 - (g + (K - kk) * pw))
         for name, q_s, q_j in (("bnd_ik", s1, j1), ("bnd_jk", s2, j2)):
             src = space.fam_src[name]
             kk = C[src]
-            probs[name] = p * blend(q_s, q_j) * ((K - kk) * pw)
+            probs[name] = mix(q_s, q_j) * ((K - kk) * pw)
 
-        interior = (I < K) & (J < K)
+        def stay(a: float, b: float) -> np.ndarray:
+            # No rank change when destinations 1 and 2 receive w.p. a and b.
+            return (1 - a) * (1 - b) + (1 - a) * b * ej + a * (1 - b) * ei + a * b * ek
+
+        self_p = np.where((I < K) & (J < K), mix(stay(s1, s2), stay(j1, j2)), 0.0)
         self_p = np.where(
-            interior,
-            (1 - p)
-            + p
-            * (
-                (1 - po)
-                * (
-                    (1 - s1) * (1 - s2)
-                    + (1 - s1) * s2 * ej
-                    + s1 * (1 - s2) * ei
-                    + s1 * s2 * ek
-                )
-                + po
-                * (
-                    (1 - j1) * (1 - j2)
-                    + (1 - j1) * j2 * ej
-                    + j1 * (1 - j2) * ei
-                    + j1 * j2 * ek
-                )
-            ),
-            0.0,
+            (I < K) & (J == K), mix((1 - s1) + s1 * ei, (1 - j1) + j1 * ei), self_p
         )
         self_p = np.where(
-            (I < K) & (J == K),
-            (1 - p)
-            + p * ((1 - po) * ((1 - s1) + s1 * ei) + po * ((1 - j1) + j1 * ei)),
-            self_p,
-        )
-        self_p = np.where(
-            (I == K) & (J < K),
-            (1 - p)
-            + p * ((1 - po) * ((1 - s2) + s2 * ej) + po * ((1 - j2) + j2 * ej)),
-            self_p,
+            (I == K) & (J < K), mix((1 - s2) + s2 * ej, (1 - j2) + j2 * ej), self_p
         )
     else:
-        w1 = blend(s1 * (1 - s2), j1 * (1 - j2))
-        w2 = blend((1 - s1) * s2, (1 - j1) * j2)
-        wb = blend(s1 * s2, j1 * j2)
-        wn = blend((1 - s1) * (1 - s2), (1 - j1) * (1 - j2))
+        w1 = mix(s1 * (1 - s2), j1 * (1 - j2))
+        w2 = mix((1 - s1) * s2, (1 - j1) * j2)
+        wb = mix(s1 * s2, j1 * j2)
+        wn = mix((1 - s1) * (1 - s2), (1 - j1) * (1 - j2))
         es = _pow2(I + J - C - K)  # sum-space fraction 2^((i + j - k) - K)
         for name in space.fam_names:
             src = space.fam_src[name]
             gi, gj, gk, gs = ei[src], ej[src], ek[src], es[src]
             if name == "x1":
-                val = p * w1 * (1 - gs)
+                val = w1 * (1 - gs)
             elif name == "x1k":
-                val = p * (w1 * (gs - gi) + wb * (gj - gk))
+                val = w1 * (gs - gi) + wb * (gj - gk)
             elif name == "x2":
-                val = p * w2 * (1 - gs)
+                val = w2 * (1 - gs)
             elif name == "x2k":
-                val = p * (w2 * (gs - gj) + wb * (gi - gk))
+                val = w2 * (gs - gj) + wb * (gi - gk)
             elif name == "xb1":
-                val = p * wb * (1 - gs)
+                val = wb * (1 - gs)
             else:  # xb2
-                val = p * wb * (gs - gi - gj + gk)
+                val = wb * (gs - gi - gj + gk)
             probs[name] = val
-        self_p = (1 - p) + p * (wn + w1 * ei + w2 * ej + wb * ek)
+        self_p = wn + w1 * ei + w2 * ej + wb * ek
 
-    self_p[space.absorbing] = 0.0  # renewal transition replaces the row
     return probs, self_p
 
 
@@ -374,8 +348,12 @@ def build_chain(
     space = _state_space(K, variant)
     p_own = access.of(source)
     p_other = access.other(source) if other_backlogged else 0.0
-    probs, self_p = _family_probs(space, channel, source, p_own, p_other)
-    e_prob = np.concatenate([probs[n] for n in space.fam_names])
+    probs, self_p = _family_probs(space, channel, source, p_other)
+    # A slot moves the p_own = 1 chain with probability p_own and
+    # otherwise leaves the state as it is.
+    e_prob = p_own * np.concatenate([probs[n] for n in space.fam_names])
+    self_p = (1 - p_own) + p_own * self_p
+    self_p[space.absorbing] = 0.0  # renewal transition replaces the row
     return ChainModel(
         K=K,
         variant=variant,
@@ -449,21 +427,9 @@ def rlc_service_rates(
     variant: str = "paper",
 ) -> ServiceRates:
     """Backlogged and empty service rates for both sources at one (p1, p2)."""
-    mu_b = []
-    mu_e = []
-    for source in (1, 2):
-        mu_b.append(
-            service_rate(build_chain(channel, access, source, True, K, variant))
-        )
-        mu_e.append(
-            service_rate(build_chain(channel, access, source, False, K, variant))
-        )
-    return ServiceRates(
-        backlogged=(mu_b[0], mu_b[1]),
-        empty=(mu_e[0], mu_e[1]),
-        policy="rlc",
-        generation_size=K,
-    )
+    rates = partial(service_rates_grid, channel, K=K, variant=variant)
+    backlogged, empty = point_rates(rates, access)
+    return ServiceRates(backlogged, empty, policy="rlc", generation_size=K)
 
 
 def _rates_at_full_access(
@@ -471,9 +437,9 @@ def _rates_at_full_access(
 ) -> np.ndarray:
     """g_n(q) = mu_nb(p_own=1, p_other=q), one chain solve per value of q.
 
-    Every edge of the chain carries the factor p_own and every self-loop
-    is (1 - p_own) + p_own * (...), so the expected service time is
-    T(1, q) / p_own and mu_nb(p_own, q) = p_own * g_n(q).
+    A smaller p_own only holds each state for 1 / p_own times as many
+    slots on average, so the expected service time is T(1, q) / p_own
+    and mu_nb(p_own, q) = p_own * g_n(q).
     """
     out = np.empty(len(q))
     for n, p_other in enumerate(q.tolist()):

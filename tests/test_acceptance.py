@@ -103,8 +103,8 @@ def test_criterion_5_figure_reproduction_structure(tmp_path):
     reason=(
         "spec defect: capacity-minus-rlc(K=50) gap is ~8% of capacity at the "
         "symmetric points (expected-max coupling decays like 1/sqrt(K); the "
-        "5% threshold would need K of roughly 130); the chain value is "
-        "simulator-confirmed, see decisions ledger"
+        "5% threshold needs K = 102 on the exact chain at step 0.05); the "
+        "chain value is simulator-confirmed, see decisions ledger"
     ),
 )
 def test_criterion_5_figure_reproduction_k50_gap():

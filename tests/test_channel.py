@@ -115,3 +115,9 @@ def test_arrival_rates_validation():
     ArrivalRates(0.0, 2.0)
     with pytest.raises(ChannelError):
         ArrivalRates(-1e-9, 0.1)
+
+
+def test_arrival_rates_reject_nan():
+    for bad in ((float("nan"), 0.1), (0.1, float("nan"))):
+        with pytest.raises(ChannelError, match="nan"):
+            ArrivalRates(*bad)

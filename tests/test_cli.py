@@ -175,6 +175,28 @@ def test_figure_k_list_must_be_integers(capsys):
     assert "--K-list" in capsys.readouterr().err
 
 
+def test_figure_k_list_must_name_a_k(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--channel", "strong_mpr", "--K-list", ",", "--out", "unused"])
+    assert exc.value.code == 2
+    assert "--K-list" in capsys.readouterr().err
+
+
+def test_rankdist_rejects_negative_max_j(tmp_path, capsys):
+    out = tmp_path / "rd.csv"
+    assert run_cli("rankdist", "--K", "3", "--max-j", "-1", "--out", out) == 1
+    assert "ramcast: error: --max-j must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sim_rejects_nan_arrival_rate(capsys):
+    assert run_cli("sim", "--channel", "strong_mpr", "--p1", "0.5", "--p2", "0.5",
+                   "--mode", "arrivals", "--lambda1", "nan", "--slots", "100") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ramcast: error: lambda1=nan" in captured.err
+
+
 def test_figure_k_list_repeats_computed_once(tmp_path, capsys):
     out = tmp_path / "fig"
     assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1,1",

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.capacity import capacity_sweep, rate_bounds_grid
+from ramcast.capacity import capacity_sweep, rate_bounds, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, collision_channel
+from ramcast.cli import main
 from ramcast.regions import (
     FrontierPoint,
     RatePoint,
@@ -257,3 +258,54 @@ def test_frontier_value_extends_flat_left():
     )
     assert float(frontier_value(f, 0.0)) == 0.8
     assert float(frontier_value(f, 0.7)) == pytest.approx(0.45)
+
+
+POINT_KINDS = ["capacity", "retrans"] + [
+    f"rlc-{variant}-{K}" for variant in ("paper", "exact") for K in (1, 4, 64)
+]
+
+
+def _point(kind, ch, p1, p2):
+    """(backlogged, empty) rate pairs of one point function at (p1, p2)."""
+    if kind == "capacity":
+        def caps(a, b):
+            rb = rate_bounds(ch, AccessProbabilities(a, b))
+            return rb.r1_max, rb.r2_max
+
+        # An empty competitor has access probability 0.
+        return caps(p1, p2), (caps(p1, 0.0)[0], caps(0.0, p2)[1])
+    access = AccessProbabilities(p1, p2)
+    if kind == "retrans":
+        rates = retrans_service_rates(ch, access)
+    else:
+        _, variant, K = kind.split("-")
+        rates = rlc_service_rates(ch, access, int(K), variant)
+    return rates.backlogged, rates.empty
+
+
+@pytest.mark.parametrize("p_own", [1e-300, 1e-12, 0.3, 1.0])
+@pytest.mark.parametrize("kind", POINT_KINDS)
+def test_point_rates_are_p_own_times_g(strong, kind, p_own):
+    # g_n(q) = mu_n(1, q); every point rate must be p_own * g_n exactly,
+    # the same product a sweep takes, down to the smallest p_own.
+    q = 0.5
+    g1b, g1e = (pair[0] for pair in _point(kind, strong, 1.0, q))
+    g2b, g2e = (pair[1] for pair in _point(kind, strong, q, 1.0))
+    (m1b, _), (m1e, _) = _point(kind, strong, p_own, q)
+    (_, m2b), (_, m2e) = _point(kind, strong, q, p_own)
+    assert (m1b, m1e) == (p_own * g1b, p_own * g1e)
+    assert (m2b, m2e) == (p_own * g2b, p_own * g2e)
+    assert 0.0 < m1b <= m1e
+
+
+@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 64)])
+def test_rates_cli_at_tiny_access(strong, capsys, policy, K):
+    argv = ["rates", "--channel", "strong_mpr", "--policy", policy, "--K", str(K),
+            "--p1", "1e-300", "--p2", "0.5"]
+    assert main(argv) == 0
+    header, row = (line.split(",") for line in capsys.readouterr().out.splitlines())
+    mu_1b, mu_1e = (float(row[header.index(col)]) for col in ("mu_1b", "mu_1e"))
+    kind = "retrans" if policy == "retrans" else f"rlc-paper-{K}"
+    (g1b, _), (g1e, _) = _point(kind, strong, 1.0, 0.5)
+    assert mu_1b != 0.0
+    assert (mu_1b, mu_1e) == (1e-300 * g1b, 1e-300 * g1e)

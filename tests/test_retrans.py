@@ -4,12 +4,7 @@ from hypothesis import given, settings
 
 from ramcast.capacity import rate_bounds, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
-from ramcast.retrans import (
-    ServiceRates,
-    _success_triplet,
-    retrans_service_rates,
-    service_rates_grid,
-)
+from ramcast.retrans import ServiceRates, retrans_service_rates, service_rates_grid
 
 from conftest import access_probs, channel_models, random_channel
 
@@ -17,7 +12,7 @@ PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.
 
 
 def test_success_params_strong_example(strong):
-    phi, _, tau = _success_triplet(strong, 1, 0.5)
+    phi, _, tau = strong.reception(1, 0.5)
     # 0.5*0.8 + 0.5*0.6 and 0.5*(0.8*0.7) + 0.5*(0.6*0.6)
     assert phi == pytest.approx(0.7, abs=1e-12)
     assert tau == pytest.approx(0.46, abs=1e-12)
@@ -25,7 +20,7 @@ def test_success_params_strong_example(strong):
 
 def test_success_params_collision_sole_transmitter():
     # Source 1 transmits alone because p2 = 0.
-    assert _success_triplet(collision_channel(), 1, 0.0) == (1.0, 1.0, 1.0)
+    assert collision_channel().reception(1, 0.0) == (1.0, 1.0, 1.0)
 
 
 def test_success_params_invariants_random():
@@ -34,7 +29,7 @@ def test_success_params_invariants_random():
         ch = random_channel(rng)
         p1, p2 = rng.uniform(0, 1, 2)
         for source, p_other in ((1, p2), (2, p1)):
-            phi, sigma, tau = _success_triplet(ch, source, p_other)
+            phi, sigma, tau = ch.reception(source, p_other)
             assert tau <= min(phi, sigma) + 1e-12
             assert tau >= phi + sigma - 1.0 - 1e-12
 
@@ -74,9 +69,9 @@ def test_jensen_bound_equals_rate_bounds(strong):
     # The Jensen bound p_n * min(phi, sigma) is the capacity integrand.
     access = AccessProbabilities(0.3, 0.9)
     rb = rate_bounds(strong, access)
-    phi, sigma, _ = _success_triplet(strong, 1, 0.9)
+    phi, sigma, _ = strong.reception(1, 0.9)
     assert rb.r1_max == pytest.approx(0.3 * min(phi, sigma), abs=1e-15)
-    phi, sigma, _ = _success_triplet(strong, 2, 0.3)
+    phi, sigma, _ = strong.reception(2, 0.3)
     assert rb.r2_max == pytest.approx(0.9 * min(phi, sigma), abs=1e-15)
 
 
