@@ -21,7 +21,7 @@ from .channel import AccessProbabilities, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
 from .regions import FrontierPoint, RegionFrontier, frontier_contains, frontier_value, grid_points
 from .retrans import retrans_service_rates, service_rates_grid
-from .rlc_markov import build_chain, service_rate, service_rates_grid as rlc_grid
+from .rlc_markov import build_chain, rlc_service_rates, service_rates_grid as rlc_grid
 from .sim import SimConfig, run as sim_run
 
 __all__ = ["CheckResult", "run_checks"]
@@ -138,7 +138,9 @@ def check_rlc_oracle(
     The published transition table is checked first; rows where it
     misses the 3-stderr/1%-relative oracle are reported together with
     the corrected (exact-intersection) chain, which must restore the
-    check.  Row sums of every constructed chain must be 1 within 1e-12.
+    check.  The chain rates are p_own * g_n(p_other) from
+    ``rlc_service_rates``; the row sums of each chain built at the
+    actual (p1, p2) must be 1 within 1e-12.
     """
     rows: list[dict] = []
     paper_ok = True
@@ -161,6 +163,10 @@ def check_rlc_oracle(
                             mode="saturated",
                         )
                     )
+                    rates = {
+                        variant: rlc_service_rates(channel, access, K, variant)
+                        for variant in ("paper", "exact")
+                    }
                     for n, source in ((0, 1), (1, 2)):
                         src = res.sources[n]
                         entry = {
@@ -176,7 +182,7 @@ def check_rlc_oracle(
                             chain = build_chain(channel, access, source, True, K, variant)
                             resid = float(np.abs(chain.row_sums() - 1.0).max())
                             worst_resid = max(worst_resid, resid)
-                            mu = service_rate(chain)
+                            mu = rates[variant].backlogged[n]
                             z = abs(mu - src.departure_rate) / src.stderr
                             rel = abs(mu - src.departure_rate) / src.departure_rate
                             ok = z <= 3.0 and rel <= 0.01 and resid <= 1e-12

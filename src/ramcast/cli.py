@@ -29,10 +29,10 @@ from .channel import (
     load_channel,
     PRESETS,
 )
-from .gf2 import rank_cdf, rank_pmf
+from .gf2 import MAX_K, rank_cdf, rank_pmf
 from .regions import stable_equals_throughput_frontier
 from .retrans import retrans_service_rates
-from .rlc_markov import ChainError, build_chain, rlc_service_rates, service_rate
+from .rlc_markov import ChainError, build_chain, rlc_service_rates
 from .sim import SimConfig, run as sim_run
 
 DEFAULTS = {"grid_step": 0.01, "slots": 1_000_000, "seed": 42}
@@ -247,13 +247,14 @@ def cmd_verify_chain(args, channel) -> list[Path]:
     rows = []
     worst = 0.0
     for variant in ("paper", "exact"):
+        rates = rlc_service_rates(channel, access, args.K, variant=variant)
         for source in (1, 2):
             chain = build_chain(channel, access, source, True, args.K, variant)
             resid = float(np.abs(chain.row_sums() - 1.0).max())
             rows.append(
                 ["row_sum_residual", variant, args.K, args.p1, args.p2, source, resid, 0.0, "", ""]
             )
-            analytic = service_rate(chain)
+            analytic = rates.backlogged[source - 1]
             simulated = sim_res.sources[source - 1].departure_rate
             se = sim_res.sources[source - 1].stderr
             rel = (analytic - simulated) / simulated if simulated else float("nan")
@@ -341,11 +342,14 @@ def cmd_check(args) -> int:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated integers; empty entries and repeats are skipped,
-    and at least one integer is required."""
+    """Comma-separated generation sizes in [1, MAX_K]; empty entries and
+    repeats are skipped, and at least one K is required."""
     values = list(dict.fromkeys(int(k) for k in text.split(",") if k))
     if not values:
         raise ValueError(text)
+    for k in values:
+        if not 1 <= k <= MAX_K:
+            raise argparse.ArgumentTypeError(f"K must be in [1, {MAX_K}], got {k}")
     return values
 
 

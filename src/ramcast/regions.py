@@ -201,23 +201,8 @@ class StabilityRegion:
     mu_2e: float
 
     def contains(self, lambda1: float, lambda2: float) -> bool:
-        if lambda1 < 0 or lambda2 < 0:
-            return False
-        in_l1 = (
-            self.mu_2b > 0
-            and lambda2 < self.mu_2b
-            and lambda1
-            < (lambda2 / self.mu_2b) * self.mu_1b
-            + (1 - lambda2 / self.mu_2b) * self.mu_1e
-        )
-        in_l2 = (
-            self.mu_1b > 0
-            and lambda1 < self.mu_1b
-            and lambda2
-            < (lambda1 / self.mu_1b) * self.mu_2b
-            + (1 - lambda1 / self.mu_1b) * self.mu_2e
-        )
-        return in_l1 or in_l2
+        # At a fixed lambda2, each set holds lambda1 in [0, its bound).
+        return lambda1 >= 0 and lambda2 >= 0 and lambda1 < self.lambda1_bound(lambda2)
 
     def lambda1_bound(self, lambda2: float) -> float:
         """Supremum of stable lambda1 at the given lambda2 (0 if none)."""
@@ -227,9 +212,10 @@ class StabilityRegion:
                 1 - lambda2 / self.mu_2b
             ) * self.mu_1e
         if self.mu_1b > 0:
-            # lambda2 < mu_2e + (mu_2b - mu_2e) * (lambda1 / mu_1b); the right
-            # side decreases in lambda1, so solve for the admissible lambda1.
-            if self.mu_2b == self.mu_2e:
+            # lambda2 < mu_2e + (mu_2b - mu_2e) * (lambda1 / mu_1b).  If the
+            # right side does not decrease in lambda1, its supremum mu_2b
+            # decides; otherwise solve for the admissible lambda1.
+            if self.mu_2b >= self.mu_2e:
                 if lambda2 < self.mu_2b:
                     best = max(best, self.mu_1b)
             else:

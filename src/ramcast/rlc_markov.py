@@ -7,11 +7,22 @@ States (K, K, k) complete the service of a generation; a renewal
 transition (K, K, k) -> (0, 0, 0) with probability 1 models immediate
 start of the next generation and closes the chain.
 
-Two transition models are provided:
+In a slot where the source transmits, its coded packet reaches
+destination 1 only, destination 2 only, both or neither, with the
+reception weights w1, w2, wb and wn.  A uniform coefficient vector lies
+in a subspace of dimension d with probability 2^(d - K), so every
+transition probability is a reception weight times such fractions.
+Each variant is one table of transition families, one row per family:
+its name, its step (di, dj, dk), the states it leaves from and its
+probability.  Both tables use the same weights and the same self-loop,
+wn + w1 * 2^(i-K) + w2 * 2^(j-K) + wb * (fraction of the overlap).
 
 * ``variant="paper"`` -- the published transition table, where k counts
   packets that advanced both destinations simultaneously and the
-  overlap between the two received spans is approximated as 2^k.
+  overlap between the two received spans is approximated as 2^k.  Its
+  boundary rows (one destination at full rank) split an advance of the
+  other destination between keeping and incrementing k with a
+  (K - k) * 2^-K weight.
 * ``variant="exact"`` -- k is the dimension of the intersection of the
   two received spans, which makes (i, j, k) a lossless state: the
   membership probabilities of a uniform coefficient vector depend only
@@ -29,6 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -41,7 +53,6 @@ __all__ = [
     "ChainError",
     "ChainModel",
     "build_chain",
-    "expected_service_time",
     "service_rate",
     "rlc_service_rates",
     "service_rates_grid",
@@ -84,25 +95,45 @@ class _StateSpace:
         return self.I.size
 
 
-_PAPER_FAMS: tuple[tuple[str, int, int, int], ...] = (
-    # name, di, dj, dk
-    ("move_i", 1, 0, 0),
-    ("move_j", 0, 1, 0),
-    ("move_ij", 1, 1, 1),
-    ("bnd_i", 1, 0, 0),
-    ("bnd_ik", 1, 0, 1),
-    ("bnd_j", 0, 1, 0),
-    ("bnd_jk", 0, 1, 1),
+# The states a family leaves from, by which destinations still collect.
+def _both_collect(I, J, K):
+    return (I < K) & (J < K)
+
+
+def _only_1_collects(I, J, K):
+    return (I < K) & (J == K)
+
+
+def _only_2_collects(I, J, K):
+    return (I == K) & (J < K)
+
+
+def _any_collects(I, J, K):
+    return (I < K) | (J < K)
+
+
+# name, di, dj, dk, source rows, probability at p_own = 1 from the
+# weights w and the fractions f of the source state.
+_PAPER_FAMS = (
+    ("move_i", 1, 0, 0, _both_collect, lambda w, f: w.w1 * (1 - f.i) + w.wb * (f.j - f.k)),
+    ("move_j", 0, 1, 0, _both_collect, lambda w, f: w.w2 * (1 - f.j) + w.wb * (f.i - f.k)),
+    ("move_ij", 1, 1, 1, _both_collect, lambda w, f: w.wb * (1 - (f.i + f.j - f.k))),
+    ("bnd_i", 1, 0, 0, _only_1_collects, lambda w, f: w.phi * (1 - (f.i + f.fresh))),
+    ("bnd_ik", 1, 0, 1, _only_1_collects, lambda w, f: w.phi * f.fresh),
+    ("bnd_j", 0, 1, 0, _only_2_collects, lambda w, f: w.sigma * (1 - (f.j + f.fresh))),
+    ("bnd_jk", 0, 1, 1, _only_2_collects, lambda w, f: w.sigma * f.fresh),
 )
 
-_EXACT_FAMS: tuple[tuple[str, int, int, int], ...] = (
-    ("x1", 1, 0, 0),
-    ("x1k", 1, 0, 1),
-    ("x2", 0, 1, 0),
-    ("x2k", 0, 1, 1),
-    ("xb1", 1, 1, 1),
-    ("xb2", 1, 1, 2),
+_EXACT_FAMS = (
+    ("x1", 1, 0, 0, _any_collects, lambda w, f: w.w1 * (1 - f.s)),
+    ("x1k", 1, 0, 1, _any_collects, lambda w, f: w.w1 * (f.s - f.i) + w.wb * (f.j - f.k)),
+    ("x2", 0, 1, 0, _any_collects, lambda w, f: w.w2 * (1 - f.s)),
+    ("x2k", 0, 1, 1, _any_collects, lambda w, f: w.w2 * (f.s - f.j) + w.wb * (f.i - f.k)),
+    ("xb1", 1, 1, 1, _any_collects, lambda w, f: w.wb * (1 - f.s)),
+    ("xb2", 1, 1, 2, _any_collects, lambda w, f: w.wb * (f.s - f.i - f.j + f.k)),
 )
+
+_FAMILIES = {"paper": _PAPER_FAMS, "exact": _EXACT_FAMS}
 
 
 def _slices(bounds: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -127,23 +158,11 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     lookup[I, J, C] = np.arange(I.size, dtype=np.int32)
     absorbing = np.flatnonzero((I == K) & (J == K))
 
-    interior = np.flatnonzero((I < K) & (J < K))
-    bnd_jK = np.flatnonzero((I < K) & (J == K))
-    bnd_iK = np.flatnonzero((I == K) & (J < K))
-    transient = np.flatnonzero((I < K) | (J < K))
-
-    fams = _PAPER_FAMS if variant == "paper" else _EXACT_FAMS
+    fams = _FAMILIES[variant]
     fam_src: dict[str, np.ndarray] = {}
     fam_dst: list[np.ndarray] = []
-    for name, di, dj, dk in fams:
-        if variant == "paper":
-            base = (
-                interior
-                if name.startswith("move")
-                else (bnd_jK if name in ("bnd_i", "bnd_ik") else bnd_iK)
-            )
-        else:
-            base = transient
+    for name, di, dj, dk, rows, _ in fams:
+        base = np.flatnonzero(rows(I, J, K))
         tgt = lookup[I[base] + di, J[base] + dj, C[base] + dk]
         hit = tgt >= 0
         fam_src[name] = base[hit].astype(np.int32)
@@ -190,109 +209,62 @@ def _family_probs(
 
     The self-loops of the completion states are left for ``build_chain``.
     """
-    K = space.K
-    I, J, C = space.I, space.J, space.C
+    K, I, J, C = space.K, space.I, space.J, space.C
     s1, s2 = channel.solo(source, 1), channel.solo(source, 2)
     j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
-    po = p_other
 
     def mix(f_solo, f_joint):
-        return (1.0 - po) * f_solo + po * f_joint
+        return (1.0 - p_other) * f_solo + p_other * f_joint
 
-    ei = _pow2(I - K)
-    ej = _pow2(J - K)
-    ek = _pow2(C - K)
-    pw = float(np.ldexp(1.0, -K))
-    probs: dict[str, np.ndarray] = {}
-
-    if space.variant == "paper":
-        # Interior families: both destinations still collecting.
-        for name in ("move_i", "move_j", "move_ij"):
-            src = space.fam_src[name]
-            gi, gj, gk = ei[src], ej[src], ek[src]
-            if name == "move_i":
-                val = (
-                    (1 - po) * (s1 * (1 - s2) * (1 - gi) + s1 * s2 * (gj - gk))
-                    + po * (j1 * (1 - j2) * (1 - gi) + j1 * j2 * (gj - gk))
-                )
-            elif name == "move_j":
-                val = (
-                    (1 - po) * ((1 - s1) * s2 * (1 - gj) + s1 * s2 * (gi - gk))
-                    + po * ((1 - j1) * j2 * (1 - gj) + j1 * j2 * (gi - gk))
-                )
-            else:
-                val = mix(s1 * s2, j1 * j2) * (1 - (gi + gj - gk))
-            probs[name] = val
-        # Boundary families: one destination already has full rank; only
-        # the other destination's reception matters, and the published
-        # rows split the advance between keeping and incrementing k with
-        # a (K - k) * 2^-K weight.
-        for name, q_s, q_j, gexp in (
-            ("bnd_i", s1, j1, ei),
-            ("bnd_j", s2, j2, ej),
-        ):
-            src = space.fam_src[name]
-            g = gexp[src]
-            kk = C[src]
-            probs[name] = mix(q_s, q_j) * (1 - (g + (K - kk) * pw))
-        for name, q_s, q_j in (("bnd_ik", s1, j1), ("bnd_jk", s2, j2)):
-            src = space.fam_src[name]
-            kk = C[src]
-            probs[name] = mix(q_s, q_j) * ((K - kk) * pw)
-
-        def stay(a: float, b: float) -> np.ndarray:
-            # No rank change when destinations 1 and 2 receive w.p. a and b.
-            return (1 - a) * (1 - b) + (1 - a) * b * ej + a * (1 - b) * ei + a * b * ek
-
-        self_p = np.where((I < K) & (J < K), mix(stay(s1, s2), stay(j1, j2)), 0.0)
-        self_p = np.where(
-            (I < K) & (J == K), mix((1 - s1) + s1 * ei, (1 - j1) + j1 * ei), self_p
-        )
-        self_p = np.where(
-            (I == K) & (J < K), mix((1 - s2) + s2 * ej, (1 - j2) + j2 * ej), self_p
-        )
-    else:
-        w1 = mix(s1 * (1 - s2), j1 * (1 - j2))
-        w2 = mix((1 - s1) * s2, (1 - j1) * j2)
-        wb = mix(s1 * s2, j1 * j2)
-        wn = mix((1 - s1) * (1 - s2), (1 - j1) * (1 - j2))
-        es = _pow2(I + J - C - K)  # sum-space fraction 2^((i + j - k) - K)
-        for name in space.fam_names:
-            src = space.fam_src[name]
-            gi, gj, gk, gs = ei[src], ej[src], ek[src], es[src]
-            if name == "x1":
-                val = w1 * (1 - gs)
-            elif name == "x1k":
-                val = w1 * (gs - gi) + wb * (gj - gk)
-            elif name == "x2":
-                val = w2 * (1 - gs)
-            elif name == "x2k":
-                val = w2 * (gs - gj) + wb * (gi - gk)
-            elif name == "xb1":
-                val = wb * (1 - gs)
-            else:  # xb2
-                val = wb * (gs - gi - gj + gk)
-            probs[name] = val
-        self_p = wn + w1 * ei + w2 * ej + wb * ek
-
+    # Reception weights: the packet reaches destination 1 only (w1), 2
+    # only (w2), both (wb) or neither (wn); it reaches 1 with probability
+    # phi = w1 + wb and 2 with sigma = w2 + wb.
+    phi, sigma, _ = channel.reception(source, p_other)
+    w = SimpleNamespace(
+        w1=mix(s1 * (1 - s2), j1 * (1 - j2)),
+        w2=mix((1 - s1) * s2, (1 - j1) * j2),
+        wb=mix(s1 * s2, j1 * j2),
+        wn=mix((1 - s1) * (1 - s2), (1 - j1) * (1 - j2)),
+        phi=phi,
+        sigma=sigma,
+    )
+    # Per state, the chance 2^(d - K) that a uniform coefficient vector
+    # lies in a span of dimension d: i, j and k for those coordinates, s
+    # for the sum of the two spans (i + j - k in the exact variant); and
+    # the published boundary rows' (K - k) 2^-K.
+    f = SimpleNamespace(
+        i=_pow2(I - K),
+        j=_pow2(J - K),
+        k=_pow2(C - K),
+        s=_pow2(I + J - C - K),
+        fresh=(K - C) * float(np.ldexp(1.0, -K)),
+    )
+    probs = {
+        name: prob(w, f)[space.fam_src[name]]
+        for name, *_, prob in _FAMILIES[space.variant]
+    }
+    # A packet that reaches both destinations changes no rank iff it lies
+    # in the overlap of their spans: once one destination is full, the
+    # other's span; otherwise the span of dimension k.  In the exact
+    # variant J == K forces k = i and I == K forces k = j, so there the
+    # overlap is always the span of dimension k.
+    overlap = np.where(J == K, f.i, np.where(I == K, f.j, f.k))
+    self_p = w.wn + w.w1 * f.i + w.w2 * f.j + w.wb * overlap
     return probs, self_p
 
 
 @dataclass
 class ChainModel:
-    """A built chain: topology plus probabilities for one parameter point."""
+    """A built chain: its state space plus the self-loop and edge
+    probabilities at one parameter point."""
 
-    K: int
-    variant: str
-    source: int
-    p_own: float
-    p_other: float
-    channel: ChannelModel
     space: _StateSpace = field(repr=False)
     self_p: np.ndarray = field(repr=False)
-    e_src: np.ndarray = field(repr=False)
-    e_dst: np.ndarray = field(repr=False)
-    e_prob: np.ndarray = field(repr=False)
+    e_prob: np.ndarray = field(repr=False)  # aligned with space.e_src/e_dst
+
+    @property
+    def K(self) -> int:
+        return self.space.K
 
     @property
     def states(self) -> tuple[State, ...]:
@@ -321,7 +293,7 @@ class ChainModel:
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
         sums = self.self_p.copy()
-        np.add.at(sums, self.e_src, self.e_prob)
+        np.add.at(sums, self.space.e_src, self.e_prob)
         sums[self.space.absorbing] = 1.0
         return sums
 
@@ -341,7 +313,7 @@ def build_chain(
     """
     if not 1 <= K <= MAX_K:
         raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
-    if variant not in ("paper", "exact"):
+    if variant not in _FAMILIES:
         raise ChainError(f"variant must be 'paper' or 'exact', got {variant!r}")
     if source not in (1, 2):
         raise ChainError(f"source must be 1 or 2, got {source!r}")
@@ -354,19 +326,7 @@ def build_chain(
     e_prob = p_own * np.concatenate([probs[n] for n in space.fam_names])
     self_p = (1 - p_own) + p_own * self_p
     self_p[space.absorbing] = 0.0  # renewal transition replaces the row
-    return ChainModel(
-        K=K,
-        variant=variant,
-        source=source,
-        p_own=p_own,
-        p_other=p_other,
-        channel=channel,
-        space=space,
-        self_p=self_p,
-        e_src=space.e_src,
-        e_dst=space.e_dst,
-        e_prob=e_prob[space.edge_order],
-    )
+    return ChainModel(space=space, self_p=self_p, e_prob=e_prob[space.edge_order])
 
 
 def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
@@ -380,7 +340,7 @@ def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
     inflow = np.zeros(n)
     inflow[chain.state_index((0, 0, 0))] = 1.0
     visits = np.zeros(n)
-    e_src, e_dst, e_prob = chain.e_src, chain.e_dst, chain.e_prob
+    e_src, e_dst, e_prob = space.e_src, space.e_dst, chain.e_prob
     is_abs = np.zeros(n, dtype=bool)
     is_abs[space.absorbing] = True
     for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
@@ -403,21 +363,14 @@ def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
     return visits, flux
 
 
-def expected_service_time(chain: ChainModel) -> float:
-    """E[slots to complete one generation] from (0, 0, 0); inf if never."""
+def service_rate(chain: ChainModel) -> float:
+    """K / E[slots to complete one generation] in packets/slot; 0 if the
+    service never completes."""
     vc = _visit_counts(chain)
     if vc is None:
-        return float("inf")
-    visits, _ = vc
-    return float(visits.sum())
-
-
-def service_rate(chain: ChainModel) -> float:
-    """K / E[service time] in packets/slot."""
-    et = expected_service_time(chain)
-    if not np.isfinite(et) or et <= 0:
         return 0.0
-    return chain.K / et
+    et = float(vc[0].sum())
+    return chain.K / et if np.isfinite(et) and et > 0 else 0.0
 
 
 def rlc_service_rates(

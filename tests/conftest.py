@@ -55,7 +55,7 @@ def dense_stationary(chain) -> np.ndarray:
     """
     n = chain.n_states
     P = np.diag(chain.self_p)
-    np.add.at(P, (chain.e_src, chain.e_dst), chain.e_prob)
+    np.add.at(P, (chain.space.e_src, chain.space.e_dst), chain.e_prob)
     P[chain.space.absorbing, chain.state_index((0, 0, 0))] = 1.0
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
@@ -79,6 +79,6 @@ def flux_rate(chain, pi: np.ndarray) -> float:
     """
     is_abs = np.zeros(chain.n_states, dtype=bool)
     is_abs[chain.space.absorbing] = True
-    into = is_abs[chain.e_dst]
-    flux = float(np.sum(pi[chain.e_src[into]] * chain.e_prob[into]))
+    into = is_abs[chain.space.e_dst]
+    flux = float(np.sum(pi[chain.space.e_src[into]] * chain.e_prob[into]))
     return chain.K * flux / (1.0 - float(pi[chain.space.absorbing].sum()))

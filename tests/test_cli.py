@@ -104,6 +104,24 @@ def test_verify_chain_command(tmp_path):
     assert all(float(r[6]) <= 1e-12 for r in resid_rows)
 
 
+def test_verify_chain_mu_b_is_p_own_times_g(tmp_path):
+    # At p1 = 1e-14 a chain solved at the actual p_own loses 0.7% to the
+    # cancellation in 1 - self_p; the printed rate is p_own * g_n.
+    from ramcast.channel import AccessProbabilities, strong_mpr
+    from ramcast.rlc_markov import rlc_service_rates
+
+    out = tmp_path / "verify.csv"
+    assert run_cli("verify-chain", "--channel", "strong_mpr", "--K", "4", "--p1", "1e-14",
+                   "--p2", "0.5", "--slots", "1000", "--out", out) == 0
+    _, rows = read_csv(out)
+    access = AccessProbabilities(1e-14, 0.5)
+    printed = [r for r in rows if r[0] == "mu_b"]
+    assert len(printed) == 4
+    for r in printed:
+        rates = rlc_service_rates(strong_mpr(), access, 4, variant=r[1])
+        assert float(r[6]) == rates.backlogged[int(r[5]) - 1]
+
+
 def test_figure_command(tmp_path):
     out = tmp_path / "fig"
     assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1,2",
@@ -180,6 +198,17 @@ def test_figure_k_list_must_name_a_k(capsys):
         main(["figure", "--channel", "strong_mpr", "--K-list", ",", "--out", "unused"])
     assert exc.value.code == 2
     assert "--K-list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k_list", ["0", "65", "1,65"])
+def test_figure_k_list_out_of_range_writes_nothing(tmp_path, capsys, k_list):
+    out = tmp_path / "fig"
+    with pytest.raises(SystemExit) as exc:
+        main(["figure", "--channel", "strong_mpr", "--K-list", k_list, "--step", "0.1",
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--K-list: K must be in [1, 64]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_rankdist_rejects_negative_max_j(tmp_path, capsys):

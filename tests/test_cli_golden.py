@@ -8,7 +8,11 @@ without ``duration_s``, the one field that varies between identical
 runs.  Recorded before the command bookkeeping moved into ``main``; a
 refactor of the CLI must reproduce every entry.  ``rates-rlc-out`` was
 re-recorded when the point rates became p_own * g_n(p_other): its four
-rates moved by at most 4e-16 relative.
+rates moved by at most 4e-16 relative.  The paper-chain CSVs of
+``figure`` and ``region-rlc-paper`` were re-recorded when the published
+rows took the exact chain's reception weights, and ``verify-chain`` when
+its mu_b also became p_own * g_n(p_other): every rate moved by at most
+4.7e-16 relative.
 """
 import hashlib
 import json
@@ -103,8 +107,8 @@ GOLDEN = {
         "fig/manifest.json": "43bf88d8f16d79a6a3897b7d260d9d11b434c7ce462f1851325c3f59d083ce9c",
         "fig/plot_figure.py": "1d57edfa17e1e98608ad9449a0021233cd6152fcf567d7d91e52e8e64be919f7",
         "fig/retrans.csv": "ae49b008562f45b208ab9e1d2b13d635a4f6cafa2c40a74d0939ca86c8ffce6b",
-        "fig/rlc_K1.csv": "30dae673d67a8ac5018e73ebded0bdbc5ce2f10c1563c42ebb8e59598e844466",
-        "fig/rlc_K2.csv": "cb4bfee412503fbddcce2cb867004e6531bc9be78e118201acec5cc95ca6c357",
+        "fig/rlc_K1.csv": "36138a7dd46953db520e08e7a0c6ac20e372e14cdf95e5967df73dca0bd31bc5",
+        "fig/rlc_K2.csv": "c35aa34c2ae1ff6ce79d14c5925d1f753143623c481456019d0c881f046ec2ef",
     },
     "rankdist": {
         "rc": 0,
@@ -150,7 +154,7 @@ GOLDEN = {
         "rc": 0,
         "stdout": "be5db2b760feef333252a108d0bed333a6a8ea951becc74cf983420666c9c2d7",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "region.csv": "cb4bfee412503fbddcce2cb867004e6531bc9be78e118201acec5cc95ca6c357",
+        "region.csv": "c35aa34c2ae1ff6ce79d14c5925d1f753143623c481456019d0c881f046ec2ef",
         "region.manifest.json": "16dffd769ef1f4782efbd6601ce02ad7121b3ac177992dbe542ce30b563e582f",
     },
     "sim-arrivals": {
@@ -171,7 +175,7 @@ GOLDEN = {
         "rc": 0,
         "stdout": "77e1838ee367028ac4cee52ac6dcc9df8f80a68ba04c273a63568f787a3d9435",
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "verify.csv": "068abce8a7be68c0b088f167b44e58b4aca343402d0f3e46ed6335c639f3e86d",
+        "verify.csv": "38f8430a9bc07ce44f9bbd3fe981182af7bfe3c0ec9986da7ff9a7d7a5838f45",
         "verify.manifest.json": "501bc54a63d95e4774fbd302e3812e599408f40616b1aa4ddace892df1767929",
     },
 }

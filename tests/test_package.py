@@ -1,5 +1,7 @@
-"""Package-wide invariants: one generation-size limit and the import graph."""
+"""Package-wide invariants: one generation-size limit, the import graph and
+the names the benchmark harness calls."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +17,7 @@ from ramcast.rlc_markov import ChainError, build_chain, service_rates_grid
 from ramcast.sim import SimConfig
 
 PKG = Path(ramcast.sim.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.mark.parametrize("K", [0, MAX_K + 1])
@@ -56,3 +59,47 @@ def test_simulator_imports_no_chain_code():
             for alias in node.names:
                 assert alias.name.split(".")[0] != "ramcast", alias.name
     assert local == {"channel", "gf2"}
+
+
+def _dotted(node):
+    """``a.b.c`` for a chain of attributes on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        return ".".join([node.id] + parts[::-1])
+    return None
+
+
+def test_benchmark_names_resolve():
+    # perfbench/ wraps and calls these names from the outside; a missing
+    # one would only show up there as an absent span or a failed job.
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tracing.body
+        if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == "TARGETS"
+    )
+    assert targets
+    for target in targets:
+        mod_name, fn_name = target.rsplit(".", 1)
+        module = importlib.import_module(f"ramcast.{mod_name}")
+        assert callable(getattr(module, fn_name, None)), target
+
+    # job.py reads the package as ``ramcast`` and its simulator as ``sim``.
+    job = ast.parse((PERFBENCH / "job.py").read_text(encoding="utf-8"))
+    names = {_dotted(node) for node in ast.walk(job) if isinstance(node, ast.Attribute)}
+    names = {
+        "ramcast." + n if n.startswith("sim.") else n
+        for n in names
+        if n and n.split(".")[0] in ("ramcast", "sim")
+    }
+    assert "ramcast.build_chain" in names and "ramcast.sim.run" in names
+    import ramcast.cli  # noqa: F401  (job.py imports it before reading ramcast.cli.main)
+
+    for name in sorted(names):
+        obj = ramcast
+        for attr in name.split(".")[1:]:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)

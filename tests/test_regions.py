@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from ramcast.regions import (
     FrontierPoint,
     RatePoint,
     RegionFrontier,
+    StabilityRegion,
     frontier_contains,
     frontier_value,
     p_grid,
@@ -205,6 +208,16 @@ def test_stability_region_boundary_vertices(strong):
     # the two constraint lines meet exactly at the backlogged rate pair
     l1_at_mu2b = region.lambda1_bound(mu.backlogged[1] - 1e-12)
     assert l1_at_mu2b == pytest.approx(mu.backlogged[0], abs=1e-9)
+
+
+def test_contains_when_backlogged_rate_rounds_above_empty():
+    # Rounding can leave mu_2b an ulp above mu_2e.  The set-2 line then
+    # rises in lambda1, and at lambda2 = mu_2b neither set holds.
+    mu_2e = 0.3
+    region = StabilityRegion(mu_1b=0.2, mu_2b=math.nextafter(mu_2e, 1.0), mu_1e=0.4, mu_2e=mu_2e)
+    assert not region.contains(0.1, region.mu_2b)
+    assert region.lambda1_bound(region.mu_2b) == 0.0
+    assert region.contains(0.1999, mu_2e)
 
 
 def test_zero_service_rates_empty_region():

@@ -13,7 +13,6 @@ from ramcast.rlc_markov import (
     _state_space,
     _visit_counts,
     build_chain,
-    expected_service_time,
     rlc_service_rates,
     service_rate,
     service_rates_grid,
@@ -83,7 +82,7 @@ def test_absorbing_entry_sets_match_chain_edges(strong):
         target = idx[(K, K, k)]
         preds = {
             chain.states[s]
-            for s, d in zip(chain.e_src.tolist(), chain.e_dst.tolist())
+            for s, d in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist())
             if d == target
         }
         assert preds <= sets[k]
@@ -105,7 +104,7 @@ def test_row_sums_are_stochastic(K, variant):
 def test_transitions_only_upward(strong, variant):
     chain = build_chain(strong, ACCESS, K=4, variant=variant)
     level = {s: sum(s) for s in chain.states}
-    for s, d in zip(chain.e_src.tolist(), chain.e_dst.tolist()):
+    for s, d in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist()):
         assert level[chain.states[d]] > level[chain.states[s]]
 
 
@@ -116,7 +115,7 @@ def test_perfect_channel_k1_hand_solve():
     # start state and the completion state.
     chain = build_chain(PERFECT, AccessProbabilities(1.0, 0.0), source=1,
                         other_backlogged=False, K=1)
-    assert expected_service_time(chain) == pytest.approx(2.0, abs=1e-12)
+    assert _visit_counts(chain)[0].sum() == pytest.approx(2.0, abs=1e-12)
     assert service_rate(chain) == pytest.approx(0.5, abs=1e-12)
     pi = dense_stationary(chain)
     lookup = {s: p for s, p in zip(chain.states, pi)}
@@ -273,6 +272,73 @@ def test_grid_matches_pointwise_chain(strong, weak, variant):
                 assert y == pytest.approx(want2, rel=1e-12, abs=0)
 
 
+def _published_rows(ch, source, po, K, states):
+    """The published table at p_own = 1, written out per state as solo and
+    joint terms: {state: (self-loop, {target: probability})} for every
+    state that is not a completion state."""
+    s1, s2 = ch.solo(source, 1), ch.solo(source, 2)
+    j1, j2 = ch.joint(source, 1), ch.joint(source, 2)
+
+    def mix(f_solo, f_joint):
+        return (1 - po) * f_solo + po * f_joint
+
+    rows = {}
+    for i, j, k in states:
+        gi, gj, gk = 2.0 ** (i - K), 2.0 ** (j - K), 2.0 ** (k - K)
+        fresh = (K - k) * 2.0 ** -K
+        if i < K and j < K:
+            def stay(a, b):
+                return (1 - a) * (1 - b) + (1 - a) * b * gj + a * (1 - b) * gi + a * b * gk
+
+            loop = mix(stay(s1, s2), stay(j1, j2))
+            out = {
+                (i + 1, j, k): (1 - po) * (s1 * (1 - s2) * (1 - gi) + s1 * s2 * (gj - gk))
+                + po * (j1 * (1 - j2) * (1 - gi) + j1 * j2 * (gj - gk)),
+                (i, j + 1, k): (1 - po) * ((1 - s1) * s2 * (1 - gj) + s1 * s2 * (gi - gk))
+                + po * ((1 - j1) * j2 * (1 - gj) + j1 * j2 * (gi - gk)),
+                (i + 1, j + 1, k + 1): mix(s1 * s2, j1 * j2) * (1 - (gi + gj - gk)),
+            }
+        elif i < K:
+            loop = mix(1 - s1 + s1 * gi, 1 - j1 + j1 * gi)
+            out = {
+                (i + 1, j, k): mix(s1, j1) * (1 - (gi + fresh)),
+                (i + 1, j, k + 1): mix(s1, j1) * fresh,
+            }
+        elif j < K:
+            loop = mix(1 - s2 + s2 * gj, 1 - j2 + j2 * gj)
+            out = {
+                (i, j + 1, k): mix(s2, j2) * (1 - (gj + fresh)),
+                (i, j + 1, k + 1): mix(s2, j2) * fresh,
+            }
+        else:
+            continue
+        rows[(i, j, k)] = (loop, out)
+    return rows
+
+
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_paper_chain_matches_published_table(strong, weak, K):
+    # Every edge and self-loop of the paper chain equals the published
+    # table's solo/joint expansion, whatever grouping computes it.
+    for ch in (strong, weak):
+        for po in (0.0, 0.3, 1.0):
+            for source in (1, 2):
+                access = AccessProbabilities(*((1.0, po) if source == 1 else (po, 1.0)))
+                chain = build_chain(ch, access, source, True, K, "paper")
+                states = chain.states
+                got = {}
+                for s, d, p in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist(),
+                                   chain.e_prob.tolist()):
+                    got.setdefault(states[s], {})[states[d]] = p
+                rows = _published_rows(ch, source, po, K, states)
+                assert set(got) == set(rows)
+                for state, (loop, out) in rows.items():
+                    assert chain.self_p[chain.state_index(state)] == pytest.approx(
+                        loop, rel=1e-13, abs=0
+                    )
+                    assert got[state] == pytest.approx(out, rel=1e-13, abs=0)
+
+
 def _oracle_space(K, variant):
     """Loop-built state order, family edges and level slices of the chain."""
     states = []
@@ -288,7 +354,7 @@ def _oracle_space(K, variant):
     index = {s: n for n, s in enumerate(states)}
     fams = _PAPER_FAMS if variant == "paper" else _EXACT_FAMS
     edges = {}
-    for name, di, dj, dk in fams:
+    for name, di, dj, dk, *_ in fams:
         pairs = []
         for n, (i, j, k) in enumerate(states):
             if variant == "paper":
