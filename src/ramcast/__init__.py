@@ -12,13 +12,6 @@ from .channel import (
     validate,
     weak_mpr,
 )
-from .capacity import (
-    MutualInfoReport,
-    RateBounds,
-    binary_entropy,
-    mutual_info,
-    rate_bounds,
-)
 from .retrans import ServiceRates, retrans_service_rates
 from .gf2 import (
     BinaryMatrix,

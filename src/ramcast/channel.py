@@ -34,16 +34,10 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True)
 class ChannelModel:
-    """Reception probabilities indexed [source-1][destination-1].
-
-    ``relax_zero_joint`` permits q_solo == q_joint on links where
-    q_joint is exactly 0 (set by the collision-channel constructor so
-    that degenerate links never trip the strictness check).
-    """
+    """Reception probabilities indexed [source-1][destination-1]."""
 
     q_solo: Matrix2
     q_joint: Matrix2
-    relax_zero_joint: bool = False
 
     def solo(self, source: int, dest: int) -> float:
         return self.q_solo[source - 1][dest - 1]
@@ -80,8 +74,7 @@ def validate(channel: ChannelModel) -> ChannelModel:
     """Check ranges and the interference-never-helps ordering.
 
     Every entry must lie in [0, 1] and q_solo must strictly exceed
-    q_joint on each link (relaxed to >= where q_joint == 0 if the model
-    was built with ``relax_zero_joint``).  Returns the model unchanged.
+    q_joint on each link.  Returns the model unchanged.
     """
     for name, mat in (("q_solo", channel.q_solo), ("q_joint", channel.q_joint)):
         for n in (1, 2):
@@ -93,12 +86,6 @@ def validate(channel: ChannelModel) -> ChannelModel:
         for m in (1, 2):
             solo = channel.solo(n, m)
             joint = channel.joint(n, m)
-            if channel.relax_zero_joint and joint == 0.0:
-                if solo < joint:
-                    raise ChannelError(
-                        f"q_solo[{n}][{m}]={solo!r} < q_joint[{n}][{m}]={joint!r}"
-                    )
-                continue
             if not solo > joint:
                 raise ChannelError(
                     f"q_solo[{n}][{m}]={solo!r} must strictly exceed "
@@ -111,7 +98,7 @@ def collision_channel() -> ChannelModel:
     """Classic collision channel: solo transmissions always succeed, overlaps never."""
     ones = ((1.0, 1.0), (1.0, 1.0))
     zeros = ((0.0, 0.0), (0.0, 0.0))
-    return ChannelModel(q_solo=ones, q_joint=zeros, relax_zero_joint=True)
+    return ChannelModel(q_solo=ones, q_joint=zeros)
 
 
 def strong_mpr() -> ChannelModel:
@@ -161,8 +148,7 @@ def load_channel(source: str | Path) -> ChannelModel:
     """Build a validated channel from a preset name or a config file.
 
     Config files are either a JSON object or plain ``key = value`` lines
-    with keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in {1, 2}) and an
-    optional boolean ``relax_zero_joint``.
+    with keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in {1, 2}).
     """
     if isinstance(source, str) and source in PRESETS:
         return validate(PRESETS[source]())
@@ -198,13 +184,7 @@ def load_channel(source: str | Path) -> ChannelModel:
             rows.append((row[0], row[1]))
         return (rows[0], rows[1])
 
-    relax_raw = values.get("relax_zero_joint", False)
-    relax = relax_raw if isinstance(relax_raw, bool) else str(relax_raw).lower() in (
-        "1",
-        "true",
-        "yes",
-    )
-    return validate(ChannelModel(grab("q_solo"), grab("q_joint"), relax_zero_joint=relax))
+    return validate(ChannelModel(grab("q_solo"), grab("q_joint")))
 
 
 @dataclass(frozen=True)

@@ -17,18 +17,28 @@ from pathlib import Path
 import numpy as np
 
 from .capacity import rate_bounds_grid
-from .channel import AccessProbabilities, strong_mpr, weak_mpr
+from .channel import AccessProbabilities, collision_channel, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
-from .regions import FrontierPoint, RegionFrontier, frontier_contains, frontier_value, grid_points
+from .regions import (
+    FrontierPoint,
+    RegionFrontier,
+    frontier_contains,
+    frontier_value,
+    grid_points,
+    p_grid,
+    policy_sweep,
+    stability_region_at,
+)
 from .retrans import retrans_service_rates, service_rates_grid
 from .rlc_markov import build_chain, rlc_service_rates, service_rates_grid as rlc_grid
 from .sim import SimConfig, run as sim_run
 
-__all__ = ["CheckResult", "run_checks"]
+__all__ = ["CheckResult", "chain_vs_sim", "run_checks"]
 
 _CHANNELS = (("strong_mpr", strong_mpr), ("weak_mpr", weak_mpr))
 _SEED = 42  # every simulated check
 _VARIANT = "paper"  # the published chain, for dominance and figure structure
+_SAMPLES_PER_EDGE = 9  # stability-region boundary samples per edge
 
 
 @dataclass
@@ -128,6 +138,47 @@ def check_retrans_oracle(
     )
 
 
+def chain_vs_sim(
+    channel, access: AccessProbabilities, K: int, slots: int, seed: int
+) -> list[dict]:
+    """Both chain variants' mu_b against one saturated RLC simulation.
+
+    Returns one record per (variant, source), variant-major: the chain
+    rate ``mu`` (p_own * g_n(p_other), as ``rlc_service_rates`` gives
+    it), the simulated departure rate ``sim`` and its ``stderr``, and
+    ``resid``, the largest row-sum residual of the chain built at the
+    actual (p1, p2).
+    """
+    res = sim_run(
+        SimConfig(
+            channel=channel,
+            access=access,
+            policy="rlc",
+            K=K,
+            slots=slots,
+            seed=seed,
+            mode="saturated",
+        )
+    )
+    records = []
+    for variant in ("paper", "exact"):
+        rates = rlc_service_rates(channel, access, K, variant)
+        for source in (1, 2):
+            chain = build_chain(channel, access, source, True, K, variant)
+            src = res.sources[source - 1]
+            records.append(
+                {
+                    "variant": variant,
+                    "source": source,
+                    "mu": rates.backlogged[source - 1],
+                    "sim": src.departure_rate,
+                    "stderr": src.stderr,
+                    "resid": float(np.abs(chain.row_sums() - 1.0).max()),
+                }
+            )
+    return records
+
+
 def check_rlc_oracle(
     slots: int = 1_000_000,
     Ks: tuple[int, ...] = (1, 2, 4),
@@ -138,65 +189,39 @@ def check_rlc_oracle(
     The published transition table is checked first; rows where it
     misses the 3-stderr/1%-relative oracle are reported together with
     the corrected (exact-intersection) chain, which must restore the
-    check.  The chain rates are p_own * g_n(p_other) from
-    ``rlc_service_rates``; the row sums of each chain built at the
-    actual (p1, p2) must be 1 within 1e-12.
+    check.  Each point's rates and row sums come from ``chain_vs_sim``;
+    the row sums must be 1 within 1e-12.
     """
     rows: list[dict] = []
-    paper_ok = True
-    exact_ok = True
     worst_resid = 0.0
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        for K in Ks:
-            for p1 in p_values:
-                for p2 in p_values:
-                    access = AccessProbabilities(p1, p2)
-                    res = sim_run(
-                        SimConfig(
-                            channel=channel,
-                            access=access,
-                            policy="rlc",
-                            K=K,
-                            slots=slots,
-                            seed=_SEED,
-                            mode="saturated",
-                        )
-                    )
-                    rates = {
-                        variant: rlc_service_rates(channel, access, K, variant)
-                        for variant in ("paper", "exact")
-                    }
-                    for n, source in ((0, 1), (1, 2)):
-                        src = res.sources[n]
-                        entry = {
-                            "channel": cname,
-                            "K": K,
-                            "p1": p1,
-                            "p2": p2,
-                            "source": source,
-                            "sim": src.departure_rate,
-                            "stderr": src.stderr,
-                        }
-                        for variant in ("paper", "exact"):
-                            chain = build_chain(channel, access, source, True, K, variant)
-                            resid = float(np.abs(chain.row_sums() - 1.0).max())
-                            worst_resid = max(worst_resid, resid)
-                            mu = rates[variant].backlogged[n]
-                            z = abs(mu - src.departure_rate) / src.stderr
-                            rel = abs(mu - src.departure_rate) / src.departure_rate
-                            ok = z <= 3.0 and rel <= 0.01 and resid <= 1e-12
-                            entry[variant] = mu
-                            entry[f"{variant}_z"] = z
-                            entry[f"{variant}_rel"] = rel
-                            entry[f"{variant}_ok"] = ok
-                            if variant == "paper":
-                                paper_ok = paper_ok and ok
-                            else:
-                                exact_ok = exact_ok and ok
-                        rows.append(entry)
+        for K, p1, p2 in itertools.product(Ks, p_values, p_values):
+            records = chain_vs_sim(channel, AccessProbabilities(p1, p2), K, slots, _SEED)
+            for source in (1, 2):
+                mine = [r for r in records if r["source"] == source]
+                entry = {
+                    "channel": cname,
+                    "K": K,
+                    "p1": p1,
+                    "p2": p2,
+                    "source": source,
+                    "sim": mine[0]["sim"],
+                    "stderr": mine[0]["stderr"],
+                }
+                for r in mine:
+                    worst_resid = max(worst_resid, r["resid"])
+                    z = abs(r["mu"] - r["sim"]) / r["stderr"]
+                    rel = abs(r["mu"] - r["sim"]) / r["sim"]
+                    variant = r["variant"]
+                    entry[variant] = r["mu"]
+                    entry[f"{variant}_z"] = z
+                    entry[f"{variant}_rel"] = rel
+                    entry[f"{variant}_ok"] = z <= 3.0 and rel <= 0.01 and r["resid"] <= 1e-12
+                rows.append(entry)
     n_fail = sum(1 for r in rows if not r["paper_ok"])
-    if paper_ok:
+    exact_ok = all(r["exact_ok"] for r in rows)
+    if n_fail == 0:
         detail = (
             f"published chain matches simulation at all {len(rows)} points "
             f"(max row-sum residual {worst_resid:.2e})"
@@ -438,9 +463,7 @@ def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
     access = AccessProbabilities(0.5, 0.5)
     rates = retrans_service_rates(channel, access)
     lam2 = 0.8 * rates.backlogged[1]
-    # Stability-region prediction at lambda2 = 0.8 * mu_2b: constraint set 1
-    # gives lambda1 < 0.8 * mu_1b + 0.2 * mu_1e and dominates set 2's mu_1b.
-    predicted = 0.8 * rates.backlogged[0] + 0.2 * rates.empty[0]
+    predicted = stability_region_at(rates).lambda1_bound(lam2)
 
     def stable_at(lam1: float) -> bool:
         verdicts = stability_probe(
@@ -471,6 +494,69 @@ def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
         passed,
         f"bisection boundary {estimate:.4f} vs predicted {predicted:.4f} "
         f"({rel:.2%} off)",
+    )
+
+
+def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> float:
+    """Worst distance by which a per-point stability region leaves the frontier.
+
+    At each grid (p1, p2) the stability region is bounded by two edges
+    that meet at (mu_1b, mu_2b): one from (0, mu_2e), the boundary of
+    constraint set 2, and one from (mu_1e, 0), that of set 1.  Set 2
+    holds stable pairs only where mu_1b > 0 and set 1 only where
+    mu_2b > 0, so each edge is sampled there, and each sample is
+    measured against the policy's swept frontier polyline (above it, or
+    right of its last point).  The empty rates come from the same sweep:
+    an empty competitor has access probability 0, which the grid
+    contains, so mu_1e(p1) is the rate at (p1, 0) and mu_2e(p2) the one
+    at (0, p2).
+    """
+    _, _, mu1b, mu2b, frontier = policy_sweep(policy, channel, step, K, _VARIANT)
+    n = p_grid(step).size  # the sweep is p1-major over n x n points
+    mu1e = np.repeat(mu1b[::n], n)
+    mu2e = np.tile(mu2b[:n], n)
+    t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None]
+    xs, ys = [], []
+    for (x0, y0), keep in (((0.0, mu2e), mu1b > 0), ((mu1e, 0.0), mu2b > 0)):
+        xs.append((x0 + t * (mu1b - x0))[:, keep].ravel())
+        ys.append((y0 + t * (mu2b - y0))[:, keep].ravel())
+    x, y = np.concatenate(xs), np.concatenate(ys)
+    top = frontier.max_x()
+    over = np.where(x <= top, y - frontier_value(frontier, np.minimum(x, top)), x - top)
+    return float(over.max(initial=0.0))
+
+
+def check_stability_closure(step: float = 0.05) -> CheckResult:
+    """The union of the per-point stability regions stays inside the
+    saturated-throughput frontier, within the grid tolerance 2 * step.
+
+    This is what lets the swept frontier of (mu_1b, mu_2b) stand for the
+    stable-throughput region, and so what the capacity comparison rests
+    on.  Covered: retransmission and rlc K = 1, 4, 10 (published chain)
+    on both presets and the collision channel.
+    """
+    tol = 2.0 * step
+    cells = [("retrans", None)] + [("rlc", K) for K in (1, 4, 10)]
+    worst = []
+    for cname, cfun in _CHANNELS + (("collision", collision_channel),):
+        channel = cfun()
+        over, label = max(
+            (_closure_overshoot(channel, policy, K, step), f"rlc K={K}" if K else policy)
+            for policy, K in cells
+        )
+        if over > tol:
+            return CheckResult(
+                "stability-closure",
+                False,
+                f"{label} stability region exceeds the frontier by {over:.3e} "
+                f"(> {tol:g}) on {cname}",
+            )
+        worst.append(f"{cname} {over:.2e} ({label})")
+    return CheckResult(
+        "stability-closure",
+        True,
+        f"per-point stability regions within {tol:g} of the frontier for retrans "
+        f"and rlc K=1,4,10; worst overshoot " + ", ".join(worst),
     )
 
 
@@ -545,6 +631,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
             check_jensen_dominance(step=0.1, Ks=(1, 4)),
             check_figure_structure(step=0.1, K_list=(1, 2, 5, 10, 50)),
             check_overhead_limit(),
+            check_stability_closure(step=0.1),
             check_determinism(),
         ]
     else:
@@ -557,6 +644,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
             check_figure_gap(),
             check_overhead_limit(),
             check_stability_boundary(),
+            check_stability_closure(),
             check_determinism(),
         ]
     return results

@@ -18,8 +18,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .capacity import capacity_sweep
 from .channel import (
@@ -32,7 +30,7 @@ from .channel import (
 from .gf2 import MAX_K, rank_cdf, rank_pmf
 from .regions import stable_equals_throughput_frontier
 from .retrans import retrans_service_rates
-from .rlc_markov import ChainError, build_chain, rlc_service_rates
+from .rlc_markov import ChainError, rlc_service_rates
 from .sim import SimConfig, run as sim_run
 
 DEFAULTS = {"grid_step": 0.01, "slots": 1_000_000, "seed": 42}
@@ -220,18 +218,8 @@ def cmd_sim(args, channel) -> list[Path]:
 
 
 def cmd_verify_chain(args, channel) -> list[Path]:
-    access = AccessProbabilities(args.p1, args.p2)
-    sim_res = sim_run(
-        SimConfig(
-            channel=channel,
-            access=access,
-            policy="rlc",
-            K=args.K,
-            slots=args.slots,
-            seed=args.seed,
-            mode="saturated",
-        )
-    )
+    from .checks import chain_vs_sim
+
     header = [
         "metric",
         "variant",
@@ -246,22 +234,13 @@ def cmd_verify_chain(args, channel) -> list[Path]:
     ]
     rows = []
     worst = 0.0
-    for variant in ("paper", "exact"):
-        rates = rlc_service_rates(channel, access, args.K, variant=variant)
-        for source in (1, 2):
-            chain = build_chain(channel, access, source, True, args.K, variant)
-            resid = float(np.abs(chain.row_sums() - 1.0).max())
-            rows.append(
-                ["row_sum_residual", variant, args.K, args.p1, args.p2, source, resid, 0.0, "", ""]
-            )
-            analytic = rates.backlogged[source - 1]
-            simulated = sim_res.sources[source - 1].departure_rate
-            se = sim_res.sources[source - 1].stderr
-            rel = (analytic - simulated) / simulated if simulated else float("nan")
-            rows.append(
-                ["mu_b", variant, args.K, args.p1, args.p2, source, analytic, simulated, se, rel]
-            )
-            worst = max(worst, abs(rel))
+    access = AccessProbabilities(args.p1, args.p2)
+    for r in chain_vs_sim(channel, access, args.K, args.slots, args.seed):
+        point = [r["variant"], args.K, args.p1, args.p2, r["source"]]
+        rel = (r["mu"] - r["sim"]) / r["sim"] if r["sim"] else float("nan")
+        rows.append(["row_sum_residual", *point, r["resid"], 0.0, "", ""])
+        rows.append(["mu_b", *point, r["mu"], r["sim"], r["stderr"], rel])
+        worst = max(worst, abs(rel))
     out = _resolve_out(args.out)
     write_csv(out, header, rows)
     print(f"wrote {out} (worst |rel delta| vs simulation: {worst:.4%})")

@@ -68,22 +68,6 @@ class BinaryMatrix:
         for col in columns:
             self.append_column(col)
 
-    @classmethod
-    def from_bit_columns(
-        cls, rows: int, columns: Iterable[Sequence[int]]
-    ) -> "BinaryMatrix":
-        """Build from per-column bit sequences, entry r of a column = row r."""
-        packed = []
-        for col in columns:
-            if len(col) != rows:
-                raise ValueError(f"column length {len(col)} != rows {rows}")
-            packed.append(sum(1 << r for r, bit in enumerate(col) if bit & 1))
-        return cls(rows, packed)
-
-    @classmethod
-    def identity(cls, rows: int) -> "BinaryMatrix":
-        return cls(rows, (1 << r for r in range(rows)))
-
     @property
     def cols(self) -> int:
         return len(self._columns)

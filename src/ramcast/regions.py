@@ -7,7 +7,7 @@ pairs.  Each rate factors as p_own * g(p_other), so a sweep evaluates
 g once per distinct grid value and source (``factored_rates``), not
 once per point; a single point's rates take the same path
 (``point_rates``).  This module owns that sweep and its reduction plus
-the per-point stability region (union of the two dominant-system
+the per-point stability bound (union of the two dominant-system
 constraint sets) and the containment test used to compare frontiers.
 """
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "RatePoint",
     "FrontierPoint",
     "RegionFrontier",
     "StabilityRegion",
@@ -31,21 +30,9 @@ __all__ = [
     "frontier_value",
     "frontier_contains",
     "stability_region_at",
+    "policy_sweep",
     "stable_equals_throughput_frontier",
-    "theorem2_overshoot",
 ]
-
-
-@dataclass(frozen=True)
-class RatePoint:
-    """A rate pair in packets/slot; both coordinates nonnegative."""
-
-    x: float
-    y: float
-
-    def __post_init__(self) -> None:
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"rate point ({self.x}, {self.y}) must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -200,12 +187,9 @@ class StabilityRegion:
     mu_1e: float
     mu_2e: float
 
-    def contains(self, lambda1: float, lambda2: float) -> bool:
-        # At a fixed lambda2, each set holds lambda1 in [0, its bound).
-        return lambda1 >= 0 and lambda2 >= 0 and lambda1 < self.lambda1_bound(lambda2)
-
     def lambda1_bound(self, lambda2: float) -> float:
-        """Supremum of stable lambda1 at the given lambda2 (0 if none)."""
+        """Supremum of stable lambda1 at the given lambda2 (0 if none):
+        at lambda2 >= 0 the stable lambda1 are [0, bound)."""
         best = 0.0
         if self.mu_2b > 0 and lambda2 < self.mu_2b:
             best = (lambda2 / self.mu_2b) * self.mu_1b + (
@@ -226,16 +210,6 @@ class StabilityRegion:
                     best = max(best, tmax * self.mu_1b)
         return best
 
-    def boundary(self) -> list[RatePoint]:
-        """Vertices of the closure boundary, upper-left to lower-right."""
-        if self.mu_1b <= 0 and self.mu_2b <= 0:
-            return [RatePoint(0.0, 0.0)]
-        return [
-            RatePoint(0.0, self.mu_2e),
-            RatePoint(self.mu_1b, self.mu_2b),
-            RatePoint(self.mu_1e, 0.0),
-        ]
-
 
 def stability_region_at(mu) -> StabilityRegion:
     """Stability region for one (p1, p2) point, from a ServiceRates record."""
@@ -247,7 +221,7 @@ def stability_region_at(mu) -> StabilityRegion:
     )
 
 
-def _policy_sweep(policy: str, channel, grid_step: float, K: int | None, variant: str):
+def policy_sweep(policy: str, channel, grid_step: float, K: int | None, variant: str):
     """``sweep`` of one policy's backlogged service rates."""
     # Imported here: both modules import this one.
     from . import retrans as _retrans
@@ -276,53 +250,8 @@ def stable_equals_throughput_frontier(
 
     The stable region coincides with this saturated-throughput region
     for the two-source system, so the Pareto frontier of (mu_1b, mu_2b)
-    is the stable-throughput frontier.
+    is the stable-throughput frontier; ``checks.check_stability_closure``
+    measures how far any per-point stability region reaches past it.
     """
-    return _policy_sweep(policy, channel, grid_step, K, variant)[4]
+    return policy_sweep(policy, channel, grid_step, K, variant)[4]
 
-
-def theorem2_overshoot(
-    policy: str,
-    channel,
-    grid_step: float = 0.05,
-    K: int | None = None,
-    variant: str = "paper",
-    samples_per_edge: int = 9,
-) -> float:
-    """Worst overshoot of any per-point stability region beyond the frontier.
-
-    For every grid (p1, p2), samples the boundary of the per-point
-    stability region and measures how far it pokes above the policy's
-    swept frontier polyline.  A small positive value bounded by the grid
-    discretization confirms that the union of per-point regions does not
-    exceed the frontier.
-
-    The empty rates come from the same sweep: an empty competitor is one
-    with access probability 0, and the grid contains 0, so
-    mu_1e(p1) = p1 * g_1(0) is the sweep's rate at (p1, 0) and
-    mu_2e(p2) the one at (0, p2).
-    """
-    _, _, mu1, mu2, frontier = _policy_sweep(policy, channel, grid_step, K, variant)
-    n = p_grid(grid_step).size
-    mu1 = mu1.reshape(n, n)
-    mu2 = mu2.reshape(n, n)
-    worst = 0.0
-    for a in range(n):
-        for b in range(n):
-            region = StabilityRegion(
-                mu_1b=float(mu1[a, b]),
-                mu_2b=float(mu2[a, b]),
-                mu_1e=float(mu1[a, 0]),
-                mu_2e=float(mu2[0, b]),
-            )
-            if region.mu_1b <= 0 or region.mu_2b <= 0:
-                continue
-            for t in np.linspace(0.0, 1.0, samples_per_edge):
-                l2 = t * region.mu_2b
-                l1 = region.lambda1_bound(l2)
-                if l1 <= frontier.max_x():
-                    bound = float(frontier_value(frontier, l1))
-                    worst = max(worst, l2 - bound)
-                else:
-                    worst = max(worst, l1 - frontier.max_x())
-    return worst

@@ -267,12 +267,6 @@ class ChainModel:
         return self.space.K
 
     @property
-    def states(self) -> tuple[State, ...]:
-        """Every state (i, j, k), in index order; built on each access."""
-        space = self.space
-        return tuple(zip(space.I.tolist(), space.J.tolist(), space.C.tolist()))
-
-    @property
     def n_states(self) -> int:
         return self.space.n_states
 
@@ -285,10 +279,6 @@ class ChainModel:
         if n < 0:
             raise KeyError(state)
         return n
-
-    @property
-    def absorbing_states(self) -> list[State]:
-        return [(self.K, self.K, int(k)) for k in self.space.C[self.space.absorbing]]
 
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ramcast.capacity import rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, strong_mpr, weak_mpr
 
 
@@ -43,6 +44,18 @@ def channel_models(draw) -> ChannelModel:
 def access_probs(draw) -> AccessProbabilities:
     p = st.floats(0.0, 1.0, allow_nan=False)
     return AccessProbabilities(draw(p), draw(p))
+
+
+def rate_caps(channel: ChannelModel, p1: float, p2: float) -> tuple[float, float]:
+    """The capacity caps (r1, r2) at one (p1, p2), from ``rate_bounds_grid``."""
+    r1, r2 = rate_bounds_grid(channel, [p1], [p2])
+    return float(r1[0]), float(r2[0])
+
+
+def chain_states(chain) -> list[tuple[int, int, int]]:
+    """Every state (i, j, k) of a built chain, in index order."""
+    space = chain.space
+    return list(zip(space.I.tolist(), space.J.tolist(), space.C.tolist()))
 
 
 def dense_stationary(chain) -> np.ndarray:

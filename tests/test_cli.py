@@ -272,12 +272,28 @@ def test_channel_config_file(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+def test_channel_with_dead_link_is_an_error(tmp_path, capsys):
+    from ramcast.channel import weak_mpr
+
+    # q_solo = q_joint = 0 on a link breaks the strict q_solo > q_joint
+    # rule, and no config key waives it.
+    values = weak_mpr().as_dict()
+    values.update({"q_solo.1.1": 0.0, "q_joint.1.1": 0.0, "relax_zero_joint": True})
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "cap.csv"
+    assert run_cli("capacity", "--channel", cfg, "--step", "0.1", "--out", out) == 1
+    assert "q_solo[1][1]=0.0 must strictly exceed q_joint[1][1]=0.0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.json"]
+
+
 def test_check_quick_passes(capsys):
     assert main(["check", "--quick"]) == 0
     out = capsys.readouterr().out
     lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
-    assert len(lines) == 7
+    assert len(lines) == 8
     assert all(ln.startswith("PASS") for ln in lines)
+    assert any(ln.startswith("PASS stability-closure:") for ln in lines)
 
 
 def test_version_flag(capsys):

@@ -20,14 +20,15 @@ from ramcast.gf2 import (
 
 
 def test_rank_identity_and_zero():
-    assert BinaryMatrix.identity(5).rank == 5
+    assert BinaryMatrix(5, [1 << r for r in range(5)]).rank == 5
     zero = BinaryMatrix(3, [0, 0, 0, 0, 0])
     assert zero.rank == 0
     assert zero.cols == 5
 
 
 def test_rank_hand_example():
-    m = BinaryMatrix.from_bit_columns(2, [(1, 1), (1, 1), (0, 1)])
+    # Bit r of a column is row r.
+    m = BinaryMatrix(2, [0b11, 0b11, 0b10])
     assert m.rank == 2
 
 
@@ -184,17 +185,17 @@ def test_encode_rejects_unequal_lengths():
 
 def test_decode_identity_and_hand_example():
     payloads = [bytes([5]), bytes([9])]
-    ident = BinaryMatrix.from_bit_columns(2, [(1, 0), (0, 1)])
+    ident = BinaryMatrix(2, [0b01, 0b10])
     assert decode(ident, payloads) == payloads
-    # columns (1,0) and (1,1) carry s1 and s1 xor s2
-    m = BinaryMatrix.from_bit_columns(2, [(1, 0), (1, 1)])
+    # columns 0b01 and 0b11 carry s1 and s1 xor s2
+    m = BinaryMatrix(2, [0b01, 0b11])
     s1, s2 = bytes([0b1100]), bytes([0b1010])
     got = decode(m, [s1, bytes([0b0110])])
     assert got == [s1, s2]
 
 
 def test_decode_requires_full_rank():
-    m = BinaryMatrix.from_bit_columns(2, [(1, 1), (1, 1)])
+    m = BinaryMatrix(2, [0b11, 0b11])
     with pytest.raises(ValueError, match="rank"):
         decode(m, [bytes([1]), bytes([1])])
 

@@ -103,3 +103,58 @@ def test_benchmark_names_resolve():
         for attr in name.split(".")[1:]:
             assert hasattr(obj, attr), name
             obj = getattr(obj, attr)
+
+
+# Library API for users of random linear coding that neither the package
+# nor the benchmark calls.
+_CODEC = {"gf2.encode", "gf2.decode"}
+
+
+def _used_names(tree, skip: str | None = None) -> set[str]:
+    """Names a module reads, outside its top-level definition ``skip``:
+    loaded names and attributes, and the names it imports."""
+    used = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name == skip:
+            continue
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return used
+
+
+def test_public_names_are_reached():
+    # Each public name is there for the CLI, ``ramcast check`` or the
+    # benchmark, so code elsewhere in the package or in perfbench/ uses it.
+    # The re-exports of ``__init__`` and the tests do not count.
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in PKG.glob("*.py")
+        if path.name != "__init__.py"
+    }
+    outside = {
+        mod: set().union(
+            *(_used_names(ast.parse(p.read_text(encoding="utf-8"))) for p in PERFBENCH.glob("*.py")),
+            *(_used_names(tree) for other, tree in modules.items() if other != mod),
+        )
+        for mod in modules
+    }
+    unreached = []
+    for mod, tree in sorted(modules.items()):
+        exported = next(
+            (
+                ast.literal_eval(node.value)
+                for node in tree.body
+                if isinstance(node, ast.Assign) and _dotted(node.targets[0]) == "__all__"
+            ),
+            [],
+        )
+        for name in exported:
+            reached = name in outside[mod] or name in _used_names(tree, skip=name)
+            if not reached and f"{mod}.{name}" not in _CODEC:
+                unreached.append(f"{mod}.{name}")
+    assert unreached == []

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.capacity import capacity_sweep, rate_bounds, rate_bounds_grid
-from ramcast.channel import AccessProbabilities, collision_channel
+from ramcast.capacity import capacity_sweep, rate_bounds_grid
+from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
+from ramcast.checks import _closure_overshoot, check_stability_closure
 from ramcast.cli import main
 from ramcast.regions import (
     FrontierPoint,
-    RatePoint,
     RegionFrontier,
     StabilityRegion,
     frontier_contains,
@@ -19,18 +19,13 @@ from ramcast.regions import (
     pareto_frontier,
     stability_region_at,
     stable_equals_throughput_frontier,
-    theorem2_overshoot,
 )
 from ramcast.retrans import ServiceRates, retrans_service_rates
 from ramcast.retrans import service_rates_grid as retrans_grid
 from ramcast.rlc_markov import rlc_service_rates
 from ramcast.rlc_markov import service_rates_grid as rlc_grid
 
-
-def test_rate_point_nonnegative():
-    RatePoint(0.0, 0.0)
-    with pytest.raises(ValueError):
-        RatePoint(-0.1, 0.2)
+from conftest import rate_caps
 
 
 def test_p_grid_endpoints():
@@ -183,28 +178,23 @@ def test_swap_symmetry_on_symmetric_channels(strong, weak):
 def test_stability_region_membership(strong):
     mu = retrans_service_rates(strong, AccessProbabilities(0.5, 0.5))
     region = stability_region_at(mu)
-    assert region.contains(0.0, 0.0)
-    assert not region.contains(1.0, 1.0)
+    # (lambda1, lambda2) is stable iff 0 <= lambda1 < lambda1_bound(lambda2).
+    assert 0.0 < region.lambda1_bound(0.0)
+    assert not 1.0 < region.lambda1_bound(1.0)
     # lambda1 bound interpolates between empty and backlogged rates
     eps = 1e-9
     near = region.lambda1_bound(mu.backlogged[1] - eps)
     assert near == pytest.approx(mu.backlogged[0], abs=1e-6)
     at_zero = region.lambda1_bound(0.0)
     assert at_zero == pytest.approx(mu.empty[0], abs=1e-12)
-    # membership is consistent with the bound
     mid = 0.5 * mu.backlogged[1]
     b = region.lambda1_bound(mid)
-    assert region.contains(b - 1e-9, mid)
-    assert not region.contains(b + 1e-9, mid)
+    assert b == pytest.approx(0.5 * (mu.backlogged[0] + mu.empty[0]), abs=1e-12)
 
 
 def test_stability_region_boundary_vertices(strong):
     mu = retrans_service_rates(strong, AccessProbabilities(0.4, 0.7))
     region = stability_region_at(mu)
-    verts = region.boundary()
-    assert (verts[0].x, verts[0].y) == (0.0, mu.empty[1])
-    assert (verts[1].x, verts[1].y) == (mu.backlogged[0], mu.backlogged[1])
-    assert (verts[2].x, verts[2].y) == (mu.empty[0], 0.0)
     # the two constraint lines meet exactly at the backlogged rate pair
     l1_at_mu2b = region.lambda1_bound(mu.backlogged[1] - 1e-12)
     assert l1_at_mu2b == pytest.approx(mu.backlogged[0], abs=1e-9)
@@ -215,24 +205,31 @@ def test_contains_when_backlogged_rate_rounds_above_empty():
     # rises in lambda1, and at lambda2 = mu_2b neither set holds.
     mu_2e = 0.3
     region = StabilityRegion(mu_1b=0.2, mu_2b=math.nextafter(mu_2e, 1.0), mu_1e=0.4, mu_2e=mu_2e)
-    assert not region.contains(0.1, region.mu_2b)
+    assert not 0.1 < region.lambda1_bound(region.mu_2b)
     assert region.lambda1_bound(region.mu_2b) == 0.0
-    assert region.contains(0.1999, mu_2e)
+    assert 0.1999 < region.lambda1_bound(mu_2e)
 
 
 def test_zero_service_rates_empty_region():
     mu = ServiceRates(backlogged=(0.0, 0.0), empty=(0.0, 0.0))
     region = stability_region_at(mu)
-    assert not region.contains(1e-6, 0.0)
-    assert not region.contains(0.0, 1e-6)
+    assert not 1e-6 < region.lambda1_bound(0.0)
+    assert not 0.0 < region.lambda1_bound(1e-6)
 
 
-def test_theorem2_union_within_throughput_frontier(strong, weak):
+def test_theorem2_union_within_throughput_frontier():
     # The per-point stability regions never exceed the swept frontier by
-    # more than the grid discretization.
-    for ch in (strong, weak):
-        overshoot = theorem2_overshoot("retrans", ch, grid_step=0.1)
-        assert overshoot <= 2 * 0.1 * 1.0
+    # more than the grid discretization, for every policy and channel.
+    result = check_stability_closure(step=0.1)
+    assert result.passed, result.detail
+    assert "strong_mpr" in result.detail and "collision" in result.detail
+
+
+def test_stability_closure_measures_both_edges():
+    # On this channel the worst overshoot of retransmission lies on the
+    # edge (0, mu_2e) -> (mu_1b, mu_2b); the other edge reaches 4.65e-3.
+    asym = ChannelModel(q_solo=((0.9, 0.5), (0.6, 0.7)), q_joint=((0.5, 0.2), (0.3, 0.4)))
+    assert _closure_overshoot(asym, "retrans", None, 0.05) >= 5.0e-3
 
 
 def test_theorem2_vertices_exactly_dominated(strong):
@@ -281,12 +278,8 @@ POINT_KINDS = ["capacity", "retrans"] + [
 def _point(kind, ch, p1, p2):
     """(backlogged, empty) rate pairs of one point function at (p1, p2)."""
     if kind == "capacity":
-        def caps(a, b):
-            rb = rate_bounds(ch, AccessProbabilities(a, b))
-            return rb.r1_max, rb.r2_max
-
         # An empty competitor has access probability 0.
-        return caps(p1, p2), (caps(p1, 0.0)[0], caps(0.0, p2)[1])
+        return rate_caps(ch, p1, p2), (rate_caps(ch, p1, 0.0)[0], rate_caps(ch, 0.0, p2)[1])
     access = AccessProbabilities(p1, p2)
     if kind == "retrans":
         rates = retrans_service_rates(ch, access)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from ramcast.capacity import rate_bounds, rate_bounds_grid
+from ramcast.capacity import rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
 from ramcast.retrans import ServiceRates, retrans_service_rates, service_rates_grid
 
-from conftest import access_probs, channel_models, random_channel
+from conftest import access_probs, channel_models, random_channel, rate_caps
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
 
@@ -67,20 +67,19 @@ def test_dead_source_rate_zero(strong):
 
 def test_jensen_bound_equals_rate_bounds(strong):
     # The Jensen bound p_n * min(phi, sigma) is the capacity integrand.
-    access = AccessProbabilities(0.3, 0.9)
-    rb = rate_bounds(strong, access)
+    r1, r2 = rate_caps(strong, 0.3, 0.9)
     phi, sigma, _ = strong.reception(1, 0.9)
-    assert rb.r1_max == pytest.approx(0.3 * min(phi, sigma), abs=1e-15)
+    assert r1 == pytest.approx(0.3 * min(phi, sigma), abs=1e-15)
     phi, sigma, _ = strong.reception(2, 0.3)
-    assert rb.r2_max == pytest.approx(0.9 * min(phi, sigma), abs=1e-15)
+    assert r2 == pytest.approx(0.9 * min(phi, sigma), abs=1e-15)
 
 
 def test_jensen_bound_examples(strong):
     access = AccessProbabilities(0.5, 0.5)
-    assert rate_bounds(strong, access).r1_max == pytest.approx(0.325, abs=1e-12)
+    assert rate_caps(strong, 0.5, 0.5)[0] == pytest.approx(0.325, abs=1e-12)
     assert retrans_service_rates(strong, access).backlogged[0] <= 0.325
     coll = collision_channel()
-    assert rate_bounds(coll, access).r1_max == pytest.approx(0.25, abs=1e-12)
+    assert rate_caps(coll, 0.5, 0.5)[0] == pytest.approx(0.25, abs=1e-12)
     assert retrans_service_rates(coll, access).backlogged[0] <= 0.25 + 1e-12
 
 
@@ -101,9 +100,9 @@ def test_jensen_dominance_bulk_random():
 @given(channel_models(), access_probs())
 def test_jensen_dominance_property(ch, access):
     rates = retrans_service_rates(ch, access)
-    rb = rate_bounds(ch, access)
-    assert rates.backlogged[0] <= rb.r1_max + 1e-12
-    assert rates.backlogged[1] <= rb.r2_max + 1e-12
+    r1, r2 = rate_caps(ch, access.p1, access.p2)
+    assert rates.backlogged[0] <= r1 + 1e-12
+    assert rates.backlogged[1] <= r2 + 1e-12
 
 
 @settings(max_examples=200)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.capacity import rate_bounds
 from ramcast.channel import AccessProbabilities, ChannelModel
 from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
@@ -18,7 +17,14 @@ from ramcast.rlc_markov import (
     service_rates_grid,
 )
 
-from conftest import channel_models, dense_stationary, flux_rate, random_channel
+from conftest import (
+    chain_states,
+    channel_models,
+    dense_stationary,
+    flux_rate,
+    random_channel,
+    rate_caps,
+)
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
 ACCESS = AccessProbabilities(0.5, 0.5)
@@ -52,14 +58,16 @@ def absorbing_entry_sets(K):
 
 def test_k1_state_space(strong):
     chain = build_chain(strong, ACCESS, K=1)
-    assert set(chain.states) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}
+    assert set(chain_states(chain)) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 6])
 def test_absorbing_state_count(strong, K):
     chain = build_chain(strong, ACCESS, K=K)
-    assert len(chain.absorbing_states) == K + 1
-    assert all(i == K and j == K for i, j, _ in chain.absorbing_states)
+    states = chain_states(chain)
+    absorbing = [states[n] for n in chain.space.absorbing]
+    assert len(absorbing) == K + 1
+    assert all(i == K and j == K for i, j, _ in absorbing)
 
 
 def test_absorbing_entry_sets_examples():
@@ -77,11 +85,12 @@ def test_absorbing_entry_sets_match_chain_edges(strong):
     K = 3
     chain = build_chain(strong, ACCESS, K=K)
     sets = absorbing_entry_sets(K)
-    idx = {s: n for n, s in enumerate(chain.states)}
+    states = chain_states(chain)
+    idx = {s: n for n, s in enumerate(states)}
     for k in range(K + 1):
         target = idx[(K, K, k)]
         preds = {
-            chain.states[s]
+            states[s]
             for s, d in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist())
             if d == target
         }
@@ -103,9 +112,9 @@ def test_row_sums_are_stochastic(K, variant):
 @pytest.mark.parametrize("variant", ["paper", "exact"])
 def test_transitions_only_upward(strong, variant):
     chain = build_chain(strong, ACCESS, K=4, variant=variant)
-    level = {s: sum(s) for s in chain.states}
+    states = chain_states(chain)
     for s, d in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist()):
-        assert level[chain.states[d]] > level[chain.states[s]]
+        assert sum(states[d]) > sum(states[s])
 
 
 def test_perfect_channel_k1_hand_solve():
@@ -118,7 +127,7 @@ def test_perfect_channel_k1_hand_solve():
     assert _visit_counts(chain)[0].sum() == pytest.approx(2.0, abs=1e-12)
     assert service_rate(chain) == pytest.approx(0.5, abs=1e-12)
     pi = dense_stationary(chain)
-    lookup = {s: p for s, p in zip(chain.states, pi)}
+    lookup = {s: p for s, p in zip(chain_states(chain), pi)}
     assert lookup[(0, 0, 0)] == pytest.approx(2 / 3, abs=1e-12)
     assert lookup[(1, 1, 1)] == pytest.approx(1 / 3, abs=1e-12)
     assert flux_rate(chain, pi) == pytest.approx(0.5, abs=1e-12)
@@ -170,13 +179,13 @@ def test_rate_dominated_by_capacity_bound(strong, weak):
         for K in (1, 3):
             m1, m2 = service_rates_grid(ch, p1s, p2s, K)
             for a, b, x, y in zip(p1s, p2s, m1, m2):
-                rb = rate_bounds(ch, AccessProbabilities(float(a), float(b)))
-                assert x <= rb.r1_max + 1e-12
-                assert y <= rb.r2_max + 1e-12
+                r1, r2 = rate_caps(ch, float(a), float(b))
+                assert x <= r1 + 1e-12
+                assert y <= r2 + 1e-12
 
 
 def test_rate_grows_with_k_toward_bound(strong):
-    bound = rate_bounds(strong, ACCESS).r1_max
+    bound = rate_caps(strong, ACCESS.p1, ACCESS.p2)[0]
     rates = [
         service_rate(build_chain(strong, ACCESS, K=K)) for K in (1, 2, 4, 8, 16, 32)
     ]
@@ -211,8 +220,7 @@ def test_paper_variant_k1_matches_exact(strong):
 
 def test_dead_parameters_give_zero_rate(strong):
     assert service_rate(build_chain(strong, AccessProbabilities(0.0, 0.5), K=2)) == 0.0
-    dead = ChannelModel(q_solo=((0.0, 0.0), (0.0, 0.0)), q_joint=((0.0, 0.0), (0.0, 0.0)),
-                        relax_zero_joint=True)
+    dead = ChannelModel(q_solo=((0.0, 0.0), (0.0, 0.0)), q_joint=((0.0, 0.0), (0.0, 0.0)))
     assert service_rate(build_chain(dead, ACCESS, K=1)) == 0.0
 
 
@@ -325,7 +333,7 @@ def test_paper_chain_matches_published_table(strong, weak, K):
             for source in (1, 2):
                 access = AccessProbabilities(*((1.0, po) if source == 1 else (po, 1.0)))
                 chain = build_chain(ch, access, source, True, K, "paper")
-                states = chain.states
+                states = chain_states(chain)
                 got = {}
                 for s, d, p in zip(chain.space.e_src.tolist(), chain.space.e_dst.tolist(),
                                    chain.e_prob.tolist()):

@@ -9,11 +9,10 @@ from ramcast.retrans import retrans_service_rates
 from ramcast.rlc_markov import build_chain, service_rate
 from ramcast.sim import SimConfig, run, stability_probe
 
-from conftest import dense_stationary
+from conftest import chain_states, dense_stationary
 
 ACCESS = AccessProbabilities(0.5, 0.5)
-PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((0.0, 0.0), (0.0, 0.0)),
-                       relax_zero_joint=True)
+PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((0.0, 0.0), (0.0, 0.0)))
 
 
 def _cfg(strong, **kw):
@@ -122,8 +121,9 @@ def test_occupancy_matches_exact_chain_pi(strong):
     slots = 25_000
     chain = build_chain(strong, ACCESS, K=2, variant="exact")
     pi = dense_stationary(chain)
-    absorbing = set(chain.absorbing_states)
-    pi_t = {s: p for s, p in zip(chain.states, pi) if s not in absorbing}
+    states = chain_states(chain)
+    absorbing = {states[n] for n in chain.space.absorbing}
+    pi_t = {s: p for s, p in zip(states, pi) if s not in absorbing}
     mass = sum(pi_t.values())
     pi_t = {s: p / mass for s, p in pi_t.items()}
     freqs = {s: [] for s in pi_t}
