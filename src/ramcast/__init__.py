@@ -14,7 +14,6 @@ from .channel import (
 )
 from .retrans import ServiceRates, retrans_service_rates
 from .gf2 import (
-    BinaryMatrix,
     decode,
     encode,
     expected_decode_count,

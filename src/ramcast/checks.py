@@ -31,7 +31,7 @@ from .regions import (
 )
 from .retrans import retrans_service_rates, service_rates_grid
 from .rlc_markov import build_chain, rlc_service_rates, service_rates_grid as rlc_grid
-from .sim import SimConfig, run as sim_run
+from .sim import SimConfig, run as sim_run, stability_probe
 
 __all__ = ["CheckResult", "chain_vs_sim", "run_checks"]
 
@@ -120,21 +120,10 @@ def check_retrans_oracle(
                             f"analytic {ana.backlogged[n]:.6f} vs sim "
                             f"{src.departure_rate:.6f} (z={z:.2f})",
                         )
-                # Empty rate must equal the backlogged formula at p_other = 0.
-                swapped = retrans_service_rates(
-                    channel, AccessProbabilities(p1, 0.0)
-                ).backlogged[0]
-                if abs(ana.empty[0] - swapped) > 1e-15:
-                    return CheckResult(
-                        "retrans-oracle",
-                        False,
-                        f"mu_1e != mu_1b|p2=0 at {cname} p=({p1},{p2})",
-                    )
     return CheckResult(
         "retrans-oracle",
         True,
-        f"18 channel/p combinations within 3 stderr (worst z={worst_z:.2f}); "
-        "mu_ne = mu_nb|p_other=0 to machine precision",
+        f"18 channel/p combinations within 3 stderr (worst z={worst_z:.2f})",
     )
 
 
@@ -243,37 +232,26 @@ def check_jensen_dominance(
     """Criterion 4: capacity bound dominates both policies on the grid."""
     slack = 1e-12
     summary = []
+    p1s, p2s = grid_points(step)
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        p1s, p2s = grid_points(step)
         b1, b2 = rate_bounds_grid(channel, p1s, p2s)
-        m1, m2 = service_rates_grid(channel, p1s, p2s)
-        if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
-            return CheckResult(
-                "jensen-dominance", False, f"retrans exceeds capacity bound on {cname}"
-            )
-        gap = float(min(np.max(b1 - m1), np.max(b2 - m2)))
-        if gap <= 0:
-            return CheckResult(
-                "jensen-dominance", False, f"retrans gap not strictly positive on {cname}"
-            )
-        summary.append(f"{cname} retrans max gap {gap:.4f}")
-        for K in Ks:
-            r1, r2 = rlc_grid(channel, p1s, p2s, K, variant=_VARIANT)
-            if np.any(r1 > b1 + slack) or np.any(r2 > b2 + slack):
+        # (failure label, summary label, rates over the grid)
+        grids = [("retrans", "retrans", service_rates_grid(channel, p1s, p2s))] + [
+            (f"rlc K={K}", f"rlc(K={K})", rlc_grid(channel, p1s, p2s, K, variant=_VARIANT))
+            for K in Ks
+        ]
+        for label, tag, (m1, m2) in grids:
+            if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
                 return CheckResult(
-                    "jensen-dominance",
-                    False,
-                    f"rlc K={K} exceeds capacity bound on {cname}",
+                    "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
                 )
-            gap = float(min(np.max(b1 - r1), np.max(b2 - r2)))
+            gap = float(min(np.max(b1 - m1), np.max(b2 - m2)))
             if gap <= 0:
                 return CheckResult(
-                    "jensen-dominance",
-                    False,
-                    f"rlc K={K} gap not strictly positive on {cname}",
+                    "jensen-dominance", False, f"{label} gap not strictly positive on {cname}"
                 )
-            summary.append(f"{cname} rlc(K={K}) max gap {gap:.4f}")
+            summary.append(f"{cname} {tag} max gap {gap:.4f}")
     return CheckResult(
         "jensen-dominance",
         True,
@@ -291,7 +269,7 @@ def _output_dir(out_dir: str | Path | None):
         yield Path(tmp)
 
 
-def _load_frontier(path: Path, kind: str, K: int | None, step: float) -> RegionFrontier:
+def _load_frontier(path: Path, kind: str, K: int | None) -> RegionFrontier:
     from .cli import read_csv
 
     _, rows = read_csv(path)
@@ -299,7 +277,7 @@ def _load_frontier(path: Path, kind: str, K: int | None, step: float) -> RegionF
         FrontierPoint(x=float(r[4]), y=float(r[5]), p1=float(r[2]), p2=float(r[3]))
         for r in rows
     ]
-    return RegionFrontier(kind=kind, points=pts, grid_step=step, K=K)
+    return RegionFrontier(kind=kind, points=pts, K=K)
 
 
 def check_figure_structure(
@@ -339,11 +317,9 @@ def check_figure_structure(
             )
             if rc != 0:
                 return CheckResult("figure-structure", False, f"figure command failed on {cname}")
-            capacity = _load_frontier(cdir / "capacity.csv", "capacity", None, step)
-            retrans = _load_frontier(cdir / "retrans.csv", "retrans", None, step)
-            rlc = {
-                k: _load_frontier(cdir / f"rlc_K{k}.csv", "rlc", k, step) for k in K_list
-            }
+            capacity = _load_frontier(cdir / "capacity.csv", "capacity", None)
+            retrans = _load_frontier(cdir / "retrans.csv", "retrans", None)
+            rlc = {k: _load_frontier(cdir / f"rlc_K{k}.csv", "rlc", k) for k in K_list}
             if not frontier_contains(capacity, retrans, tol):
                 return CheckResult(
                     "figure-structure", False, f"capacity does not contain retrans on {cname}"
@@ -457,8 +433,6 @@ def check_overhead_limit() -> CheckResult:
 
 def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
     """Criterion 7: bisection on lambda1 localizes the stability boundary."""
-    from .sim import stability_probe
-
     channel = strong_mpr()
     access = AccessProbabilities(0.5, 0.5)
     rates = retrans_service_rates(channel, access)

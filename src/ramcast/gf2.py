@@ -2,9 +2,11 @@
 linear coding.
 
 Coefficient vectors are bit-packed integers (bit i = packet i of the
-generation, generation size K <= 64 fits one machine word).  A
-destination decodes once its collected coefficient matrix reaches rank
-K; the number N of received coded packets needed has cdf
+generation, generation size K <= 64 fits one machine word); this module
+draws them (``draw_coefficients``), eliminates them (``basis_insert``)
+and gives their rank law.  A destination decodes once its collected
+coefficient matrix reaches rank K; the number N of received coded
+packets needed has cdf
 
     F_K(j) = prod_{i=0..K-1} (1 - 2^(i-j))   for j >= K, else 0.
 """
@@ -12,12 +14,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "MAX_K",
-    "BinaryMatrix",
     "basis_insert",
+    "draw_coefficients",
     "rank_cdf",
     "rank_cdf_fraction",
     "rank_pmf",
@@ -49,43 +53,18 @@ def basis_insert(basis: dict[int, int], v: int) -> int:
     return 0
 
 
-class BinaryMatrix:
-    """A K-row binary matrix stored as bit-packed columns.
+def draw_coefficients(rng: np.random.Generator, n: int, K: int) -> list[int]:
+    """``n`` uniform K-bit coefficient vectors; K = 64 draws all high 32-bit halves first."""
+    if K < 64:
+        return rng.integers(0, 1 << K, size=n, dtype=np.uint64).tolist()
+    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
+    return ((hi << np.uint64(32)) | lo).tolist()
 
-    Columns are appended as they are received; an internal echelon basis
-    (see :func:`basis_insert`) is kept incrementally, so each append
-    reports whether the column was innovative and the rank is O(1).
-    """
 
-    __slots__ = ("rows", "_columns", "_basis")
-
-    def __init__(self, rows: int, columns: Iterable[int] = ()) -> None:
-        if rows < 1:
-            raise ValueError(f"rows must be >= 1, got {rows!r}")
-        self.rows = rows
-        self._columns: list[int] = []
-        self._basis: dict[int, int] = {}
-        for col in columns:
-            self.append_column(col)
-
-    @property
-    def cols(self) -> int:
-        return len(self._columns)
-
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(self._columns)
-
-    @property
-    def rank(self) -> int:
-        return len(self._basis)
-
-    def append_column(self, col: int) -> bool:
-        """Append a column; returns True when it increased the rank."""
-        if col >> self.rows:
-            raise ValueError(f"column {col:#x} has bits beyond row {self.rows - 1}")
-        self._columns.append(col)
-        return bool(basis_insert(self._basis, col))
+def _log_cdf(K: int, j: int) -> float:
+    """log F_K(j) for j >= K."""
+    return math.fsum(math.log1p(-(2.0 ** (i - j))) for i in range(K))
 
 
 def rank_cdf(K: int, j: int) -> float:
@@ -95,7 +74,7 @@ def rank_cdf(K: int, j: int) -> float:
         raise ValueError(f"j must be >= 0, got {j!r}")
     if j < K:
         return 0.0
-    return math.exp(math.fsum(math.log1p(-(2.0 ** (i - j))) for i in range(K)))
+    return math.exp(_log_cdf(K, j))
 
 
 def rank_cdf_fraction(K: int, j: int) -> Fraction:
@@ -121,37 +100,25 @@ def rank_pmf(K: int, j: int) -> float:
 
 
 def _survival(K: int, j: int) -> float:
-    """1 - F_K(j) computed without cancellation."""
-    if j < K:
-        return 1.0
-    return -math.expm1(math.fsum(math.log1p(-(2.0 ** (i - j))) for i in range(K)))
+    """1 - F_K(j) for j >= K, computed without cancellation."""
+    return -math.expm1(_log_cdf(K, j))
 
 
-def expected_decode_count(K: int, tol: float = 1e-12) -> float:
+def expected_decode_count(K: int) -> float:
     """E[N]: mean number of received coded packets until rank K.
 
     Evaluated through the survival-sum identity E[N] = K + sum_{j>=K}
-    (1 - F_K(j)), truncated once the survival probability falls below
-    ``tol`` with the geometric tail folded in (the survival ratio
-    approaches 1/2, so the remainder is summed until it underflows).
+    (1 - F_K(j)), summed until the survival probability, which roughly
+    halves per step, falls to 1e-18 (by j = 124 for every K <= 64).
     """
     _check_generation_size(K)
-    if not 0.0 < tol < 1.0:
-        raise ValueError(f"tol must be in (0, 1), got {tol!r}")
     total = float(K)
     j = K
-    while True:
-        s = _survival(K, j)
-        if s < tol:
-            # Remaining tail: survival halves per step from here on.
-            tail = s
-            while tail > 1e-18 and j < K + 1100:
-                total += tail
-                j += 1
-                tail = _survival(K, j)
-            break
+    s = _survival(K, j)
+    while s > 1e-18:
         total += s
         j += 1
+        s = _survival(K, j)
     return total
 
 
@@ -170,9 +137,7 @@ def encode(
     length = len(generation[0])
     if any(len(p) != length for p in generation):
         raise ValueError("generation packets must have equal length")
-    coeffs = int(rng.integers(0, 1 << K)) if K < 64 else (
-        int(rng.integers(0, 1 << 32)) << 32
-    ) | int(rng.integers(0, 1 << 32))
+    coeffs = draw_coefficients(rng, 1, K)[0]
     acc = 0
     for i in range(K):
         if (coeffs >> i) & 1:
@@ -180,30 +145,34 @@ def encode(
     return acc.to_bytes(length, "big"), coeffs
 
 
-def decode(matrix: BinaryMatrix, payloads: Sequence[bytes]) -> list[bytes]:
+def decode(K: int, columns: Sequence[int], payloads: Sequence[bytes]) -> list[bytes]:
     """Recover the K original packets by elimination through :func:`basis_insert`.
 
-    ``matrix`` holds the received coefficient columns (column c is the
-    coefficient vector of ``payloads[c]``); it must have full rank K.
+    Column c is the coefficient vector of ``payloads[c]``; together the
+    columns must have rank K.
     """
-    K = matrix.rows
-    if matrix.cols != len(payloads):
-        raise ValueError(
-            f"{matrix.cols} coefficient columns but {len(payloads)} payloads"
-        )
-    if matrix.rank < K:
-        raise ValueError(f"rank {matrix.rank} < K={K}: cannot decode")
-    length = len(payloads[0])
+    _check_generation_size(K)
+    for col in columns:
+        if col >> K:
+            raise ValueError(f"column {col:#x} has bits beyond row {K - 1}")
+    if len(columns) != len(payloads):
+        raise ValueError(f"{len(columns)} coefficient columns but {len(payloads)} payloads")
+    length = len(payloads[0]) if payloads else 0
     if any(len(p) != length for p in payloads):
         raise ValueError("payloads must have equal length")
 
     # Each equation coeff . s = payload is one vector, coefficients above
-    # the payload bits; the K coefficient pivots are back-substituted in
-    # increasing order until pivot i holds packet i alone.
+    # the payload bits, so the pivots at or above ``shift`` are those of
+    # the coefficients alone and count their rank.  The K coefficient
+    # pivots are back-substituted in increasing order until pivot i holds
+    # packet i alone.
     shift = 8 * length
     basis: dict[int, int] = {}
-    for coeff, payload in zip(matrix.columns, payloads):
+    for coeff, payload in zip(columns, payloads):
         basis_insert(basis, coeff << shift | int.from_bytes(payload, "big"))
+    rank = sum(top >= shift for top in basis)
+    if rank < K:
+        raise ValueError(f"rank {rank} < K={K}: cannot decode")
     rows: list[int] = []
     for i in range(K):
         v = basis[shift + i]

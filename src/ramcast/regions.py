@@ -56,7 +56,6 @@ class RegionFrontier:
 
     kind: str
     points: list[FrontierPoint]
-    grid_step: float
     K: int | None = None
 
     def xs(self) -> np.ndarray:
@@ -141,10 +140,7 @@ def sweep(rates_grid, grid_step: float, kind: str, K: int | None = None):
     p1s, p2s = grid_points(grid_step)
     mu1, mu2 = rates_grid(p1s, p2s)
     frontier = RegionFrontier(
-        kind=kind,
-        points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))),
-        grid_step=grid_step,
-        K=K,
+        kind=kind, points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))), K=K
     )
     return p1s, p2s, mu1, mu2, frontier
 

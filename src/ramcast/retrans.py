@@ -38,7 +38,6 @@ class ServiceRates:
 
     backlogged: tuple[float, float]
     empty: tuple[float, float]
-    policy: str = "retrans"
     generation_size: int = 1
 
     def __post_init__(self) -> None:

@@ -372,7 +372,7 @@ def rlc_service_rates(
     """Backlogged and empty service rates for both sources at one (p1, p2)."""
     rates = partial(service_rates_grid, channel, K=K, variant=variant)
     backlogged, empty = point_rates(rates, access)
-    return ServiceRates(backlogged, empty, policy="rlc", generation_size=K)
+    return ServiceRates(backlogged, empty, generation_size=K)
 
 
 def _rates_at_full_access(

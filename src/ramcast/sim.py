@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AccessProbabilities, ArrivalRates, ChannelModel, validate
-from .gf2 import MAX_K, basis_insert
+from .gf2 import MAX_K, basis_insert, draw_coefficients
 
 __all__ = [
     "SimConfig",
@@ -94,17 +94,7 @@ class SimResult:
     """Outcome of one run; deterministic given the config."""
 
     config: SimConfig
-    slots: int
-    seed: int
     sources: tuple[SourceResult, SourceResult]
-
-
-def _draw_coeffs(rng: np.random.Generator, n: int, K: int) -> list[int]:
-    if K < 64:
-        return rng.integers(0, 1 << K, size=n, dtype=np.uint64).tolist()
-    hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    return ((hi << np.uint64(32)) | lo).tolist()
 
 
 def run(config: SimConfig) -> SimResult:
@@ -161,8 +151,8 @@ def run(config: SimConfig) -> SimResult:
             (streams[6].random(nblk).tolist(), streams[7].random(nblk).tolist()),
         )
         coef = (
-            _draw_coeffs(streams[8], nblk, K) if rlc else None,
-            _draw_coeffs(streams[9], nblk, K) if rlc else None,
+            draw_coefficients(streams[8], nblk, K) if rlc else None,
+            draw_coefficients(streams[9], nblk, K) if rlc else None,
         )
 
         for s in range(nblk):
@@ -282,7 +272,7 @@ def run(config: SimConfig) -> SimResult:
                 drift_batch_slots=drift_len if not saturated else 0,
             )
         )
-    return SimResult(config=config, slots=slots, seed=config.seed, sources=(sources[0], sources[1]))
+    return SimResult(config=config, sources=(sources[0], sources[1]))
 
 
 @dataclass
@@ -291,8 +281,6 @@ class ProbeVerdict:
 
     lambda1: float
     lambda2: float
-    slopes: tuple[float, float]
-    slope_stderrs: tuple[float, float]
     stable: bool
 
 
@@ -339,24 +327,11 @@ def stability_probe(
                 mode="arrivals",
             )
         )
-        slopes = []
-        ses = []
         stable = True
-        for n in (0, 1):
-            src = res.sources[n]
+        for src in res.sources:
             slope, se = _drift_slope(src.drift_batch_means, src.drift_batch_slots)
-            slopes.append(slope)
-            ses.append(se)
             unstable = slope > 3 * se if se > 0 else slope > 0
             if unstable:
                 stable = False
-        verdicts.append(
-            ProbeVerdict(
-                lambda1=lam1,
-                lambda2=lam2,
-                slopes=(slopes[0], slopes[1]),
-                slope_stderrs=(ses[0], ses[1]),
-                stable=stable,
-            )
-        )
+        verdicts.append(ProbeVerdict(lambda1=lam1, lambda2=lam2, stable=stable))
     return verdicts

@@ -4,12 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramcast.gf2 import (
-    BinaryMatrix,
     _survival,
+    basis_insert,
     decode,
     encode,
     expected_decode_count,
@@ -19,33 +19,37 @@ from ramcast.gf2 import (
 )
 
 
+def _rank(columns) -> int:
+    basis: dict[int, int] = {}
+    return sum(basis_insert(basis, col) for col in columns)
+
+
 def test_rank_identity_and_zero():
-    assert BinaryMatrix(5, [1 << r for r in range(5)]).rank == 5
-    zero = BinaryMatrix(3, [0, 0, 0, 0, 0])
-    assert zero.rank == 0
-    assert zero.cols == 5
+    assert _rank([1 << r for r in range(5)]) == 5
+    basis: dict[int, int] = {}
+    assert [basis_insert(basis, 0) for _ in range(5)] == [0] * 5
+    assert basis == {}
 
 
 def test_rank_hand_example():
     # Bit r of a column is row r.
-    m = BinaryMatrix(2, [0b11, 0b11, 0b10])
-    assert m.rank == 2
+    assert _rank([0b11, 0b11, 0b10]) == 2
 
 
 def test_is_innovative_basics():
-    # append_column reports whether the column was innovative.
-    empty = BinaryMatrix(4)
-    assert not empty.append_column(0)
-    assert empty.append_column(0b1010)
-    m = BinaryMatrix(3, [0b001])
-    assert not m.append_column(0b001)
-    assert m.append_column(0b010)
-    assert m.rank == 2
+    # basis_insert reports whether the column was innovative.
+    empty: dict[int, int] = {}
+    assert not basis_insert(empty, 0)
+    assert basis_insert(empty, 0b1010)
+    basis = {0: 0b001}
+    assert not basis_insert(basis, 0b001)
+    assert basis_insert(basis, 0b010)
+    assert len(basis) == 2
 
 
 def test_is_innovative_rejects_wide_columns():
-    with pytest.raises(ValueError):
-        BinaryMatrix(2).append_column(0b100)
+    with pytest.raises(ValueError, match=r"column 0x4 has bits beyond row 1"):
+        decode(2, [0b01, 0b100, 0b10], [bytes([1])] * 3)
 
 
 def test_rank_cdf_values():
@@ -58,8 +62,7 @@ def test_rank_cdf_values():
 def test_rank_cdf_matches_enumeration_2x2():
     full = 0
     for cols in itertools.product(range(4), repeat=2):
-        m = BinaryMatrix(2, cols)
-        if m.rank == 2:
+        if _rank(cols) == 2:
             full += 1
     assert full == 6
     assert rank_cdf_fraction(2, 2) == Fraction(6, 16)
@@ -70,7 +73,7 @@ def test_rank_cdf_matches_enumeration_small(K, jmax):
     for j in range(jmax + 1):
         full = 0
         for cols in itertools.product(range(1 << K), repeat=j):
-            if BinaryMatrix(K, cols).rank == K:
+            if _rank(cols) == K:
                 full += 1
         assert rank_cdf_fraction(K, j) == Fraction(full, (1 << K) ** j)
 
@@ -102,11 +105,11 @@ def test_expected_decode_count_monte_carlo():
     trials = 100_000
     total = 0
     for _ in range(trials):
-        basis = BinaryMatrix(K)
+        basis: dict[int, int] = {}
         n = 0
-        while basis.rank < K:
+        while len(basis) < K:
             n += 1
-            basis.append_column(int(rng.integers(0, 1 << K)))
+            basis_insert(basis, int(rng.integers(0, 1 << K)))
         total += n
     mean = total / trials
     # std of N is about 1.4 for K=2
@@ -141,11 +144,11 @@ def test_decode_count_histogram_matches_pmf(K):
     trials = 60_000
     counts: dict[int, int] = {}
     for _ in range(trials):
-        basis = BinaryMatrix(K)
+        basis: dict[int, int] = {}
         n = 0
-        while basis.rank < K:
+        while len(basis) < K:
             n += 1
-            basis.append_column(int(rng.integers(0, 1 << K)))
+            basis_insert(basis, int(rng.integers(0, 1 << K)))
         counts[n] = counts.get(n, 0) + 1
     jmax = max(counts)
     for j in range(K, jmax + 1):
@@ -177,6 +180,13 @@ def test_encode_xors_selected_packets():
     assert seen_zero
 
 
+def test_encode_coefficient_stream_is_pinned():
+    # One Generator across generation sizes; K = 64 takes two 32-bit draws.
+    rng = np.random.default_rng(3)
+    coeffs = [encode([bytes([0])] * K, rng)[1] for K in (1, 5, 63, 64)]
+    assert coeffs == [1, 2, 2184191404571879930, 3345589818319983303]
+
+
 def test_encode_rejects_unequal_lengths():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
@@ -185,37 +195,55 @@ def test_encode_rejects_unequal_lengths():
 
 def test_decode_identity_and_hand_example():
     payloads = [bytes([5]), bytes([9])]
-    ident = BinaryMatrix(2, [0b01, 0b10])
-    assert decode(ident, payloads) == payloads
+    assert decode(2, [0b01, 0b10], payloads) == payloads
     # columns 0b01 and 0b11 carry s1 and s1 xor s2
-    m = BinaryMatrix(2, [0b01, 0b11])
     s1, s2 = bytes([0b1100]), bytes([0b1010])
-    got = decode(m, [s1, bytes([0b0110])])
+    got = decode(2, [0b01, 0b11], [s1, bytes([0b0110])])
     assert got == [s1, s2]
 
 
 def test_decode_requires_full_rank():
-    m = BinaryMatrix(2, [0b11, 0b11])
     with pytest.raises(ValueError, match="rank"):
-        decode(m, [bytes([1]), bytes([1])])
+        decode(2, [0b11, 0b11], [bytes([1]), bytes([1])])
+
+
+@pytest.mark.parametrize(
+    "K, columns, payloads, match",
+    [
+        (2, [0b01, 0b10], [b"a"], r"2 coefficient columns but 1 payloads"),
+        (2, [0b01, 0b10], [b"a", b"bc"], r"payloads must have equal length"),
+        (2, [], [], r"rank 0 < K=2"),
+        # Extra columns that add nothing: four columns, rank 1.
+        (2, [0b11, 0b11, 0, 0b11], [b"a", b"a", b"\0", b"a"], r"rank 1 < K=2"),
+        # Inconsistent payloads on one coefficient vector leave its rank at 1.
+        (2, [0b01, 0b01], [b"a", b"b"], r"rank 1 < K=2"),
+        (3, [0b001, 0b010, 0b011, 0b011], [b"a"] * 4, r"rank 2 < K=3"),
+    ],
+)
+def test_decode_rejects(K, columns, payloads, match):
+    with pytest.raises(ValueError, match=match):
+        decode(K, columns, payloads)
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 8), st.integers(0, 2**31 - 1))
+@given(st.one_of(st.integers(1, 8), st.sampled_from([63, 64])), st.integers(0, 2**31 - 1))
+@example(63, 0)
+@example(64, 1)
 def test_encode_decode_roundtrip_exactly_at_rank_k(K, seed):
     rng = np.random.default_rng(seed)
     generation = [bytes(rng.integers(0, 256, size=6, dtype=np.uint8)) for _ in range(K)]
-    matrix = BinaryMatrix(K)
+    basis: dict[int, int] = {}
+    columns = []
     payloads = []
-    innovations = 0
     for _ in range(1000):
         payload, coeffs = encode(generation, rng)
-        innovations += matrix.append_column(coeffs)
+        basis_insert(basis, coeffs)
+        columns.append(coeffs)
         payloads.append(payload)
-        if innovations < K:
+        if len(basis) < K:
             with pytest.raises(ValueError):
-                decode(matrix, payloads)
-        if matrix.rank == K:
+                decode(K, columns, payloads)
+        else:
             break
-    assert matrix.rank == K
-    assert decode(matrix, payloads) == generation
+    assert len(basis) == K
+    assert decode(K, columns, payloads) == generation

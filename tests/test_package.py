@@ -44,6 +44,20 @@ def test_cli_import_pulls_in_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_coefficient_draws_live_in_gf2():
+    # The package draws random integers only as GF(2) coefficient vectors,
+    # through gf2.draw_coefficients, so a wider draw is a change to one module.
+    callers = {
+        path.name
+        for path in PKG.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "integers"
+    }
+    assert callers == {"gf2.py"}
+
+
 def test_simulator_imports_no_chain_code():
     # The simulator is the independent oracle for the chain: inside the
     # package it may import only the channel model and GF(2) primitives.

@@ -253,7 +253,7 @@ def test_collision_capacity_frontier_contains_corners():
 
 def test_frontier_contains_requires_nonempty(strong):
     f = capacity_sweep(strong, 0.1)[4]
-    empty = RegionFrontier(kind="capacity", points=[], grid_step=0.1)
+    empty = RegionFrontier(kind="capacity", points=[])
     with pytest.raises(ValueError):
         frontier_contains(f, empty, 0.0)
     with pytest.raises(ValueError):
@@ -264,7 +264,6 @@ def test_frontier_value_extends_flat_left():
     f = RegionFrontier(
         kind="capacity",
         points=[FrontierPoint(0.5, 0.8, 0, 0), FrontierPoint(0.9, 0.1, 0, 0)],
-        grid_step=0.1,
     )
     assert float(frontier_value(f, 0.0)) == 0.8
     assert float(frontier_value(f, 0.7)) == pytest.approx(0.45)
@@ -302,6 +301,10 @@ def test_point_rates_are_p_own_times_g(strong, kind, p_own):
     assert (m1b, m1e) == (p_own * g1b, p_own * g1e)
     assert (m2b, m2e) == (p_own * g2b, p_own * g2e)
     assert 0.0 < m1b <= m1e
+    # An empty competitor is one that never transmits.
+    b1, _ = _point(kind, strong, p_own, 0.0)[0]
+    _, b2 = _point(kind, strong, 0.0, p_own)[0]
+    assert (b1, b2) == (m1e, m2e)
 
 
 @pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 64)])

@@ -165,7 +165,6 @@ def test_flux_formula_equals_renewal_rate(strong, K, variant):
 
 def test_rlc_service_rates_structure(strong):
     rates = rlc_service_rates(strong, ACCESS, K=2)
-    assert rates.policy == "rlc"
     assert rates.generation_size == 2
     for n in (0, 1):
         assert 0.0 <= rates.backlogged[n] <= rates.empty[n] <= 1.0
