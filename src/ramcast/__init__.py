@@ -12,7 +12,7 @@ from .channel import (
     validate,
     weak_mpr,
 )
-from .retrans import ServiceRates, retrans_service_rates
+from .retrans import retrans_service_rates
 from .gf2 import (
     decode,
     encode,
@@ -28,6 +28,7 @@ from .rlc_markov import (
 )
 from .regions import (
     RegionFrontier,
+    ServiceRates,
     frontier_contains,
     pareto_frontier,
     stability_region_at,

@@ -16,8 +16,6 @@ finite-u channel.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .channel import ChannelModel
@@ -53,4 +51,4 @@ def capacity_sweep(
     Returns (p1, p2, r1, r2, frontier) with the first four as flat arrays
     covering the full grid.
     """
-    return sweep(functools.partial(rate_bounds_grid, channel), grid_step, "capacity")
+    return sweep("capacity", channel, grid_step)

@@ -8,6 +8,7 @@ full sizes, ``--quick`` at reduced ones).
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import tempfile
 from dataclasses import dataclass, field
@@ -16,21 +17,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .capacity import rate_bounds_grid
 from .channel import AccessProbabilities, collision_channel, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
 from .regions import (
-    FrontierPoint,
-    RegionFrontier,
     frontier_contains,
     frontier_value,
     grid_points,
     p_grid,
-    policy_sweep,
+    region_rates,
     stability_region_at,
+    sweep,
 )
-from .retrans import retrans_service_rates, service_rates_grid
-from .rlc_markov import build_chain, rlc_service_rates, service_rates_grid as rlc_grid
+from .retrans import retrans_service_rates
+from .rlc_markov import build_chain, rlc_service_rates
 from .sim import SimConfig, run as sim_run, stability_probe
 
 __all__ = ["CheckResult", "chain_vs_sim", "run_checks"]
@@ -92,10 +91,12 @@ def check_retrans_oracle(
 ) -> CheckResult:
     """Criterion 2: closed-form backlogged rates vs saturated simulation."""
     worst_z = 0.0
+    checked = 0
     for cname, cfun in _CHANNELS:
         channel = cfun()
         for p1 in p_values:
             for p2 in p_values:
+                checked += 1
                 access = AccessProbabilities(p1, p2)
                 ana = retrans_service_rates(channel, access)
                 res = sim_run(
@@ -123,7 +124,7 @@ def check_retrans_oracle(
     return CheckResult(
         "retrans-oracle",
         True,
-        f"18 channel/p combinations within 3 stderr (worst z={worst_z:.2f})",
+        f"{checked} channel/p combinations within 3 stderr (worst z={worst_z:.2f})",
     )
 
 
@@ -233,15 +234,15 @@ def check_jensen_dominance(
     slack = 1e-12
     summary = []
     p1s, p2s = grid_points(step)
+    # (failure label, summary label, region kind, K)
+    cells = [("retrans", "retrans", "retrans", None)] + [
+        (f"rlc K={K}", f"rlc(K={K})", "rlc", K) for K in Ks
+    ]
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        b1, b2 = rate_bounds_grid(channel, p1s, p2s)
-        # (failure label, summary label, rates over the grid)
-        grids = [("retrans", "retrans", service_rates_grid(channel, p1s, p2s))] + [
-            (f"rlc K={K}", f"rlc(K={K})", rlc_grid(channel, p1s, p2s, K, variant=_VARIANT))
-            for K in Ks
-        ]
-        for label, tag, (m1, m2) in grids:
+        b1, b2 = region_rates("capacity", channel)(p1s, p2s)
+        for label, tag, kind, K in cells:
+            m1, m2 = region_rates(kind, channel, K, _VARIANT)(p1s, p2s)
             if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
                 return CheckResult(
                     "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
@@ -259,113 +260,61 @@ def check_jensen_dominance(
     )
 
 
-@contextlib.contextmanager
-def _output_dir(out_dir: str | Path | None):
-    """Yield ``out_dir`` as a Path, or a temporary directory removed on exit."""
-    if out_dir is not None:
-        yield Path(out_dir)
-        return
-    with tempfile.TemporaryDirectory() as tmp:
-        yield Path(tmp)
-
-
-def _load_frontier(path: Path, kind: str, K: int | None) -> RegionFrontier:
-    from .cli import read_csv
-
-    _, rows = read_csv(path)
-    pts = [
-        FrontierPoint(x=float(r[4]), y=float(r[5]), p1=float(r[2]), p2=float(r[3]))
-        for r in rows
-    ]
-    return RegionFrontier(kind=kind, points=pts, K=K)
-
-
 def check_figure_structure(
-    step: float = 0.05,
-    K_list: tuple[int, ...] = (1, 2, 5, 10, 50),
-    out_dir: str | Path | None = None,
+    step: float = 0.05, K_list: tuple[int, ...] = (1, 2, 5, 10, 50)
 ) -> CheckResult:
     """Criterion 5: structural reproduction of the region figures.
 
-    Runs the ``figure`` command for both preset channels and verifies
-    frontier containment (capacity over every policy), monotone growth
-    of the rlc frontier in K, the large-K gap to capacity on the strong
-    channel, and the small-K crossover where retransmissions beat rlc.
+    Sweeps the frontiers the ``figure`` command writes, for both preset
+    channels, and verifies frontier containment (capacity over every
+    policy), monotone growth of the rlc frontier in K, the large-K gap to
+    capacity on the strong channel, and the small-K crossover where
+    retransmissions beat rlc.
     """
-    from .cli import main as cli_main
-
     max_rate = 1.0
     tol = 2.0 * step * max_rate
     details = []
-    with _output_dir(out_dir) as out_dir:
-        for cname, _ in _CHANNELS:
-            cdir = out_dir / cname
-            rc = cli_main(
-                [
-                    "figure",
-                    "--channel",
-                    cname,
-                    "--K-list",
-                    ",".join(str(k) for k in K_list),
-                    "--step",
-                    repr(step),
-                    "--variant",
-                    _VARIANT,
-                    "--out",
-                    str(cdir),
-                ]
+    for cname, cfun in _CHANNELS:
+        channel = cfun()
+        capacity = sweep("capacity", channel, step)[4]
+        retrans = sweep("retrans", channel, step)[4]
+        rlc = {k: sweep("rlc", channel, step, k, _VARIANT)[4] for k in K_list}
+        if not frontier_contains(capacity, retrans, tol):
+            return CheckResult(
+                "figure-structure", False, f"capacity does not contain retrans on {cname}"
             )
-            if rc != 0:
-                return CheckResult("figure-structure", False, f"figure command failed on {cname}")
-            capacity = _load_frontier(cdir / "capacity.csv", "capacity", None)
-            retrans = _load_frontier(cdir / "retrans.csv", "retrans", None)
-            rlc = {k: _load_frontier(cdir / f"rlc_K{k}.csv", "rlc", k) for k in K_list}
-            if not frontier_contains(capacity, retrans, tol):
+        for k in K_list:
+            if not frontier_contains(capacity, rlc[k], tol):
                 return CheckResult(
-                    "figure-structure", False, f"capacity does not contain retrans on {cname}"
+                    "figure-structure",
+                    False,
+                    f"capacity does not contain rlc K={k} on {cname}",
                 )
-            for k in K_list:
-                if not frontier_contains(capacity, rlc[k], tol):
-                    return CheckResult(
-                        "figure-structure",
-                        False,
-                        f"capacity does not contain rlc K={k} on {cname}",
-                    )
-            ks = sorted(K_list)
-            for small, large in zip(ks, ks[1:]):
-                if not frontier_contains(rlc[large], rlc[small], tol):
-                    return CheckResult(
-                        "figure-structure",
-                        False,
-                        f"rlc frontier not nondecreasing {small}->{large} on {cname}",
-                    )
-            # Strict containment: the capacity region exceeds both policies.
-            kmax = max(K_list)
-            strict_gap = float(
-                np.max(
-                    frontier_value(capacity, rlc[kmax].xs()) - rlc[kmax].ys()
-                )
-            )
-            if strict_gap <= 0:
+        ks = sorted(rlc)
+        for small, large in zip(ks, ks[1:]):
+            if not frontier_contains(rlc[large], rlc[small], tol):
                 return CheckResult(
-                    "figure-structure", False, f"no strict capacity gap on {cname}"
+                    "figure-structure",
+                    False,
+                    f"rlc frontier not nondecreasing {small}->{large} on {cname}",
                 )
-            if cname == "strong_mpr":
-                # Small-K crossover: retransmissions beat rlc somewhere.
-                k0 = min(K_list)
-                cross = float(
-                    np.max(retrans.ys() - frontier_value(rlc[k0], retrans.xs()))
+        # Strict containment: the capacity region exceeds both policies.
+        kmax = max(K_list)
+        strict_gap = float(np.max(frontier_value(capacity, rlc[kmax].xs()) - rlc[kmax].ys()))
+        if strict_gap <= 0:
+            return CheckResult("figure-structure", False, f"no strict capacity gap on {cname}")
+        if cname == "strong_mpr":
+            # Small-K crossover: retransmissions beat rlc somewhere.
+            k0 = min(K_list)
+            cross = float(np.max(retrans.ys() - frontier_value(rlc[k0], retrans.xs())))
+            inside = retrans.max_x() <= rlc[k0].max_x()
+            if cross <= 0 and inside:
+                return CheckResult(
+                    "figure-structure",
+                    False,
+                    f"no crossover: retrans never exceeds rlc K={k0} on strong_mpr",
                 )
-                inside = retrans.max_x() <= rlc[k0].max_x()
-                if cross <= 0 and inside:
-                    return CheckResult(
-                        "figure-structure",
-                        False,
-                        f"no crossover: retrans never exceeds rlc K={k0} on strong_mpr",
-                    )
-                details.append(
-                    f"retrans exceeds rlc(K={k0}) by up to {max(cross, 0.0):.4f}"
-                )
+            details.append(f"retrans exceeds rlc(K={k0}) by up to {max(cross, 0.0):.4f}")
     return CheckResult(
         "figure-structure",
         True,
@@ -393,8 +342,8 @@ def check_figure_gap(
     """
     channel = strong_mpr()
     p1s, p2s = grid_points(step)
-    b1, b2 = rate_bounds_grid(channel, p1s, p2s)
-    r1, r2 = rlc_grid(channel, p1s, p2s, K, variant=variant)
+    b1, b2 = region_rates("capacity", channel)(p1s, p2s)
+    r1, r2 = region_rates("rlc", channel, K, variant)(p1s, p2s)
     mask1 = b1 > 1e-9
     mask2 = b2 > 1e-9
     rel_gap = max(
@@ -485,7 +434,7 @@ def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> floa
     contains, so mu_1e(p1) is the rate at (p1, 0) and mu_2e(p2) the one
     at (0, p2).
     """
-    _, _, mu1b, mu2b, frontier = policy_sweep(policy, channel, step, K, _VARIANT)
+    _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
     n = p_grid(step).size  # the sweep is p1-major over n x n points
     mu1e = np.repeat(mu1b[::n], n)
     mu2e = np.tile(mu2b[:n], n)
@@ -534,8 +483,12 @@ def check_stability_closure(step: float = 0.05) -> CheckResult:
     )
 
 
-def check_determinism(out_dir: str | Path | None = None) -> CheckResult:
-    """Criterion 8: identical command lines and seeds give byte-identical CSVs."""
+def check_determinism() -> CheckResult:
+    """Criterion 8: identical command lines and seeds give byte-identical CSVs.
+
+    The commands run in a temporary directory, with their stdout captured
+    so that only the verdict is printed.
+    """
     from .cli import main as cli_main
 
     commands = [
@@ -572,11 +525,11 @@ def check_determinism(out_dir: str | Path | None = None) -> CheckResult:
             "{}",
         ],
     ]
-    with _output_dir(out_dir) as out_dir:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for i, template in enumerate(commands):
             outs = []
             for rep in ("a", "b"):
-                out = out_dir / f"det_{i}_{rep}.csv"
+                out = Path(tmp) / f"det_{i}_{rep}.csv"
                 argv = [s.format(out) for s in template]
                 rc = cli_main(argv)
                 if rc != 0:

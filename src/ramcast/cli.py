@@ -23,14 +23,11 @@ from .capacity import capacity_sweep
 from .channel import (
     AccessProbabilities,
     ArrivalRates,
-    ChannelError,
     load_channel,
     PRESETS,
 )
 from .gf2 import MAX_K, rank_cdf, rank_pmf
-from .regions import stable_equals_throughput_frontier
-from .retrans import retrans_service_rates
-from .rlc_markov import ChainError, rlc_service_rates
+from .regions import service_rates, stable_equals_throughput_frontier
 from .sim import SimConfig, run as sim_run
 
 DEFAULTS = {"grid_step": 0.01, "slots": 1_000_000, "seed": 42}
@@ -51,13 +48,6 @@ def write_csv(path: Path, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
-
-
-def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
 
 
 # Parsed arguments that are bookkeeping, not parameters of the run.
@@ -115,10 +105,7 @@ def cmd_capacity(args, channel) -> list[Path]:
 
 def cmd_rates(args, channel) -> list[Path]:
     access = AccessProbabilities(args.p1, args.p2)
-    if args.policy == "retrans":
-        rates = retrans_service_rates(channel, access)
-    else:
-        rates = rlc_service_rates(channel, access, args.K, variant=args.variant)
+    rates = service_rates(args.policy, channel, access, args.K, args.variant)
     header = ["policy", "K", "p1", "p2", "mu_1b", "mu_1e", "mu_2b", "mu_2e"]
     row = [
         args.policy,
@@ -142,9 +129,7 @@ def _write_frontier(path: Path, frontier) -> None:
 def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
     if kind == "capacity":
         return capacity_sweep(channel, step)[4]
-    return stable_equals_throughput_frontier(
-        kind, channel, step, K=K if kind == "rlc" else None, variant=variant
-    )
+    return stable_equals_throughput_frontier(kind, channel, step, K, variant)
 
 
 def cmd_region(args, channel) -> list[Path]:
@@ -440,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs = args.func(args, channel)
         if outputs:
             _write_manifest(args, channel, outputs, started)
-    except (ChannelError, ChainError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ChannelError and ChainError included
         print(f"ramcast: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -91,16 +91,21 @@ def rank_cdf_fraction(K: int, j: int) -> Fraction:
 
 
 def rank_pmf(K: int, j: int) -> float:
-    """P(decoding first becomes possible with exactly j received columns)."""
+    """P(decoding first becomes possible with exactly j received columns).
+
+    Taken as a difference of survival probabilities, which keeps its
+    relative precision far into the tail, where F_K rounds to 1.
+    """
+    _check_generation_size(K)
     if j < 0:
         raise ValueError(f"j must be >= 0, got {j!r}")
-    if j == 0:
-        return 0.0
-    return rank_cdf(K, j) - rank_cdf(K, j - 1)
+    return _survival(K, j - 1) - _survival(K, j)
 
 
 def _survival(K: int, j: int) -> float:
-    """1 - F_K(j) for j >= K, computed without cancellation."""
+    """1 - F_K(j), computed without cancellation (1 for j < K)."""
+    if j < K:
+        return 1.0
     return -math.expm1(_log_cdf(K, j))
 
 

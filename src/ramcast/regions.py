@@ -5,10 +5,12 @@ The achievable-rate regions produced elsewhere in the package are all
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
 pairs.  Each rate factors as p_own * g(p_other), so a sweep evaluates
 g once per distinct grid value and source (``factored_rates``), not
-once per point; a single point's rates take the same path
-(``point_rates``).  This module owns that sweep and its reduction plus
-the per-point stability bound (union of the two dominant-system
-constraint sets) and the containment test used to compare frontiers.
+once per point.  This module maps a region kind ("capacity", "retrans"
+or "rlc") to its rates (``region_rates``) and owns the sweep over them
+(``sweep``), a single point's backlogged and empty rates through the
+same path (``service_rates``), the Pareto reduction, the per-point
+stability bound (union of the two dominant-system constraint sets) and
+the containment test used to compare frontiers.
 """
 from __future__ import annotations
 
@@ -20,19 +22,22 @@ import numpy as np
 __all__ = [
     "FrontierPoint",
     "RegionFrontier",
+    "ServiceRates",
     "StabilityRegion",
     "p_grid",
     "grid_points",
     "pareto_frontier",
     "factored_rates",
-    "point_rates",
+    "region_rates",
     "sweep",
+    "service_rates",
     "frontier_value",
     "frontier_contains",
     "stability_region_at",
-    "policy_sweep",
     "stable_equals_throughput_frontier",
 ]
+
+_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,24 @@ class RegionFrontier:
 
     def max_x(self) -> float:
         return self.points[-1].x if self.points else 0.0
+
+
+@dataclass(frozen=True)
+class ServiceRates:
+    """Backlogged/empty service rates (packets/slot), indexed by source - 1."""
+
+    backlogged: tuple[float, float]
+    empty: tuple[float, float]
+    generation_size: int = 1
+
+    def __post_init__(self) -> None:
+        for n in (0, 1):
+            mb, me = self.backlogged[n], self.empty[n]
+            if not -_TOL <= mb <= me + _TOL or me > 1.0 + _TOL:
+                raise ValueError(
+                    f"service rates for source {n + 1} violate "
+                    f"0 <= mu_b={mb!r} <= mu_e={me!r} <= 1"
+                )
 
 
 def p_grid(step: float) -> np.ndarray:
@@ -117,32 +140,59 @@ def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
     return p1 * np.asarray(g(1, q2))[at2], p2 * np.asarray(g(2, q1))[at1]
 
 
-def point_rates(rates_grid, access) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Backlogged and empty rate pairs at one (p1, p2), from a ``rates_grid``.
+def region_rates(kind: str, channel, K: int | None = None, variant: str = "paper"):
+    """The ``rates_grid(p1, p2)`` of one region kind over paired access arrays.
 
-    An empty competitor has access probability 0, so the empty rates are
-    the grid's rates at (p1, 0) and (0, p2).  All three points go through
-    the same p_own * g_n(p_other) as a sweep.
+    "capacity" gives the rate caps, "retrans" the closed-form backlogged
+    rates and "rlc" the chain's backlogged rates at generation size K
+    (``K`` and ``variant`` are read only there; the chain checks K).
     """
-    mu1, mu2 = rates_grid(
-        np.array([access.p1, access.p1, 0.0]), np.array([access.p2, 0.0, access.p2])
-    )
-    return (float(mu1[0]), float(mu2[0])), (float(mu1[1]), float(mu2[2]))
+    # Imported here: these modules import this one.
+    from . import capacity, retrans, rlc_markov
+
+    if kind == "capacity":
+        return functools.partial(capacity.rate_bounds_grid, channel)
+    if kind == "retrans":
+        return functools.partial(retrans.service_rates_grid, channel)
+    if kind == "rlc":
+        return functools.partial(rlc_markov.service_rates_grid, channel, K=K, variant=variant)
+    raise ValueError(f"unknown region kind {kind!r}")
 
 
-def sweep(rates_grid, grid_step: float, kind: str, K: int | None = None):
-    """Evaluate a region over the (p1, p2) grid and reduce it to a frontier.
+def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: str = "paper"):
+    """Evaluate a region kind over the (p1, p2) grid and reduce it to a frontier.
 
-    ``rates_grid(p1, p2)`` returns the rate pairs over paired arrays.
     Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
     arrays covering the grid, p1-major.
     """
+    rates_grid = region_rates(kind, channel, K, variant)
     p1s, p2s = grid_points(grid_step)
     mu1, mu2 = rates_grid(p1s, p2s)
     frontier = RegionFrontier(
-        kind=kind, points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))), K=K
+        kind=kind,
+        points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))),
+        K=K if kind == "rlc" else None,
     )
     return p1s, p2s, mu1, mu2, frontier
+
+
+def service_rates(
+    kind: str, channel, access, K: int | None = None, variant: str = "paper"
+) -> ServiceRates:
+    """Backlogged and empty rates of a region kind at one (p1, p2).
+
+    An empty competitor has access probability 0, so the empty rates are
+    the kind's rates at (p1, 0) and (0, p2).  All three points go through
+    the same p_own * g_n(p_other) as a sweep.
+    """
+    mu1, mu2 = region_rates(kind, channel, K, variant)(
+        np.array([access.p1, access.p1, 0.0]), np.array([access.p2, 0.0, access.p2])
+    )
+    return ServiceRates(
+        backlogged=(float(mu1[0]), float(mu2[0])),
+        empty=(float(mu1[1]), float(mu2[2])),
+        generation_size=K if kind == "rlc" else 1,
+    )
 
 
 def frontier_value(frontier: RegionFrontier, x: float | np.ndarray) -> np.ndarray:
@@ -217,23 +267,6 @@ def stability_region_at(mu) -> StabilityRegion:
     )
 
 
-def policy_sweep(policy: str, channel, grid_step: float, K: int | None, variant: str):
-    """``sweep`` of one policy's backlogged service rates."""
-    # Imported here: both modules import this one.
-    from . import retrans as _retrans
-    from . import rlc_markov as _rlc
-
-    if policy == "retrans":
-        rates, K = functools.partial(_retrans.service_rates_grid, channel), None
-    elif policy == "rlc":
-        if K is None or K < 1:
-            raise ValueError("rlc policy requires K >= 1")
-        rates = functools.partial(_rlc.service_rates_grid, channel, K=K, variant=variant)
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    return sweep(rates, grid_step, policy, K)
-
-
 def stable_equals_throughput_frontier(
     policy: str,
     channel,
@@ -249,5 +282,5 @@ def stable_equals_throughput_frontier(
     is the stable-throughput frontier; ``checks.check_stability_closure``
     measures how far any per-point stability region reaches past it.
     """
-    return policy_sweep(policy, channel, grid_step, K, variant)[4]
+    return sweep(policy, channel, grid_step, K, variant)[4]
 

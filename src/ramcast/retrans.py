@@ -15,39 +15,15 @@ probability set to 0.
 """
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
-from .regions import factored_rates, point_rates
+from .regions import ServiceRates, factored_rates, service_rates
 
 __all__ = [
-    "ServiceRates",
     "retrans_service_rates",
     "service_rates_grid",
 ]
-
-_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ServiceRates:
-    """Backlogged/empty service rates (packets/slot), indexed by source - 1."""
-
-    backlogged: tuple[float, float]
-    empty: tuple[float, float]
-    generation_size: int = 1
-
-    def __post_init__(self) -> None:
-        for n in (0, 1):
-            mb, me = self.backlogged[n], self.empty[n]
-            if not -_TOL <= mb <= me + _TOL or me > 1.0 + _TOL:
-                raise ValueError(
-                    f"service rates for source {n + 1} violate "
-                    f"0 <= mu_b={mb!r} <= mu_e={me!r} <= 1"
-                )
 
 
 def _rate_formula(phi, sigma, tau):
@@ -66,8 +42,7 @@ def retrans_service_rates(
     channel: ChannelModel, access: AccessProbabilities
 ) -> ServiceRates:
     """Backlogged and empty service rates for both sources."""
-    backlogged, empty = point_rates(functools.partial(service_rates_grid, channel), access)
-    return ServiceRates(backlogged=backlogged, empty=empty)
+    return service_rates("retrans", channel, access)
 
 
 def service_rates_grid(

@@ -39,15 +39,14 @@ renewal cycle follow from a single level-ordered forward pass
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
 from .gf2 import MAX_K
-from .regions import factored_rates, point_rates
-from .retrans import ServiceRates
+from .regions import ServiceRates, factored_rates, service_rates
 
 __all__ = [
     "ChainError",
@@ -301,7 +300,7 @@ def build_chain(
     ``other_backlogged=False`` models the empty competing source by
     setting its access probability to 0.
     """
-    if not 1 <= K <= MAX_K:
+    if K not in range(1, MAX_K + 1):  # also rejects K = None
         raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
     if variant not in _FAMILIES:
         raise ChainError(f"variant must be 'paper' or 'exact', got {variant!r}")
@@ -370,9 +369,7 @@ def rlc_service_rates(
     variant: str = "paper",
 ) -> ServiceRates:
     """Backlogged and empty service rates for both sources at one (p1, p2)."""
-    rates = partial(service_rates_grid, channel, K=K, variant=variant)
-    backlogged, empty = point_rates(rates, access)
-    return ServiceRates(backlogged, empty, generation_size=K)
+    return service_rates("rlc", channel, access, K, variant)
 
 
 def _rates_at_full_access(

@@ -1,12 +1,18 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ramcast.cli import main, read_csv
+from ramcast.cli import main
 
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    lines = [ln for ln in Path(path).read_text(encoding="utf-8").split("\n") if ln]
+    return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
 def test_capacity_command(tmp_path):
@@ -289,11 +295,13 @@ def test_channel_with_dead_link_is_an_error(tmp_path, capsys):
 
 def test_check_quick_passes(capsys):
     assert main(["check", "--quick"]) == 0
-    out = capsys.readouterr().out
-    lines = [ln for ln in out.splitlines() if ln.startswith(("PASS", "FAIL"))]
+    lines = capsys.readouterr().out.splitlines()
+    # Only the verdicts: no output of the commands the checks run.
+    assert all(ln.startswith(("PASS", "FAIL")) for ln in lines)
     assert len(lines) == 8
     assert all(ln.startswith("PASS") for ln in lines)
     assert any(ln.startswith("PASS stability-closure:") for ln in lines)
+    assert any(ln.startswith("PASS retrans-oracle: 8 channel/p") for ln in lines)
 
 
 def test_version_flag(capsys):

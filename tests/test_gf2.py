@@ -89,6 +89,13 @@ def test_rank_cdf_monotone_to_one():
         assert prev == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("j", [54, 60])
+def test_rank_pmf_keeps_its_tail(j):
+    # At K = 1 the decode count is geometric(1/2): f_1(j) = 2^-j, which the
+    # difference of two cdf values near 1 loses (1.11e-16 at j = 54, 0 at 60).
+    assert rank_pmf(1, j) == pytest.approx(2.0**-j, rel=1e-15)
+
+
 def test_expected_decode_count_geometric_base():
     assert expected_decode_count(1) == pytest.approx(2.0, abs=1e-12)
 

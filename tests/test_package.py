@@ -58,6 +58,24 @@ def test_coefficient_draws_live_in_gf2():
     assert callers == {"gf2.py"}
 
 
+def test_region_rates_are_chosen_in_regions():
+    # A region kind maps to its rate grid in one place, regions.region_rates;
+    # elsewhere the package reaches the grids through it.
+    owners = {
+        "rate_bounds_grid": {"capacity.py"},
+        "service_rates_grid": {"retrans.py", "rlc_markov.py"},
+    }
+    namers = set()
+    for path in PKG.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in owners and path.name not in owners[name]:
+                namers.add(path.name)
+    assert namers == {"regions.py"}
+
+
 def test_simulator_imports_no_chain_code():
     # The simulator is the independent oracle for the chain: inside the
     # package it may import only the channel model and GF(2) primitives.

@@ -12,6 +12,7 @@ from ramcast.cli import main
 from ramcast.regions import (
     FrontierPoint,
     RegionFrontier,
+    ServiceRates,
     StabilityRegion,
     frontier_contains,
     frontier_value,
@@ -20,7 +21,7 @@ from ramcast.regions import (
     stability_region_at,
     stable_equals_throughput_frontier,
 )
-from ramcast.retrans import ServiceRates, retrans_service_rates
+from ramcast.retrans import retrans_service_rates
 from ramcast.retrans import service_rates_grid as retrans_grid
 from ramcast.rlc_markov import rlc_service_rates
 from ramcast.rlc_markov import service_rates_grid as rlc_grid
@@ -243,6 +244,17 @@ def test_theorem2_vertices_exactly_dominated(strong):
             if x > frontier.max_x():
                 continue
             assert y <= float(frontier_value(frontier, x)) + 1e-9
+
+
+@pytest.mark.parametrize("K", [None, 0, 65])
+def test_rlc_sweep_rejects_bad_generation_size(strong, K):
+    with pytest.raises(ValueError, match=r"K must be in \[1, 64\]"):
+        stable_equals_throughput_frontier("rlc", strong, 0.1, K=K)
+
+
+def test_sweep_rejects_unknown_kind(strong):
+    with pytest.raises(ValueError, match="unknown region kind 'rlnc'"):
+        stable_equals_throughput_frontier("rlnc", strong, 0.1)
 
 
 def test_collision_capacity_frontier_contains_corners():

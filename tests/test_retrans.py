@@ -4,7 +4,8 @@ from hypothesis import given, settings
 
 from ramcast.capacity import rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
-from ramcast.retrans import ServiceRates, retrans_service_rates, service_rates_grid
+from ramcast.regions import ServiceRates
+from ramcast.retrans import retrans_service_rates, service_rates_grid
 
 from conftest import access_probs, channel_models, random_channel, rate_caps
 
