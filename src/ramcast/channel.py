@@ -217,6 +217,3 @@ class ArrivalRates:
         for name, v in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
             if not v >= 0.0:  # also rejects NaN
                 raise ChannelError(f"{name}={v!r} must be >= 0")
-
-    def of(self, source: int) -> float:
-        return self.lambda1 if source == 1 else self.lambda2

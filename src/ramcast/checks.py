@@ -300,14 +300,14 @@ def check_figure_structure(
                 )
         # Strict containment: the capacity region exceeds both policies.
         kmax = max(K_list)
-        strict_gap = float(np.max(frontier_value(capacity, rlc[kmax].xs()) - rlc[kmax].ys()))
+        strict_gap = float(np.max(frontier_value(capacity, rlc[kmax].x) - rlc[kmax].y))
         if strict_gap <= 0:
             return CheckResult("figure-structure", False, f"no strict capacity gap on {cname}")
         if cname == "strong_mpr":
             # Small-K crossover: retransmissions beat rlc somewhere.
             k0 = min(K_list)
-            cross = float(np.max(retrans.ys() - frontier_value(rlc[k0], retrans.xs())))
-            inside = retrans.max_x() <= rlc[k0].max_x()
+            cross = float(np.max(retrans.y - frontier_value(rlc[k0], retrans.x)))
+            inside = retrans.x[-1] <= rlc[k0].x[-1]
             if cross <= 0 and inside:
                 return CheckResult(
                     "figure-structure",
@@ -444,7 +444,7 @@ def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> floa
         xs.append((x0 + t * (mu1b - x0))[:, keep].ravel())
         ys.append((y0 + t * (mu2b - y0))[:, keep].ravel())
     x, y = np.concatenate(xs), np.concatenate(ys)
-    top = frontier.max_x()
+    top = frontier.x[-1]
     over = np.where(x <= top, y - frontier_value(frontier, np.minimum(x, top)), x - top)
     return float(over.max(initial=0.0))
 

@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .capacity import capacity_sweep
 from .channel import (
@@ -92,14 +94,14 @@ def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
 
 def cmd_capacity(args, channel) -> list[Path]:
     p1s, p2s, r1, r2, frontier = capacity_sweep(channel, args.step)
-    on = {(pt.p1, pt.p2) for pt in frontier.points}
+    on = np.zeros(p1s.size, dtype=np.int8)
+    on[frontier.index] = 1
     out = _resolve_out(args.out)
-    rows = (
-        [a, b, x, y, int((a, b) in on)]
-        for a, b, x, y in zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist())
-    )
+    # Zipped as an int8 array, not a list: str gives the same 0/1, and a
+    # million-point grid needs no million-entry list.
+    rows = zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist(), on)
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
-    print(f"wrote {out} ({p1s.size} grid points, {len(frontier.points)} on frontier)")
+    print(f"wrote {out} ({p1s.size} grid points, {frontier.index.size} on frontier)")
     return [out]
 
 
@@ -122,7 +124,8 @@ def cmd_rates(args, channel) -> list[Path]:
 
 def _write_frontier(path: Path, frontier) -> None:
     K = frontier.K if frontier.K is not None else ""
-    rows = ([frontier.kind, K, pt.p1, pt.p2, pt.x, pt.y] for pt in frontier.points)
+    columns = (frontier.p1, frontier.p2, frontier.x, frontier.y)
+    rows = ([frontier.kind, K, *row] for row in zip(*(c.tolist() for c in columns)))
     write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], rows)
 
 
@@ -136,7 +139,7 @@ def cmd_region(args, channel) -> list[Path]:
     frontier = _compute_frontier(args.kind, channel, args.step, args.K, args.variant)
     out = _resolve_out(args.out)
     _write_frontier(out, frontier)
-    print(f"wrote {out} ({len(frontier.points)} frontier points)")
+    print(f"wrote {out} ({frontier.index.size} frontier points)")
     return [out]
 
 
@@ -162,6 +165,7 @@ def cmd_sim(args, channel) -> list[Path]:
         mode=args.mode,
     )
     result = sim_run(config)
+    K = args.K if args.policy == "rlc" else 1  # retransmission is a K = 1 generation
     header = [
         "source",
         "policy",
@@ -185,7 +189,7 @@ def cmd_sim(args, channel) -> list[Path]:
             [
                 n,
                 args.policy,
-                args.K,
+                K,
                 args.mode,
                 args.slots,
                 args.seed,

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "FrontierPoint",
     "RegionFrontier",
     "ServiceRates",
     "StabilityRegion",
@@ -40,37 +39,24 @@ __all__ = [
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
-    """A Pareto-maximal rate pair plus the (p1, p2) witness that achieved it."""
-
-    x: float
-    y: float
-    p1: float
-    p2: float
-
-
 @dataclass
 class RegionFrontier:
-    """Pareto frontier of a swept region.
+    """Pareto frontier of a swept region, as columns.
 
-    Points are sorted by x strictly increasing with y strictly
-    decreasing; no point dominates another.  ``kind`` is one of
-    "capacity", "retrans" or "rlc" (with ``K`` set for rlc).
+    ``x`` and ``y`` are the rate pairs, sorted by x strictly increasing
+    with y strictly decreasing, so no point dominates another; ``p1``
+    and ``p2`` are their witnesses and ``index`` their rows in the sweep
+    grid.  ``kind`` is one of "capacity", "retrans" or "rlc" (with ``K``
+    set for rlc).
     """
 
     kind: str
-    points: list[FrontierPoint]
+    x: np.ndarray
+    y: np.ndarray
+    p1: np.ndarray
+    p2: np.ndarray
+    index: np.ndarray
     K: int | None = None
-
-    def xs(self) -> np.ndarray:
-        return np.array([p.x for p in self.points])
-
-    def ys(self) -> np.ndarray:
-        return np.array([p.y for p in self.points])
-
-    def max_x(self) -> float:
-        return self.points[-1].x if self.points else 0.0
 
 
 @dataclass(frozen=True)
@@ -106,22 +92,20 @@ def grid_points(step: float) -> tuple[np.ndarray, np.ndarray]:
     return P1.ravel(), P2.ravel()
 
 
-def pareto_frontier(points) -> list[FrontierPoint]:
-    """Reduce (x, y, p1, p2) records to the Pareto-maximal set.
+def pareto_frontier(points) -> np.ndarray:
+    """Row indices of the Pareto-maximal (x, y, p1, p2) records, x increasing.
 
     ``points`` is anything ``np.asarray`` turns into an (n, 4) array.
     Dominance ties (identical x and y) keep the lexicographically
     smallest (p1, p2) witness so that repeated sweeps are reproducible.
     """
-    recs = np.asarray(points, dtype=float).reshape(-1, 4)
-    x, y, p1, p2 = recs.T
+    x, y, p1, p2 = np.asarray(points, dtype=float).reshape(-1, 4).T
     # x descending, then y descending, then the smallest witness first:
     # a record survives iff its y beats every record sorted before it.
-    recs = recs[np.lexsort((p2, p1, -y, -x))]
-    ys = recs[:, 1]
+    order = np.lexsort((p2, p1, -y, -x))
+    ys = y[order]
     best_before = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[:-1]
-    keep = recs[ys > best_before][::-1]
-    return [FrontierPoint(*rec) for rec in keep.tolist()]
+    return order[ys > best_before][::-1]
 
 
 def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
@@ -168,9 +152,14 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     rates_grid = region_rates(kind, channel, K, variant)
     p1s, p2s = grid_points(grid_step)
     mu1, mu2 = rates_grid(p1s, p2s)
+    at = pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
     frontier = RegionFrontier(
         kind=kind,
-        points=pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s))),
+        x=mu1[at],
+        y=mu2[at],
+        p1=p1s[at],
+        p2=p2s[at],
+        index=at,
         K=K if kind == "rlc" else None,
     )
     return p1s, p2s, mu1, mu2, frontier
@@ -197,25 +186,22 @@ def service_rates(
 
 def frontier_value(frontier: RegionFrontier, x: float | np.ndarray) -> np.ndarray:
     """Piecewise-linear frontier height at x (flat extension left of the first point)."""
-    xs = frontier.xs()
-    ys = frontier.ys()
-    if xs.size == 0:
+    if frontier.x.size == 0:
         raise ValueError("empty frontier")
-    return np.interp(x, xs, ys)
+    return np.interp(x, frontier.x, frontier.y)
 
 
 def frontier_contains(
     outer: RegionFrontier, inner: RegionFrontier, tol: float
 ) -> bool:
     """True iff every inner point is dominated by the outer polyline within tol."""
-    if not outer.points or not inner.points:
+    if outer.x.size == 0 or inner.x.size == 0:
         raise ValueError("frontiers must be nonempty")
-    xs = inner.xs()
-    ys = inner.ys()
-    if np.any(xs > outer.max_x() + tol):
+    top = outer.x[-1]
+    if np.any(inner.x > top + tol):
         return False
-    bound = frontier_value(outer, np.minimum(xs, outer.max_x()))
-    return bool(np.all(ys <= bound + tol))
+    bound = frontier_value(outer, np.minimum(inner.x, top))
+    return bool(np.all(inner.y <= bound + tol))
 
 
 @dataclass

@@ -69,9 +69,10 @@ class _StateSpace:
     """Static state enumeration and edge topology for one (K, variant).
 
     States are ordered by level i + j + k, then i, then j; every edge
-    raises the level, so the edge arrays ``e_src``/``e_dst`` (all
-    families, grouped by the source state's level) admit a single
-    forward pass.
+    raises the level, so the edge table ``e_src``/``e_dst``/``e_fam``
+    (all families, grouped by the source state's level) admits a single
+    forward pass.  ``e_fam`` is each edge's row in the variant's family
+    table; inside a family, edges keep the order of their source states.
     """
 
     K: int
@@ -79,15 +80,12 @@ class _StateSpace:
     I: np.ndarray
     J: np.ndarray
     C: np.ndarray
-    lookup: np.ndarray               # lookup[i, j, k] -> state index, or -1
     absorbing: np.ndarray            # state indices with i == j == K
-    fam_src: dict[str, np.ndarray]   # family name -> source state indices
-    edge_order: np.ndarray           # permutation sorting concat edges by level
-    e_src: np.ndarray                # edges, level-ordered: family edges
-    e_dst: np.ndarray                # concatenated, then taken in edge_order
+    e_src: np.ndarray                # edges, level-ordered: source state,
+    e_dst: np.ndarray                # target state
+    e_fam: np.ndarray                # and family row
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
-    fam_names: tuple[str, ...]
 
     @property
     def n_states(self) -> int:
@@ -157,25 +155,23 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     lookup[I, J, C] = np.arange(I.size, dtype=np.int32)
     absorbing = np.flatnonzero((I == K) & (J == K))
 
-    fams = _FAMILIES[variant]
-    fam_src: dict[str, np.ndarray] = {}
-    fam_dst: list[np.ndarray] = []
-    for name, di, dj, dk, rows, _ in fams:
-        base = np.flatnonzero(rows(I, J, K))
-        tgt = lookup[I[base] + di, J[base] + dj, C[base] + dk]
-        hit = tgt >= 0
-        fam_src[name] = base[hit].astype(np.int32)
-        fam_dst.append(tgt[hit])
+    edges = []
+    for fam, (_, di, dj, dk, rows, _) in enumerate(_FAMILIES[variant]):
+        src = np.flatnonzero(rows(I, J, K)).astype(np.int32)
+        dst = lookup[I[src] + di, J[src] + dj, C[src] + dk]
+        hit = dst >= 0
+        edges.append((src[hit], dst[hit], np.full(np.count_nonzero(hit), fam, dtype=np.int8)))
+    e_src, e_dst, e_fam = (np.concatenate(col) for col in zip(*edges))
+    del edges  # the sort below is this build's memory peak
 
     # Topological grouping: every edge strictly increases i + j + k, so
     # processing states level-by-level makes the visit-count recursion a
-    # single forward pass.
+    # single forward pass.  The sort is stable, so each family's edges
+    # stay in state order.
     level = I + J + C
     bounds = np.arange(int(level[-1]) + 2)
-    e_src = np.concatenate([fam_src[n] for n, *_ in fams])
-    edge_order = np.argsort(level[e_src], kind="stable").astype(np.int32)
-    e_src = e_src[edge_order]
-    e_dst = np.concatenate(fam_dst)[edge_order]
+    order = np.argsort(level[e_src], kind="stable")
+    e_src, e_dst, e_fam = e_src[order], e_dst[order], e_fam[order]
 
     return _StateSpace(
         K=K,
@@ -183,15 +179,12 @@ def _state_space(K: int, variant: str) -> _StateSpace:
         I=I,
         J=J,
         C=C,
-        lookup=lookup,
         absorbing=absorbing,
-        fam_src=fam_src,
-        edge_order=edge_order,
         e_src=e_src,
         e_dst=e_dst,
+        e_fam=e_fam,
         level_state_slices=_slices(np.searchsorted(level, bounds)),
         level_edge_slices=_slices(np.searchsorted(level[e_src], bounds)),
-        fam_names=tuple(n for n, *_ in fams),
     )
 
 
@@ -202,9 +195,10 @@ def _pow2(exp: np.ndarray) -> np.ndarray:
 
 def _family_probs(
     space: _StateSpace, channel: ChannelModel, source: int, p_other: float
-) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Per-family edge probabilities and per-state self-loop probabilities
-    of the chain at p_own = 1 (the source transmits in every slot).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Edge probabilities (aligned with ``space.e_src``) and per-state
+    self-loop probabilities of the chain at p_own = 1 (the source
+    transmits in every slot).
 
     The self-loops of the completion states are left for ``build_chain``.
     """
@@ -238,10 +232,6 @@ def _family_probs(
         s=_pow2(I + J - C - K),
         fresh=(K - C) * float(np.ldexp(1.0, -K)),
     )
-    probs = {
-        name: prob(w, f)[space.fam_src[name]]
-        for name, *_, prob in _FAMILIES[space.variant]
-    }
     # A packet that reaches both destinations changes no rank iff it lies
     # in the overlap of their spans: once one destination is full, the
     # other's span; otherwise the span of dimension k.  In the exact
@@ -249,7 +239,17 @@ def _family_probs(
     # overlap is always the span of dimension k.
     overlap = np.where(J == K, f.i, np.where(I == K, f.j, f.k))
     self_p = w.wn + w.w1 * f.i + w.w2 * f.j + w.wb * overlap
-    return probs, self_p
+    del overlap
+    # One row per family, one column per state; an edge reads its family's
+    # row at its source state.  This call is the memory peak of a large-K
+    # sweep, so the rows are filled one at a time and every temporary is
+    # dropped once spent.
+    fams = _FAMILIES[space.variant]
+    table = np.empty((len(fams), I.size))
+    for row, (*_, prob) in zip(table, fams):
+        row[:] = prob(w, f)
+    del f
+    return table[space.e_fam, space.e_src], self_p
 
 
 @dataclass
@@ -271,13 +271,11 @@ class ChainModel:
 
     def state_index(self, state: State) -> int:
         i, j, k = state
-        K = self.K
-        n = -1
-        if 0 <= i <= K and 0 <= j <= K and 0 <= k <= K:
-            n = int(self.space.lookup[i, j, k])
-        if n < 0:
+        space = self.space
+        hit = np.flatnonzero((space.I == i) & (space.J == j) & (space.C == k))
+        if hit.size == 0:
             raise KeyError(state)
-        return n
+        return int(hit[0])
 
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
@@ -309,13 +307,12 @@ def build_chain(
     space = _state_space(K, variant)
     p_own = access.of(source)
     p_other = access.other(source) if other_backlogged else 0.0
-    probs, self_p = _family_probs(space, channel, source, p_other)
+    e_prob, self_p = _family_probs(space, channel, source, p_other)
     # A slot moves the p_own = 1 chain with probability p_own and
     # otherwise leaves the state as it is.
-    e_prob = p_own * np.concatenate([probs[n] for n in space.fam_names])
     self_p = (1 - p_own) + p_own * self_p
     self_p[space.absorbing] = 0.0  # renewal transition replaces the row
-    return ChainModel(space=space, self_p=self_p, e_prob=e_prob[space.edge_order])
+    return ChainModel(space=space, self_p=self_p, e_prob=p_own * e_prob)
 
 
 def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
@@ -327,7 +324,7 @@ def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
     space = chain.space
     n = space.n_states
     inflow = np.zeros(n)
-    inflow[chain.state_index((0, 0, 0))] = 1.0
+    inflow[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
     visits = np.zeros(n)
     e_src, e_dst, e_prob = space.e_src, space.e_dst, chain.e_prob
     is_abs = np.zeros(n, dtype=bool)

@@ -222,24 +222,20 @@ def test_mutual_info_enumeration_oracle(strong, u):
 
 def test_capacity_frontier_collision_corners():
     frontier = capacity_sweep(collision_channel(), grid_step=0.01)[4]
-    xs = frontier.xs()
-    ys = frontier.ys()
-    assert xs.max() >= 0.99
-    assert ys.max() >= 0.99
+    assert frontier.x.max() >= 0.99
+    assert frontier.y.max() >= 0.99
 
 
 def test_capacity_frontier_strong_symmetric_point(strong):
     frontier = capacity_sweep(strong, grid_step=0.01)[4]
-    best = max(min(pt.x, pt.y) for pt in frontier.points)
+    best = np.minimum(frontier.x, frontier.y).max()
     assert best == pytest.approx(0.6, abs=1e-12)
 
 
 def test_capacity_frontier_is_pareto_sorted(strong):
     frontier = capacity_sweep(strong, grid_step=0.05)[4]
-    xs = frontier.xs()
-    ys = frontier.ys()
-    assert np.all(np.diff(xs) > 0)
-    assert np.all(np.diff(ys) < 0)
+    assert np.all(np.diff(frontier.x) > 0)
+    assert np.all(np.diff(frontier.y) < 0)
 
 
 def test_capacity_frontier_grid_step_validation(strong):
@@ -280,5 +276,6 @@ def test_channel_monotonicity_grows_frontier():
 def test_capacity_sweep_marks_frontier(strong):
     p1s, p2s, r1, r2, frontier = capacity_sweep(strong, 0.1)
     assert len(p1s) == len(p2s) == len(r1) == len(r2) == 121
-    witnesses = {(pt.p1, pt.p2) for pt in frontier.points}
-    assert witnesses <= set(zip(p1s.tolist(), p2s.tolist()))
+    at = frontier.index
+    assert np.array_equal(p1s[at], frontier.p1) and np.array_equal(p2s[at], frontier.p2)
+    assert np.array_equal(r1[at], frontier.x) and np.array_equal(r2[at], frontier.y)

@@ -41,6 +41,23 @@ def test_capacity_csv_roundtrip_lossless(tmp_path):
         assert float(row[2]) == x and float(row[3]) == y
 
 
+@pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
+def test_capacity_flags_exactly_the_frontier_rows(tmp_path, channel):
+    from ramcast.capacity import capacity_sweep
+    from ramcast.channel import load_channel
+
+    out = tmp_path / "cap.csv"
+    run_cli("capacity", "--channel", channel, "--step", "0.05", "--out", out)
+    frontier = capacity_sweep(load_channel(channel), 0.05)[4]
+    _, rows = read_csv(out)
+    flagged = [n for n, row in enumerate(rows) if row[4] == "1"]
+    assert all(row[4] in ("0", "1") for row in rows)
+    assert flagged == sorted(frontier.index.tolist())
+    assert len(flagged) == frontier.x.size
+    pairs = [(rows[n][2], rows[n][3]) for n in flagged]
+    assert len(set(pairs)) == len(pairs)
+
+
 def test_rates_command_stdout(tmp_path, capsys):
     assert run_cli("rates", "--channel", "strong_mpr", "--policy", "retrans",
                    "--p1", "0.5", "--p2", "0.5") == 0
@@ -96,6 +113,17 @@ def test_sim_command(tmp_path):
     assert header[0] == "source"
     assert len(rows) == 2
     assert 0.0 <= float(rows[0][6]) <= 1.0
+
+
+@pytest.mark.parametrize(
+    "policy,K,shown", [("retrans", 5, "1"), ("retrans", 0, "1"), ("rlc", 3, "3")]
+)
+def test_sim_reports_the_generation_size_it_ran(capsys, policy, K, shown):
+    assert run_cli("sim", "--channel", "strong_mpr", "--policy", policy, "--K", K,
+                   "--p1", "0.5", "--p2", "0.5", "--slots", "2000") == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[0].split(",")[2] == "K"
+    assert [ln.split(",")[2] for ln in lines[1:]] == [shown, shown]
 
 
 def test_verify_chain_command(tmp_path):

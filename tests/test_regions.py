@@ -10,7 +10,6 @@ from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
 from ramcast.checks import _closure_overshoot, check_stability_closure
 from ramcast.cli import main
 from ramcast.regions import (
-    FrontierPoint,
     RegionFrontier,
     ServiceRates,
     StabilityRegion,
@@ -39,15 +38,12 @@ def test_p_grid_endpoints():
 def test_pareto_frontier_hand_example():
     pts = [(0.2, 0.5, 0.1, 0.1), (0.4, 0.4, 0.2, 0.2), (0.3, 0.3, 0.3, 0.3),
            (0.4, 0.1, 0.4, 0.4), (0.1, 0.6, 0.5, 0.5)]
-    frontier = pareto_frontier(pts)
-    assert [(p.x, p.y) for p in frontier] == [(0.1, 0.6), (0.2, 0.5), (0.4, 0.4)]
+    assert pareto_frontier(pts).tolist() == [4, 0, 1]
 
 
 def test_pareto_frontier_tie_keeps_smallest_witness():
     pts = [(0.5, 0.5, 0.9, 0.9), (0.5, 0.5, 0.2, 0.3), (0.5, 0.5, 0.2, 0.1)]
-    frontier = pareto_frontier(pts)
-    assert len(frontier) == 1
-    assert (frontier[0].p1, frontier[0].p2) == (0.2, 0.1)
+    assert pareto_frontier(pts).tolist() == [2]
 
 
 @settings(max_examples=200)
@@ -62,10 +58,9 @@ def test_pareto_frontier_tie_keeps_smallest_witness():
     )
 )
 def test_pareto_frontier_properties(raw):
-    pts = [(x, y, 0.0, 0.0) for x, y in raw]
-    frontier = pareto_frontier(pts)
-    xs = [p.x for p in frontier]
-    ys = [p.y for p in frontier]
+    at = pareto_frontier([(x, y, 0.0, 0.0) for x, y in raw]).tolist()
+    xs = [raw[n][0] for n in at]
+    ys = [raw[n][1] for n in at]
     assert all(a < b for a, b in zip(xs, xs[1:]))
     assert all(a > b for a, b in zip(ys, ys[1:]))
     # no frontier point dominates another, every input point is dominated
@@ -93,15 +88,14 @@ def _brute_force_frontier(pts):
 def test_pareto_frontier_matches_brute_force(pts):
     # A coarse value set forces exact (x, y) ties with different witnesses
     # and fully duplicated records.
-    got = [(p.x, p.y, p.p1, p.p2) for p in pareto_frontier(pts)]
+    got = [pts[n] for n in pareto_frontier(pts).tolist()]
     assert got == _brute_force_frontier(pts)
 
 
 def test_pareto_frontier_single_and_empty():
-    assert pareto_frontier([]) == []
-    assert pareto_frontier(np.empty((0, 4))) == []
-    only = pareto_frontier([(0.3, 0.2, 0.5, 0.6)])
-    assert [(p.x, p.y, p.p1, p.p2) for p in only] == [(0.3, 0.2, 0.5, 0.6)]
+    assert pareto_frontier([]).tolist() == []
+    assert pareto_frontier(np.empty((0, 4))).tolist() == []
+    assert pareto_frontier([(0.3, 0.2, 0.5, 0.6)]).tolist() == [0]
 
 
 @pytest.mark.parametrize("K", [1, 4])
@@ -154,24 +148,22 @@ def test_rlc_frontier_grows_with_k(strong):
     f8 = stable_equals_throughput_frontier("rlc", strong, 0.1, K=8)
     assert frontier_contains(f8, f1, tol=2 * 0.1)
     # pointwise at matched abscissae, within grid tolerance
-    ys1 = f1.ys()
-    bound = frontier_value(f8, np.minimum(f1.xs(), f8.max_x()))
-    assert np.all(ys1 <= bound + 1e-9)
+    bound = frontier_value(f8, np.minimum(f1.x, f8.x[-1]))
+    assert np.all(f1.y <= bound + 1e-9)
 
 
 def test_retrans_frontier_corner_is_empty_rate(strong):
     frontier = stable_equals_throughput_frontier("retrans", strong, 0.05)
-    last = frontier.points[-1]
     mu_1e = retrans_service_rates(strong, AccessProbabilities(1.0, 0.0)).backlogged[0]
-    assert last.x == pytest.approx(mu_1e, abs=1e-12)
-    assert last.y == 0.0
-    assert (last.p1, last.p2) == (1.0, 0.0)
+    assert frontier.x[-1] == pytest.approx(mu_1e, abs=1e-12)
+    assert frontier.y[-1] == 0.0
+    assert (frontier.p1[-1], frontier.p2[-1]) == (1.0, 0.0)
 
 
 def test_swap_symmetry_on_symmetric_channels(strong, weak):
     for ch in (strong, weak):
         frontier = stable_equals_throughput_frontier("retrans", ch, 0.1)
-        pts = {(round(p.x, 12), round(p.y, 12)) for p in frontier.points}
+        pts = {(round(x, 12), round(y, 12)) for x, y in zip(frontier.x, frontier.y)}
         mirrored = {(y, x) for x, y in pts}
         assert pts == mirrored
 
@@ -241,7 +233,7 @@ def test_theorem2_vertices_exactly_dominated(strong):
         for p2 in p_grid(0.1):
             mu = retrans_service_rates(strong, AccessProbabilities(float(p1), float(p2)))
             x, y = mu.backlogged
-            if x > frontier.max_x():
+            if x > frontier.x[-1]:
                 continue
             assert y <= float(frontier_value(frontier, x)) + 1e-9
 
@@ -259,13 +251,14 @@ def test_sweep_rejects_unknown_kind(strong):
 
 def test_collision_capacity_frontier_contains_corners():
     frontier = capacity_sweep(collision_channel(), 0.05)[4]
-    assert frontier.max_x() == pytest.approx(1.0, abs=1e-12)
-    assert frontier.points[0].y == pytest.approx(1.0, abs=1e-12)
+    assert frontier.x[-1] == pytest.approx(1.0, abs=1e-12)
+    assert frontier.y[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frontier_contains_requires_nonempty(strong):
     f = capacity_sweep(strong, 0.1)[4]
-    empty = RegionFrontier(kind="capacity", points=[])
+    none = np.empty(0)
+    empty = RegionFrontier("capacity", none, none, none, none, none.astype(int))
     with pytest.raises(ValueError):
         frontier_contains(f, empty, 0.0)
     with pytest.raises(ValueError):
@@ -273,10 +266,9 @@ def test_frontier_contains_requires_nonempty(strong):
 
 
 def test_frontier_value_extends_flat_left():
-    f = RegionFrontier(
-        kind="capacity",
-        points=[FrontierPoint(0.5, 0.8, 0, 0), FrontierPoint(0.9, 0.1, 0, 0)],
-    )
+    zeros = np.zeros(2)
+    f = RegionFrontier("capacity", np.array([0.5, 0.9]), np.array([0.8, 0.1]), zeros, zeros,
+                       np.arange(2))
     assert float(frontier_value(f, 0.0)) == 0.8
     assert float(frontier_value(f, 0.7)) == pytest.approx(0.45)
 

@@ -61,6 +61,16 @@ def test_k1_state_space(strong):
     assert set(chain_states(chain)) == {(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (1, 1, 1)}
 
 
+def test_state_index(strong):
+    chain = build_chain(strong, ACCESS, K=3)
+    for n, state in enumerate(chain_states(chain)):
+        assert chain.state_index(state) == n
+    assert chain.state_index((0, 0, 0)) == 0
+    for missing in ((4, 0, 0), (1, 0, 1), (-1, 0, 0)):
+        with pytest.raises(KeyError):
+            chain.state_index(missing)
+
+
 @pytest.mark.parametrize("K", [1, 2, 3, 6])
 def test_absorbing_state_count(strong, K):
     chain = build_chain(strong, ACCESS, K=K)
@@ -395,19 +405,11 @@ def test_state_space_matches_loop_oracle(K, variant):
     space = _state_space(K, variant)
     got = list(zip(space.I.tolist(), space.J.tolist(), space.C.tolist()))
     assert got == states
-    assert space.fam_names == tuple(edges)
-    # Undo the level ordering to recover each family's (src, dst) pairs.
-    cat_src = np.empty_like(space.e_src)
-    cat_dst = np.empty_like(space.e_dst)
-    cat_src[space.edge_order] = space.e_src
-    cat_dst[space.edge_order] = space.e_dst
-    start = 0
-    for name, pairs in edges.items():
-        stop = start + len(pairs)
-        assert space.fam_src[name].tolist() == [s for s, _ in pairs]
-        assert list(zip(cat_src[start:stop].tolist(), cat_dst[start:stop].tolist())) == pairs
-        start = stop
-    assert start == space.e_src.size
+    # Each family's (src, dst) pairs, in state order, are its rows of the edge table.
+    for fam, pairs in enumerate(edges.values()):
+        mine = space.e_fam == fam
+        assert list(zip(space.e_src[mine].tolist(), space.e_dst[mine].tolist())) == pairs
+    assert sum(map(len, edges.values())) == space.e_src.size == space.e_fam.size
     assert list(space.level_state_slices) == state_slices
     assert list(space.level_edge_slices) == edge_slices
     src_level = (space.I + space.J + space.C)[space.e_src]
