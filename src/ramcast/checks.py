@@ -20,11 +20,11 @@ import numpy as np
 from .channel import AccessProbabilities, collision_channel, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
 from .regions import (
+    StabilityRegion,
     frontier_contains,
+    frontier_excess,
     frontier_value,
-    grid_points,
     p_grid,
-    region_rates,
     stability_region_at,
     sweep,
 )
@@ -135,7 +135,9 @@ def chain_vs_sim(
 
     Returns one record per (variant, source), variant-major: the chain
     rate ``mu`` (p_own * g_n(p_other), as ``rlc_service_rates`` gives
-    it), the simulated departure rate ``sim`` and its ``stderr``, and
+    it), the simulated departure rate ``sim`` and its ``stderr``, the
+    signed relative error ``rel`` = (mu - sim) / sim (NaN where sim is
+    0), the ``z`` score |mu - sim| / stderr (inf where stderr is 0), and
     ``resid``, the largest row-sum residual of the chain built at the
     actual (p1, p2).
     """
@@ -156,13 +158,16 @@ def chain_vs_sim(
         for source in (1, 2):
             chain = build_chain(channel, access, source, True, K, variant)
             src = res.sources[source - 1]
+            mu, sim = rates.backlogged[source - 1], src.departure_rate
             records.append(
                 {
                     "variant": variant,
                     "source": source,
-                    "mu": rates.backlogged[source - 1],
-                    "sim": src.departure_rate,
+                    "mu": mu,
+                    "sim": sim,
                     "stderr": src.stderr,
+                    "rel": (mu - sim) / sim if sim else float("nan"),
+                    "z": abs(mu - sim) / src.stderr if src.stderr else float("inf"),
                     "resid": float(np.abs(chain.row_sums() - 1.0).max()),
                 }
             )
@@ -179,46 +184,29 @@ def check_rlc_oracle(
     The published transition table is checked first; rows where it
     misses the 3-stderr/1%-relative oracle are reported together with
     the corrected (exact-intersection) chain, which must restore the
-    check.  Each point's rates and row sums come from ``chain_vs_sim``;
-    the row sums must be 1 within 1e-12.
+    check.  The rows are ``chain_vs_sim``'s records, each with its
+    ``channel``, ``K``, ``p1`` and ``p2`` and an ``ok`` flag; the row sums
+    must be 1 within 1e-12.
     """
     rows: list[dict] = []
-    worst_resid = 0.0
     for cname, cfun in _CHANNELS:
         channel = cfun()
         for K, p1, p2 in itertools.product(Ks, p_values, p_values):
-            records = chain_vs_sim(channel, AccessProbabilities(p1, p2), K, slots, _SEED)
-            for source in (1, 2):
-                mine = [r for r in records if r["source"] == source]
-                entry = {
-                    "channel": cname,
-                    "K": K,
-                    "p1": p1,
-                    "p2": p2,
-                    "source": source,
-                    "sim": mine[0]["sim"],
-                    "stderr": mine[0]["stderr"],
-                }
-                for r in mine:
-                    worst_resid = max(worst_resid, r["resid"])
-                    z = abs(r["mu"] - r["sim"]) / r["stderr"]
-                    rel = abs(r["mu"] - r["sim"]) / r["sim"]
-                    variant = r["variant"]
-                    entry[variant] = r["mu"]
-                    entry[f"{variant}_z"] = z
-                    entry[f"{variant}_rel"] = rel
-                    entry[f"{variant}_ok"] = z <= 3.0 and rel <= 0.01 and r["resid"] <= 1e-12
-                rows.append(entry)
-    n_fail = sum(1 for r in rows if not r["paper_ok"])
-    exact_ok = all(r["exact_ok"] for r in rows)
+            for r in chain_vs_sim(channel, AccessProbabilities(p1, p2), K, slots, _SEED):
+                ok = r["z"] <= 3.0 and abs(r["rel"]) <= 0.01 and r["resid"] <= 1e-12
+                rows.append({"channel": cname, "K": K, "p1": p1, "p2": p2, **r, "ok": ok})
+    worst_resid = max(r["resid"] for r in rows)
+    paper = [r for r in rows if r["variant"] == "paper"]
+    n_fail = sum(1 for r in paper if not r["ok"])
+    exact_ok = all(r["ok"] for r in rows if r["variant"] == "exact")
     if n_fail == 0:
         detail = (
-            f"published chain matches simulation at all {len(rows)} points "
+            f"published chain matches simulation at all {len(paper)} points "
             f"(max row-sum residual {worst_resid:.2e})"
         )
         return CheckResult("rlc-chain-oracle", True, detail, rows)
     detail = (
-        f"published chain misses the 3-stderr/1% oracle at {n_fail}/{len(rows)} "
+        f"published chain misses the 3-stderr/1% oracle at {n_fail}/{len(paper)} "
         f"points (documented: its interior rows approximate the span overlap "
         f"by the shared-packet count); corrected exact-intersection chain "
         f"{'restores all points' if exact_ok else 'ALSO FAILS'} "
@@ -233,16 +221,15 @@ def check_jensen_dominance(
     """Criterion 4: capacity bound dominates both policies on the grid."""
     slack = 1e-12
     summary = []
-    p1s, p2s = grid_points(step)
     # (failure label, summary label, region kind, K)
     cells = [("retrans", "retrans", "retrans", None)] + [
         (f"rlc K={K}", f"rlc(K={K})", "rlc", K) for K in Ks
     ]
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        b1, b2 = region_rates("capacity", channel)(p1s, p2s)
+        b1, b2 = sweep("capacity", channel, step)[2:4]
         for label, tag, kind, K in cells:
-            m1, m2 = region_rates(kind, channel, K, _VARIANT)(p1s, p2s)
+            m1, m2 = sweep(kind, channel, step, K, _VARIANT)[2:4]
             if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
                 return CheckResult(
                     "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
@@ -341,9 +328,8 @@ def check_figure_gap(
     as the defect; the check reports the measured gap.
     """
     channel = strong_mpr()
-    p1s, p2s = grid_points(step)
-    b1, b2 = region_rates("capacity", channel)(p1s, p2s)
-    r1, r2 = region_rates("rlc", channel, K, variant)(p1s, p2s)
+    b1, b2 = sweep("capacity", channel, step)[2:4]
+    r1, r2 = sweep("rlc", channel, step, K, variant)[2:4]
     mask1 = b1 > 1e-9
     mask2 = b2 > 1e-9
     rel_gap = max(
@@ -423,29 +409,24 @@ def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
 def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> float:
     """Worst distance by which a per-point stability region leaves the frontier.
 
-    At each grid (p1, p2) the stability region is bounded by two edges
-    that meet at (mu_1b, mu_2b): one from (0, mu_2e), the boundary of
-    constraint set 2, and one from (mu_1e, 0), that of set 1.  Set 2
-    holds stable pairs only where mu_1b > 0 and set 1 only where
-    mu_2b > 0, so each edge is sampled there, and each sample is
-    measured against the policy's swept frontier polyline (above it, or
-    right of its last point).  The empty rates come from the same sweep:
-    an empty competitor has access probability 0, which the grid
-    contains, so mu_1e(p1) is the rate at (p1, 0) and mu_2e(p2) the one
-    at (0, p2).
+    One ``StabilityRegion`` holds every grid point's region; each of its
+    ``edges`` is sampled where present and measured against the policy's
+    swept frontier polyline by ``frontier_excess``.  The empty rates come
+    from the same sweep: an empty competitor has access probability 0,
+    which the grid contains, so mu_1e(p1) is the rate at (p1, 0) and
+    mu_2e(p2) the one at (0, p2).
     """
     _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
     n = p_grid(step).size  # the sweep is p1-major over n x n points
-    mu1e = np.repeat(mu1b[::n], n)
-    mu2e = np.tile(mu2b[:n], n)
+    region = StabilityRegion(
+        mu_1b=mu1b, mu_2b=mu2b, mu_1e=np.repeat(mu1b[::n], n), mu_2e=np.tile(mu2b[:n], n)
+    )
     t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None]
     xs, ys = [], []
-    for (x0, y0), keep in (((0.0, mu2e), mu1b > 0), ((mu1e, 0.0), mu2b > 0)):
-        xs.append((x0 + t * (mu1b - x0))[:, keep].ravel())
-        ys.append((y0 + t * (mu2b - y0))[:, keep].ravel())
-    x, y = np.concatenate(xs), np.concatenate(ys)
-    top = frontier.x[-1]
-    over = np.where(x <= top, y - frontier_value(frontier, np.minimum(x, top)), x - top)
+    for (x0, y0), (x1, y1), present in region.edges():
+        xs.append((x0 + t * (x1 - x0))[:, present].ravel())
+        ys.append((y0 + t * (y1 - y0))[:, present].ravel())
+    over = frontier_excess(frontier, np.concatenate(xs), np.concatenate(ys))
     return float(over.max(initial=0.0))
 
 

@@ -9,8 +9,9 @@ once per point.  This module maps a region kind ("capacity", "retrans"
 or "rlc") to its rates (``region_rates``) and owns the sweep over them
 (``sweep``), a single point's backlogged and empty rates through the
 same path (``service_rates``), the Pareto reduction, the per-point
-stability bound (union of the two dominant-system constraint sets) and
-the containment test used to compare frontiers.
+stability region (union of the two dominant-system constraint sets) and
+how far points lie outside a frontier (``frontier_excess``), which the
+containment test and the stability closure both measure.
 """
 from __future__ import annotations
 
@@ -24,13 +25,13 @@ __all__ = [
     "ServiceRates",
     "StabilityRegion",
     "p_grid",
-    "grid_points",
     "pareto_frontier",
     "factored_rates",
     "region_rates",
     "sweep",
     "service_rates",
     "frontier_value",
+    "frontier_excess",
     "frontier_contains",
     "stability_region_at",
     "stable_equals_throughput_frontier",
@@ -81,15 +82,8 @@ def p_grid(step: float) -> np.ndarray:
     """Uniform grid over [0, 1] whose spacing is as close to ``step`` as divides 1."""
     if not 0.0 < step <= 0.1:
         raise ValueError(f"grid step must be in (0, 0.1], got {step!r}")
-    n = max(1, int(round(1.0 / step)))
+    n = int(round(1.0 / step))
     return np.linspace(0.0, 1.0, n + 1)
-
-
-def grid_points(step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Flat (p1, p2) arrays covering the ``p_grid(step)`` square, p1-major."""
-    grid = p_grid(step)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    return P1.ravel(), P2.ravel()
 
 
 def pareto_frontier(points) -> np.ndarray:
@@ -149,9 +143,9 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
     arrays covering the grid, p1-major.
     """
-    rates_grid = region_rates(kind, channel, K, variant)
-    p1s, p2s = grid_points(grid_step)
-    mu1, mu2 = rates_grid(p1s, p2s)
+    grid = p_grid(grid_step)
+    p1s, p2s = (P.ravel() for P in np.meshgrid(grid, grid, indexing="ij"))
+    mu1, mu2 = region_rates(kind, channel, K, variant)(p1s, p2s)
     at = pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
     frontier = RegionFrontier(
         kind=kind,
@@ -191,17 +185,20 @@ def frontier_value(frontier: RegionFrontier, x: float | np.ndarray) -> np.ndarra
     return np.interp(x, frontier.x, frontier.y)
 
 
+def frontier_excess(frontier: RegionFrontier, x, y) -> np.ndarray:
+    """How far each (x, y) lies outside the frontier polyline: above it, or
+    right of its last point; 0 or less inside."""
+    top = frontier.x[-1]
+    return np.maximum(x - top, y - frontier_value(frontier, np.minimum(x, top)))
+
+
 def frontier_contains(
     outer: RegionFrontier, inner: RegionFrontier, tol: float
 ) -> bool:
     """True iff every inner point is dominated by the outer polyline within tol."""
     if outer.x.size == 0 or inner.x.size == 0:
         raise ValueError("frontiers must be nonempty")
-    top = outer.x[-1]
-    if np.any(inner.x > top + tol):
-        return False
-    bound = frontier_value(outer, np.minimum(inner.x, top))
-    return bool(np.all(inner.y <= bound + tol))
+    return bool(np.all(frontier_excess(outer, inner.x, inner.y) <= tol))
 
 
 @dataclass
@@ -211,7 +208,8 @@ class StabilityRegion:
 
     Set 1 caps lambda2 by the backlogged rate of source 2 and lets
     lambda1 interpolate between the empty and backlogged rates of
-    source 1; set 2 is the mirror image.
+    source 1; set 2 is the mirror image.  The fields may also be arrays,
+    one region per grid point, for ``edges``.
     """
 
     mu_1b: float
@@ -219,28 +217,30 @@ class StabilityRegion:
     mu_1e: float
     mu_2e: float
 
+    def edges(self):
+        """The boundary as (start, end, present) per edge.
+
+        Both edges end at the corner (mu_1b, mu_2b): set 2's starts at
+        (0, mu_2e) and holds stable pairs only where mu_1b > 0, set 1's
+        starts at (mu_1e, 0) and holds them only where mu_2b > 0.
+        """
+        corner = (self.mu_1b, self.mu_2b)
+        return (
+            ((0.0, self.mu_2e), corner, self.mu_1b > 0),
+            ((self.mu_1e, 0.0), corner, self.mu_2b > 0),
+        )
+
     def lambda1_bound(self, lambda2: float) -> float:
-        """Supremum of stable lambda1 at the given lambda2 (0 if none):
-        at lambda2 >= 0 the stable lambda1 are [0, bound)."""
-        best = 0.0
-        if self.mu_2b > 0 and lambda2 < self.mu_2b:
-            best = (lambda2 / self.mu_2b) * self.mu_1b + (
-                1 - lambda2 / self.mu_2b
-            ) * self.mu_1e
-        if self.mu_1b > 0:
-            # lambda2 < mu_2e + (mu_2b - mu_2e) * (lambda1 / mu_1b).  If the
-            # right side does not decrease in lambda1, its supremum mu_2b
-            # decides; otherwise solve for the admissible lambda1.
-            if self.mu_2b >= self.mu_2e:
-                if lambda2 < self.mu_2b:
-                    best = max(best, self.mu_1b)
-            else:
-                tmax = (lambda2 - self.mu_2e) / (self.mu_2b - self.mu_2e)
-                if tmax > 1.0:
-                    best = max(best, self.mu_1b)
-                elif tmax > 0.0:
-                    best = max(best, tmax * self.mu_1b)
-        return best
+        """Supremum of stable lambda1 at the given lambda2 >= 0 (0 if none):
+        the stable lambda1 are [0, bound)."""
+        if lambda2 < self.mu_2b:
+            # Set 1's line, or set 2's cap mu_1b where that reaches further.
+            s = lambda2 / self.mu_2b
+            return max(s * self.mu_1b + (1 - s) * self.mu_1e, self.mu_1b)
+        if lambda2 < self.mu_2e:
+            # Only set 2, whose line falls from (0, mu_2e) to the corner.
+            return (lambda2 - self.mu_2e) / (self.mu_2b - self.mu_2e) * self.mu_1b
+        return 0.0
 
 
 def stability_region_at(mu) -> StabilityRegion:

@@ -57,8 +57,6 @@ __all__ = [
     "service_rates_grid",
 ]
 
-State = tuple[int, int, int]
-
 
 class ChainError(ValueError):
     """Raised for invalid chain parameters."""
@@ -86,10 +84,6 @@ class _StateSpace:
     e_fam: np.ndarray                # and family row
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
-
-    @property
-    def n_states(self) -> int:
-        return self.I.size
 
 
 # The states a family leaves from, by which destinations still collect.
@@ -265,18 +259,6 @@ class ChainModel:
     def K(self) -> int:
         return self.space.K
 
-    @property
-    def n_states(self) -> int:
-        return self.space.n_states
-
-    def state_index(self, state: State) -> int:
-        i, j, k = state
-        space = self.space
-        hit = np.flatnonzero((space.I == i) & (space.J == j) & (space.C == k))
-        if hit.size == 0:
-            raise KeyError(state)
-        return int(hit[0])
-
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
         sums = self.self_p.copy()
@@ -315,14 +297,14 @@ def build_chain(
     return ChainModel(space=space, self_p=self_p, e_prob=p_own * e_prob)
 
 
-def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
-    """Expected visits per renewal cycle for transient states, plus the
-    per-cycle entry probabilities of the completion states.
+def _visit_counts(chain: ChainModel) -> np.ndarray | None:
+    """Expected visits per renewal cycle for transient states (0 for the
+    completion states).
 
     Returns None when the service never completes (dead parameter point).
     """
     space = chain.space
-    n = space.n_states
+    n = chain.self_p.size
     inflow = np.zeros(n)
     inflow[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
     visits = np.zeros(n)
@@ -345,18 +327,14 @@ def _visit_counts(chain: ChainModel) -> tuple[np.ndarray, np.ndarray] | None:
             np.add.at(
                 inflow, e_dst[seg], visits[e_src[seg]] * e_prob[seg]
             )
-    flux = inflow[space.absorbing]
-    return visits, flux
+    return visits
 
 
 def service_rate(chain: ChainModel) -> float:
     """K / E[slots to complete one generation] in packets/slot; 0 if the
     service never completes."""
-    vc = _visit_counts(chain)
-    if vc is None:
-        return 0.0
-    et = float(vc[0].sum())
-    return chain.K / et if np.isfinite(et) and et > 0 else 0.0
+    visits = _visit_counts(chain)
+    return 0.0 if visits is None else chain.K / float(visits.sum())
 
 
 def rlc_service_rates(

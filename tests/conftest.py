@@ -66,10 +66,10 @@ def dense_stationary(chain) -> np.ndarray:
     balance equations directly; this is the oracle for the library's
     visit-count pass.
     """
-    n = chain.n_states
+    n = chain.self_p.size
     P = np.diag(chain.self_p)
     np.add.at(P, (chain.space.e_src, chain.space.e_dst), chain.e_prob)
-    P[chain.space.absorbing, chain.state_index((0, 0, 0))] = 1.0
+    P[chain.space.absorbing, 0] = 1.0  # (0, 0, 0), the only level-0 state
     A = P.T - np.eye(n)
     A[-1, :] = 1.0
     b = np.zeros(n)
@@ -90,7 +90,7 @@ def flux_rate(chain, pi: np.ndarray) -> float:
     the slots spent in service (the renewal closure parks one bookkeeping
     slot per cycle in a completion state).
     """
-    is_abs = np.zeros(chain.n_states, dtype=bool)
+    is_abs = np.zeros(chain.self_p.size, dtype=bool)
     is_abs[chain.space.absorbing] = True
     into = is_abs[chain.space.e_dst]
     flux = float(np.sum(pi[chain.space.e_src[into]] * chain.e_prob[into]))

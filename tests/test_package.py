@@ -59,11 +59,13 @@ def test_coefficient_draws_live_in_gf2():
 
 
 def test_region_rates_are_chosen_in_regions():
-    # A region kind maps to its rate grid in one place, regions.region_rates;
-    # elsewhere the package reaches the grids through it.
+    # A region kind maps to its rate grid in one place, regions.region_rates,
+    # and only regions.sweep and regions.service_rates call that: elsewhere
+    # the package reaches the grids through them.
     owners = {
         "rate_bounds_grid": {"capacity.py"},
         "service_rates_grid": {"retrans.py", "rlc_markov.py"},
+        "region_rates": {"regions.py"},
     }
     namers = set()
     for path in PKG.glob("*.py"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramcast.capacity import capacity_sweep, rate_bounds_grid
@@ -14,6 +14,7 @@ from ramcast.regions import (
     ServiceRates,
     StabilityRegion,
     frontier_contains,
+    frontier_excess,
     frontier_value,
     p_grid,
     pareto_frontier,
@@ -132,6 +133,10 @@ def test_dead_points_rate_exactly_zero(strong, K):
 def test_frontier_contains_reflexive(strong):
     f = capacity_sweep(strong, 0.05)[4]
     assert frontier_contains(f, f, tol=0.0)
+    # The frontier's own points lie on it; a point right of its end lies
+    # its horizontal distance outside.
+    assert np.all(frontier_excess(f, f.x, f.y) <= 0.0)
+    assert float(frontier_excess(f, f.x[-1] + 0.25, 0.0)) == pytest.approx(0.25, abs=1e-15)
 
 
 def test_capacity_contains_retrans_but_not_conversely(strong, weak):
@@ -203,6 +208,37 @@ def test_contains_when_backlogged_rate_rounds_above_empty():
     assert 0.1999 < region.lambda1_bound(mu_2e)
 
 
+def _in_constraint_sets(r: StabilityRegion, lam1: float, lam2: float) -> bool:
+    """The paper's two constraint sets, written out as inequalities."""
+    set1 = lam2 < r.mu_2b and lam1 < (1 - lam2 / r.mu_2b) * r.mu_1e + lam2 / r.mu_2b * r.mu_1b
+    set2 = lam1 < r.mu_1b and lam2 < r.mu_2e + (r.mu_2b - r.mu_2e) * lam1 / r.mu_1b
+    return set1 or set2
+
+
+@st.composite
+def _stability_regions(draw) -> StabilityRegion:
+    """mu_b <= mu_e per source, or mu_b rounded one ulp above mu_e."""
+    mu = {}
+    for n in ("1", "2"):
+        mu_e = draw(st.floats(0.0, 1.0))
+        if draw(st.booleans()):
+            mu_b = math.nextafter(mu_e, 1.0)
+        else:
+            mu_b = mu_e * draw(st.floats(0.0, 1.0))
+        mu[f"mu_{n}b"], mu[f"mu_{n}e"] = mu_b, mu_e
+    return StabilityRegion(**mu)
+
+
+@settings(max_examples=500)
+@given(_stability_regions(), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_lambda1_bound_is_the_union_of_the_constraint_sets(region, lam1, lam2):
+    # (lambda1, lambda2) is stable iff 0 <= lambda1 < lambda1_bound(lambda2),
+    # away from the boundary.
+    bound = region.lambda1_bound(lam2)
+    assume(abs(lam1 - bound) > 1e-12)
+    assert _in_constraint_sets(region, lam1, lam2) == (lam1 < bound)
+
+
 def test_zero_service_rates_empty_region():
     mu = ServiceRates(backlogged=(0.0, 0.0), empty=(0.0, 0.0))
     region = stability_region_at(mu)
@@ -271,6 +307,10 @@ def test_frontier_value_extends_flat_left():
                        np.arange(2))
     assert float(frontier_value(f, 0.0)) == 0.8
     assert float(frontier_value(f, 0.7)) == pytest.approx(0.45)
+    assert np.all(frontier_excess(f, f.x, f.y) <= 0.0)
+    assert frontier_excess(f, np.array([0.0, 0.7, 1.2]), np.array([0.9, 0.45, 0.1])) == (
+        pytest.approx([0.1, 0.0, 0.3])
+    )
 
 
 POINT_KINDS = ["capacity", "retrans"] + [
