@@ -293,15 +293,14 @@ def check_figure_structure(
         if cname == "strong_mpr":
             # Small-K crossover: retransmissions beat rlc somewhere.
             k0 = min(K_list)
-            cross = float(np.max(retrans.y - frontier_value(rlc[k0], retrans.x)))
-            inside = retrans.x[-1] <= rlc[k0].x[-1]
-            if cross <= 0 and inside:
+            cross = float(frontier_excess(rlc[k0], retrans.x, retrans.y).max())
+            if cross <= 0:
                 return CheckResult(
                     "figure-structure",
                     False,
                     f"no crossover: retrans never exceeds rlc K={k0} on strong_mpr",
                 )
-            details.append(f"retrans exceeds rlc(K={k0}) by up to {max(cross, 0.0):.4f}")
+            details.append(f"retrans exceeds rlc(K={k0}) by up to {cross:.4f}")
     return CheckResult(
         "figure-structure",
         True,
@@ -318,7 +317,7 @@ def check_figure_gap(
     Measured per matched sweep abscissa (same grid point) on the strong
     channel as the relative shortfall of the rlc rate against the
     capacity bound.  The shortfall decomposes into the decode-count
-    overhead E[N]/K - 1 (about 3.2% at K=50) plus the expected-max
+    overhead E[N]/K - 1 (3.21% at K=50) plus the expected-max
     coupling penalty across the two destinations, which decays only like
     1/sqrt(K) and contributes about 5% at K=50 where the two
     destination rates coincide, so the true gap is near 8% and the 5%

@@ -13,7 +13,7 @@ consumed by slot index, so identical configs give bit-identical results.
 
 Retransmission is simulated as a K = 1 generation whose receptions are
 always innovative, so both policies share one service path; only RLC
-draws coefficients and keeps GF(2) bases, decode counts and occupancy.
+draws coefficients and keeps GF(2) bases and decode counts.
 
 Throughput runs track coefficient vectors only; payload bits never
 influence timing and are exercised in the encode/decode round-trip
@@ -84,7 +84,6 @@ class SourceResult:
     mean_decode_count: tuple[float, float] | None = None
     decode_histogram: tuple[dict[int, int], dict[int, int]] | None = None
     decode_correlation: float | None = None
-    occupancy: dict[tuple[int, int, int], int] | None = None
     drift_batch_means: list[float] | None = None
     drift_batch_slots: int = 0
 
@@ -93,7 +92,6 @@ class SourceResult:
 class SimResult:
     """Outcome of one run; deterministic given the config."""
 
-    config: SimConfig
     sources: tuple[SourceResult, SourceResult]
 
 
@@ -124,16 +122,13 @@ def run(config: SimConfig) -> SimResult:
     active = [saturated, saturated]
     basis1: list[dict[int, int]] = [{}, {}]
     basis2: list[dict[int, int]] = [{}, {}]
-    basisu: list[dict[int, int]] = [{}, {}]
     rank1 = [0, 0]
     rank2 = [0, 0]
-    ranku = [0, 0]
     nrecv = [[0, 0], [0, 0]]
     dsum = [[0.0, 0.0], [0.0, 0.0]]
     dsumsq = [[0.0, 0.0], [0.0, 0.0]]
     dcross = [0.0, 0.0]
     dhist: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}), ({}, {})]
-    occ: list[dict[tuple[int, int, int], int]] = [{}, {}]
 
     batch_len = max(1, slots // _RATE_BATCHES)
     batch_dep = [[0] * (_RATE_BATCHES + 1) for _ in range(2)]
@@ -166,12 +161,6 @@ def run(config: SimConfig) -> SimResult:
                             active[n] = True
                             svc_start[n] = t
 
-            if rlc:
-                for n in (0, 1):
-                    if active[n]:
-                        st = (rank1[n], rank2[n], rank1[n] + rank2[n] - ranku[n])
-                        occ[n][st] = occ[n].get(st, 0) + 1
-
             tx0 = active[0] and ut[0][s] < p[0]
             tx1 = active[1] and ut[1][s] < p[1]
             both = tx0 and tx1
@@ -190,8 +179,6 @@ def run(config: SimConfig) -> SimResult:
                     if got2:
                         nrecv[n][1] += 1
                         rank2[n] += basis_insert(basis2[n], v)
-                    if (got1 or got2) and ranku[n] < K:
-                        ranku[n] += basis_insert(basisu[n], v)
                 else:
                     if got1:
                         rank1[n] += 1
@@ -215,8 +202,6 @@ def run(config: SimConfig) -> SimResult:
                         dhist[n][1][n2] = dhist[n][1].get(n2, 0) + 1
                         basis1[n].clear()
                         basis2[n].clear()
-                        basisu[n].clear()
-                        ranku[n] = 0
                         nrecv[n][0] = nrecv[n][1] = 0
                     if not saturated:
                         queue[n] -= K
@@ -267,12 +252,11 @@ def run(config: SimConfig) -> SimResult:
                 mean_decode_count=decode_mean,
                 decode_histogram=hist,
                 decode_correlation=corr,
-                occupancy=occ[n] if rlc else None,
                 drift_batch_means=None if saturated else [x / drift_len for x in drift_sums[n]],
                 drift_batch_slots=drift_len if not saturated else 0,
             )
         )
-    return SimResult(config=config, sources=(sources[0], sources[1]))
+    return SimResult(sources=(sources[0], sources[1]))
 
 
 @dataclass

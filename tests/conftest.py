@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -95,3 +97,80 @@ def flux_rate(chain, pi: np.ndarray) -> float:
     into = is_abs[chain.space.e_dst]
     flux = float(np.sum(pi[chain.space.e_src[into]] * chain.e_prob[into]))
     return chain.K * flux / (1.0 - float(pi[chain.space.absorbing].sum()))
+
+
+@lru_cache(maxsize=None)
+def _span_with(span: int, v: int) -> int:
+    """The span of ``span`` and the vector ``v``.
+
+    A span is an integer bitmask over the 2^K vectors of GF(2)^K: bit u
+    is set iff u lies in the subspace.  Adding v outside it adds the
+    coset u ^ v of every member u.
+    """
+    if span >> v & 1:
+        return span
+    out, u, rest = span, 0, span
+    while rest:
+        if rest & 1:
+            out |= 1 << (u ^ v)
+        rest >>= 1
+        u += 1
+    return out
+
+
+def _dim(span: int) -> int:
+    """Dimension of a bitmask span (it holds 2^dim vectors)."""
+    return span.bit_count().bit_length() - 1
+
+
+@lru_cache(maxsize=None)
+def subspace_pair_visits(
+    channel: ChannelModel, source: int, p_other: float, K: int
+) -> dict[tuple[int, int, int], float]:
+    """Expected visits per generation to each (dim V1, dim V2, dim V1∩V2)
+    class, from a chain on the actual pair of received spans.
+
+    The source transmits in every slot (p_own = 1) and the other source
+    with probability ``p_other``.  The state is the pair (V1, V2) of
+    spans the two destinations hold.  Each slot's packet reaches each
+    destination independently with the channel's solo or joint
+    probability, and its coefficient vector is uniform over GF(2)^K, so
+    every transition is enumerated explicitly.  Every transition keeps
+    the pair or raises dim V1 + dim V2, so one forward pass by that sum
+    gives the expected visits; the completion pair (GF(2)^K, GF(2)^K)
+    is not counted.  Results are cached: callers must not mutate them.
+    """
+    q1, q2 = channel.solo(source, 1), channel.solo(source, 2)
+    j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
+
+    def hit(q, got):
+        return q if got else 1 - q
+
+    patterns = [
+        (got1, got2, (1 - p_other) * hit(q1, got1) * hit(q2, got2)
+         + p_other * hit(j1, got1) * hit(j2, got2))
+        for got1 in (False, True)
+        for got2 in (False, True)
+    ]
+    n_vec = 1 << K
+    full = (1 << n_vec) - 1
+    levels: list[dict[tuple[int, int], float]] = [{} for _ in range(2 * K + 1)]
+    levels[0][(1, 1)] = 1.0  # a generation starts with both spans {0}
+    out: dict[tuple[int, int, int], float] = {}
+    for level in levels[:-1]:
+        for (v1, v2), inflow in level.items():
+            new1 = [_span_with(v1, v) for v in range(n_vec)]
+            new2 = [_span_with(v2, v) for v in range(n_vec)]
+            moves: dict[tuple[int, int], float] = {}
+            for got1, got2, w in patterns:
+                for v in range(n_vec):
+                    t = (new1[v] if got1 else v1, new2[v] if got2 else v2)
+                    moves[t] = moves.get(t, 0.0) + w / n_vec
+            visits = inflow / (1.0 - moves.pop((v1, v2), 0.0))
+            cls = (_dim(v1), _dim(v2), _dim(v1 & v2))
+            out[cls] = out.get(cls, 0.0) + visits
+            for (t1, t2), prob in moves.items():
+                if (t1, t2) != (full, full):
+                    nxt = levels[_dim(t1) + _dim(t2)]
+                    nxt[(t1, t2)] = nxt.get((t1, t2), 0.0) + visits * prob
+    return out

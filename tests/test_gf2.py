@@ -131,6 +131,16 @@ def test_overhead_ratio_bounds():
     assert ratios[63] <= 1.05
 
 
+def test_decode_overhead_tends_to_erdos_borwein_constant():
+    # E[N] - K = sum_{i=1}^{K} 1/(2^i - 1), whose tail beyond K is about
+    # 2^-K; the limit is the Erdős–Borwein constant.
+    limit = float(sum(Fraction(1, 2**i - 1) for i in range(1, 80)))
+    assert limit == 1.6066951524152917
+    assert abs(expected_decode_count(20) - 20 - limit) <= 1e-6
+    for K in range(40, 65):
+        assert abs(expected_decode_count(K) - K - limit) <= 1e-12, K
+
+
 def test_rank_distribution_summary():
     K = 4
     assert rank_cdf(K, 3) == 0.0

@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramcast.channel import AccessProbabilities, ChannelModel
+from ramcast.channel import PRESETS, AccessProbabilities, ChannelModel
 from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
     _EXACT_FAMS,
@@ -24,6 +26,7 @@ from conftest import (
     flux_rate,
     random_channel,
     rate_caps,
+    subspace_pair_visits,
 )
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
@@ -219,6 +222,55 @@ def test_paper_variant_k1_matches_exact(strong):
         a = service_rate(build_chain(strong, access, K=1, variant="paper"))
         b = service_rate(build_chain(strong, access, K=1, variant="exact"))
         assert a == pytest.approx(b, abs=1e-12)
+
+
+ORACLE_CASES = list(itertools.product((1, 2), (0.0, 0.4, 0.7, 1.0)))
+
+
+def _full_access(source, p_other):
+    return AccessProbabilities(*((1.0, p_other) if source == 1 else (p_other, 1.0)))
+
+
+def _assert_visits_match_oracle(channel, source, p_other, K):
+    # (i, j, k) is lossless: the chain's expected visits per state equal
+    # those of the chain on the actual pair of spans, summed per class.
+    chain = build_chain(channel, _full_access(source, p_other), source, K=K, variant="exact")
+    transient = np.setdiff1d(np.arange(chain.self_p.size), chain.space.absorbing)
+    states = [chain_states(chain)[n] for n in transient]
+    oracle = subspace_pair_visits(channel, source, p_other, K)
+    assert set(oracle) <= set(states)
+    expected = [oracle.get(s, 0.0) for s in states]
+    np.testing.assert_allclose(_visit_counts(chain)[transient], expected, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("preset", ["strong_mpr", "weak_mpr"])
+def test_exact_chain_visits_match_subspace_pair_oracle(preset, K):
+    for source, p_other in ORACLE_CASES:
+        _assert_visits_match_oracle(PRESETS[preset](), source, p_other, K)
+
+
+# p_other stays below 1: a random channel may have no joint reception at all.
+@settings(max_examples=20, deadline=None)
+@given(channel_models(), st.sampled_from([1, 2]), st.floats(0.0, 0.9), st.integers(1, 3))
+def test_exact_chain_visits_match_oracle_on_random_channels(ch, source, p_other, K):
+    _assert_visits_match_oracle(ch, source, p_other, K)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("preset", ["strong_mpr", "weak_mpr"])
+def test_paper_chain_bias_against_subspace_pair_oracle(preset, K):
+    # The published table approximates the overlap of the two spans by
+    # 2^k; that is exact at K = 1 and reads 0.25%-1.53% low at K = 2-4.
+    channel = PRESETS[preset]()
+    for source, p_other in ORACLE_CASES:
+        exact = K / sum(subspace_pair_visits(channel, source, p_other, K).values())
+        chain = build_chain(channel, _full_access(source, p_other), source, K=K, variant="paper")
+        bias = (exact - service_rate(chain)) / exact
+        if K == 1:
+            assert abs(bias) <= 1e-12
+        else:
+            assert 0.002 <= bias <= 0.016, (source, p_other)
 
 
 def test_dead_parameters_give_zero_rate(strong):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ramcast.channel import AccessProbabilities, ArrivalRates, ChannelModel
+from ramcast.channel import PRESETS, AccessProbabilities, ArrivalRates, ChannelModel
 from ramcast.gf2 import rank_pmf
 from ramcast.retrans import retrans_service_rates
 from ramcast.rlc_markov import build_chain, service_rate
 from ramcast.sim import SimConfig, run, stability_probe
 
-from conftest import chain_states, dense_stationary
+from conftest import subspace_pair_visits
 
 ACCESS = AccessProbabilities(0.5, 0.5)
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((0.0, 0.0), (0.0, 0.0)))
@@ -27,7 +27,6 @@ def test_determinism_bit_identical(strong):
     for sa, sb in zip(a.sources, b.sources):
         assert sa.departures == sb.departures
         assert sa.departure_rate == sb.departure_rate
-        assert sa.occupancy == sb.occupancy
         assert sa.decode_histogram == sb.decode_histogram
 
 
@@ -86,6 +85,20 @@ def test_rlc_rate_matches_exact_chain(strong):
         assert abs(src.departure_rate - mu) <= 3 * src.stderr
 
 
+@pytest.mark.parametrize("K", [2, 3, 4])
+@pytest.mark.parametrize("preset", ["strong_mpr", "weak_mpr"])
+def test_rlc_rate_matches_subspace_pair_oracle(preset, K):
+    # No chain involved: the oracle enumerates the destinations' actual
+    # spans, so a simulator fault cannot hide behind a matching chain fault.
+    channel = PRESETS[preset]()
+    q = 0.4
+    res = run(SimConfig(channel=channel, access=AccessProbabilities(1.0, q), policy="rlc",
+                        K=K, slots=200_000, seed=42, mode="saturated"))
+    src = res.sources[0]
+    mu = K / sum(subspace_pair_visits(channel, 1, q, K).values())
+    assert abs(src.departure_rate - mu) <= 3 * src.stderr
+
+
 def test_ci_width_quarter_slots_scaling(strong):
     # sqrt(n) scaling: quadrupling the horizon halves the CI width.
     widths = []
@@ -112,35 +125,6 @@ def test_decode_histogram_matches_rank_pmf(strong):
             continue
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(count - expected) <= 3 * sigma + 1
-
-
-def test_occupancy_matches_exact_chain_pi(strong):
-    # Across-replication stderr keeps the 3-sigma comparison honest in the
-    # presence of slot-to-slot correlation.
-    reps = 24
-    slots = 25_000
-    chain = build_chain(strong, ACCESS, K=2, variant="exact")
-    pi = dense_stationary(chain)
-    states = chain_states(chain)
-    absorbing = {states[n] for n in chain.space.absorbing}
-    pi_t = {s: p for s, p in zip(states, pi) if s not in absorbing}
-    mass = sum(pi_t.values())
-    pi_t = {s: p / mass for s, p in pi_t.items()}
-    freqs = {s: [] for s in pi_t}
-    for rep in range(reps):
-        res = run(_cfg(strong, policy="rlc", K=2, slots=slots, seed=5000 + rep))
-        occ = res.sources[0].occupancy
-        total = sum(occ.values())
-        for s in pi_t:
-            freqs[s].append(occ.get(s, 0) / total)
-    for s, expected in pi_t.items():
-        if expected < 1e-3:
-            continue
-        samples = freqs[s]
-        mean = sum(samples) / reps
-        var = sum((x - mean) ** 2 for x in samples) / (reps - 1)
-        se = math.sqrt(var / reps)
-        assert abs(mean - expected) <= 3 * se + 1e-4, f"state {s}"
 
 
 def test_decode_counts_positively_correlated(strong):

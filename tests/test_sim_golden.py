@@ -1,10 +1,15 @@
 """Bit-identity gate for the simulator.
 
-Each case pins ``sha256(repr(result.sources))`` of one 20,000-slot run,
-recorded from the simulator before its GF(2) insert routine moved into
-``gf2``.  Any change to the RNG draw order, the event logic or the
-statistics it accumulates changes a hash; a rewrite of the inner loop
-must reproduce every one of them.
+Each case pins ``sha256(repr(result.sources))`` of one 20,000-slot run.
+Any change to the RNG draw order, the event logic or the statistics it
+accumulates changes a hash; a rewrite of the inner loop must reproduce
+every one of them.
+
+The hashes were re-recorded when ``SourceResult`` lost its per-slot
+``occupancy`` field.  Before that, every other ``SourceResult`` field
+of all 24 cases was compared between the simulator with and without
+occupancy counting and found equal, so the re-recorded hashes pin the
+same draws and statistics as the ones they replace.
 
 The seven-part keys, recorded before retransmission joined the RLC
 service path, cover the edges of that path: p = (1, 1), where every
@@ -21,31 +26,31 @@ from ramcast.sim import SimConfig, run
 SLOTS = 20_000
 
 GOLDEN = {
-    ("retrans", 1, "arrivals", 7): "8b9ed3c9bdf22d5034341eca95641f261cd689f6961c0edfbadb90f8ef051c5a",
-    ("retrans", 1, "arrivals", 2024): "8b46a7978bffb52f11afd743d34a4aa93b399b8e427516be02bec59cb7535470",
-    ("retrans", 1, "saturated", 7): "88d0e8b214553a5b811126309b677f39e94a0727124f3ca8ce562887f3b0ecee",
-    ("retrans", 1, "saturated", 2024): "0b9b0e111528f72d24c2dd1516a0dcaa06837275e97b2522e1e8ba7fc871d522",
-    ("rlc", 1, "arrivals", 7): "47f65be51e9f34bf5844cb7af688041a059c727db298a11997982936a13d3bf4",
-    ("rlc", 1, "arrivals", 2024): "07c53a0516abd65bc489762e2ce4831d67538b39cd1bebfe58c3a54c96688cc7",
-    ("rlc", 1, "saturated", 7): "1542e41453f0a54d5df3a5a2dab6fa8736f1e9cbc63ecb53f15ab12878685f64",
-    ("rlc", 1, "saturated", 2024): "29f6dc7a7d1c4d9071ef2ee9f5d1b3ec6985f0159a26b80692961c36f01ce85c",
-    ("rlc", 4, "arrivals", 7): "730d8659404cd289cad962639d7603a463bcf4250e587e896d7fac8947970153",
-    ("rlc", 4, "arrivals", 2024): "7e8ad05a2d069bdb8b87f341dd4949b1acd70ffb7716d768e4ef1272803c426e",
-    ("rlc", 4, "saturated", 7): "c8bcf76049dbf19a09d3fcba1ba2c0c8088b4ff0beaf21868b897eddaf429875",
-    ("rlc", 4, "saturated", 2024): "dd7e3caf191e30a53b7edf969d7d76abcc2138ae5c663cc0553b5650ae3ff3e2",
-    ("rlc", 64, "arrivals", 7): "9fdcb8ae27963f5c2c3d6fead943901ae0ca4d732730c12c9e87a20761800d9e",
-    ("rlc", 64, "arrivals", 2024): "fcb244b7197eaa56c42465cea224da586e101f1b93380a8eba9281894f1084a7",
-    ("rlc", 64, "saturated", 7): "5bfc93aaa17ae34fb81c62328a621e7c204f45fb03048b98a6a3aa509b6b7e91",
-    ("rlc", 64, "saturated", 2024): "3ef6bfedaf6e7505108ddda3f1e06e6393676d5b6269d099cc280c2c7d0f091c",
+    ("retrans", 1, "arrivals", 7): "7e563f62c0a75186f0a9b7ddbac3c820f0e1d07d5e6defd819466eabc7a217e7",
+    ("retrans", 1, "arrivals", 2024): "d29db07a08c2ce1426bc90a0a8c739cffff4bff1da757cb294b970eeb487a4ae",
+    ("retrans", 1, "saturated", 7): "ed2cb3fe842337fc447332ffe9312014798f8b7769e4c43c140d0ae17ad38c53",
+    ("retrans", 1, "saturated", 2024): "18eff7066801a3bd5f495a5eac4f8a8d7b308819f7e8791105afe262ad2ee91a",
+    ("rlc", 1, "arrivals", 7): "6a89ae1ebbb0c0b5a9b0e9f08118f36f1554ece88b5550916a735ecb49a6f853",
+    ("rlc", 1, "arrivals", 2024): "745556394f7bc7835c03dda110c65bd3daf82a419ce288cbad61e25790514316",
+    ("rlc", 1, "saturated", 7): "267c6cd3fbf3cbb2bcc0c6e52f03c75d53cdb00f1b692e2bcc7289c69308fc47",
+    ("rlc", 1, "saturated", 2024): "b288bf4ae73274e2d184f639944de9b3040bd98dc106cd374d6fa9dd6be0dc5a",
+    ("rlc", 4, "arrivals", 7): "dae3d295a0859e6421b18da063b1fc4bdfc8e0d74ec4f58dacc04de19bc00afb",
+    ("rlc", 4, "arrivals", 2024): "9ecd431a344deced4d9681777259d5c40f6b4078131f888b02ebdadf51e880bb",
+    ("rlc", 4, "saturated", 7): "037d2a09a76a85ae52b9a0feda2685f5d4817166a5de2158acd41ff437b70dd0",
+    ("rlc", 4, "saturated", 2024): "222f375866b8a96179b909dd39da7a611dd476ccbbf8ba88cf4dadb458286a3d",
+    ("rlc", 64, "arrivals", 7): "71fa73da4db3a4ac9c22244750cd7c50fbe65bbcadf73c7a588e9d336fea18c3",
+    ("rlc", 64, "arrivals", 2024): "fed8637769184bb29eafa1d5d75081584dc7091f76ab9e07e7015ff02ec52a71",
+    ("rlc", 64, "saturated", 7): "1bc547380e10fe9889f4a32ffb6f366b2d0f5daaa77d2fd1c5689bee1f94db99",
+    ("rlc", 64, "saturated", 2024): "93d4d90ba10ce00384dfedeb7b0a39c9ae4363a42463a76d7eba8aea07ac0810",
     # Edges of the shared service path, keyed (policy, K, mode, seed, channel, p1, p2).
-    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0): "fca6b51c7c761c8b9faae1d17430209cffcd69124d24af127c7dcfc76cc843cb",
-    ("retrans", 1, "saturated", 2024, "strong_mpr", 1.0, 1.0): "21f60d0fa9988f6c99e2b46217dbbfbd5c4e720e0ac48f11669bc71d33d4a5fc",
-    ("rlc", 4, "saturated", 7, "strong_mpr", 1.0, 1.0): "614632caf4648c7cf8e6beeff383de815dbf93ece1cab08f0e6371949f3145c3",
-    ("rlc", 4, "saturated", 2024, "strong_mpr", 1.0, 1.0): "cc5db6fbc69c00ffc23cf6539f0a86d574b0e7235a99f85b4bd8ef40f622db37",
-    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4): "0a91ba55088b4ac2313b66f41a5079df776f8b38569f20bff8137d0707b3665d",
-    ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "55ca4dc6321b944b592935a422a7ddb5c7e5b29c1e999df90bdea9a47ccdf63d",
-    ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "5e55483b9204a1f211b24befca37af0b2f9af40b714ff26edccea40cd0f3a3df",
-    ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "be4087346b4914a5e18c561a4e9ab0968fb24bb871c9db95616e65fce9b2294e",
+    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0): "f008a7e695bb107f81f34048b35621bcb42e1b8d4f69781a2cd3949d1fe742c4",
+    ("retrans", 1, "saturated", 2024, "strong_mpr", 1.0, 1.0): "a7e6044f01778f02e99bed99315eb6fc44ea0d680fe985d39a9278d6ef8d0606",
+    ("rlc", 4, "saturated", 7, "strong_mpr", 1.0, 1.0): "98c80eadd5090fc3c07a9a098911f1acbaaf23785da26c04a16f8a304bc3d231",
+    ("rlc", 4, "saturated", 2024, "strong_mpr", 1.0, 1.0): "9266acc0b54940abf3779de33b30e62ee1bed6e76726eefa164b7a9b87faf52f",
+    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4): "e10b03a1d43d30e46e33e13c5e67d64113e5e2434cc91f8f0ee9e8f6eafd642b",
+    ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "3433d4f7e8c31cfb674ab0aa2f3e7008e6a9fe2f3c8525104b6cf0e38a8a420e",
+    ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "af5867f53c52c54deb2799e1eb619b09349888fb6032c29c10ca426cd02d07bb",
+    ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "717eb02d497d65e4a9585057f83b4e3916c88aa859adce6b515ba99daf79a35e",
 }
 
 CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
