@@ -69,9 +69,7 @@ def check_rank_distribution(kmax: int = 3, jmax: int = 6) -> CheckResult:
     """Criterion 1: rank cdf formula equals exhaustive enumeration exactly."""
     for K in range(1, kmax + 1):
         for j in range(0, jmax + 1):
-            expected = _enumerate_full_rank(K, j) if j * K <= 20 else None
-            if expected is None:
-                continue
+            expected = _enumerate_full_rank(K, j)
             got = rank_cdf_fraction(K, j)
             if got != expected:
                 return CheckResult(
@@ -430,13 +428,16 @@ def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> floa
 
 
 def check_stability_closure(step: float = 0.05) -> CheckResult:
-    """The union of the per-point stability regions stays inside the
-    saturated-throughput frontier, within the grid tolerance 2 * step.
+    """How far the per-point stability regions reach past the swept
+    saturated-throughput frontier of (mu_1b, mu_2b), against the grid
+    tolerance 2 * step.
 
-    This is what lets the swept frontier of (mu_1b, mu_2b) stand for the
-    stable-throughput region, and so what the capacity comparison rests
-    on.  Covered: retransmission and rlc K = 1, 4, 10 (published chain)
-    on both presets and the collision channel.
+    At step 0.05 the worst overshoot is 1.58e-3 on strong_mpr and 5.19e-3
+    on weak_mpr, both for retransmission, and about 3e-16 on the
+    collision channel: on the MPR presets the union of those regions is
+    larger than the frontier, and only the tolerance makes the check
+    pass.  Covered: retransmission and rlc K = 1, 4, 10 (published
+    chain) on both presets and the collision channel.
     """
     tol = 2.0 * step
     cells = [("retrans", None)] + [("rlc", K) for K in (1, 4, 10)]

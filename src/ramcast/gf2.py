@@ -34,7 +34,7 @@ MAX_K = 64  # largest generation size anywhere in the package
 
 
 def _check_generation_size(K: int) -> None:
-    if not 1 <= K <= MAX_K:
+    if K not in range(1, MAX_K + 1):  # also rejects K = 2.5 and K = None
         raise ValueError(f"generation size K must be in [1, {MAX_K}], got {K!r}")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import AccessProbabilities, ArrivalRates, ChannelModel, validate
-from .gf2 import MAX_K, basis_insert, draw_coefficients
+from .gf2 import _check_generation_size, basis_insert, draw_coefficients
 
 __all__ = [
     "SimConfig",
@@ -63,8 +63,8 @@ class SimConfig:
             raise ValueError(f"mode must be 'saturated' or 'arrivals', got {self.mode!r}")
         if self.slots < 1:
             raise ValueError(f"slots must be >= 1, got {self.slots!r}")
-        if self.policy == "rlc" and not 1 <= self.K <= MAX_K:
-            raise ValueError(f"K must be in [1, {MAX_K}] for rlc, got {self.K!r}")
+        if self.policy == "rlc":
+            _check_generation_size(self.K)
         validate(self.channel)
 
 
@@ -82,8 +82,6 @@ class SourceResult:
     services: int
     mean_service_time: float
     mean_decode_count: tuple[float, float] | None = None
-    decode_histogram: tuple[dict[int, int], dict[int, int]] | None = None
-    decode_correlation: float | None = None
     drift_batch_means: list[float] | None = None
     drift_batch_slots: int = 0
 
@@ -113,11 +111,9 @@ def run(config: SimConfig) -> SimResult:
     # Per-source mutable state.
     queue = [0, 0]
     arr = [0, 0]
-    dep = [0, 0]
     qsum = [0, 0]
     qmax = [0, 0]
     svc_sum = [0, 0]
-    svc_count = [0, 0]
     svc_start = [0, 0]  # read only while active
     active = [saturated, saturated]
     basis1: list[dict[int, int]] = [{}, {}]
@@ -126,11 +122,10 @@ def run(config: SimConfig) -> SimResult:
     rank2 = [0, 0]
     nrecv = [[0, 0], [0, 0]]
     dsum = [[0.0, 0.0], [0.0, 0.0]]
-    dsumsq = [[0.0, 0.0], [0.0, 0.0]]
-    dcross = [0.0, 0.0]
-    dhist: list[tuple[dict[int, int], dict[int, int]]] = [({}, {}), ({}, {})]
 
     batch_len = max(1, slots // _RATE_BATCHES)
+    # Departures per rate batch; the extra last entry takes the slots past
+    # the whole batches, so a row sums to all of a source's departures.
     batch_dep = [[0] * (_RATE_BATCHES + 1) for _ in range(2)]
 
     drift_half = slots // 2
@@ -185,21 +180,14 @@ def run(config: SimConfig) -> SimResult:
                     if got2:
                         rank2[n] += 1
                 if rank1[n] == K and rank2[n] == K:
-                    dep[n] += K
                     batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += K
                     svc_sum[n] += t - svc_start[n] + 1
-                    svc_count[n] += 1
                     svc_start[n] = t + 1
                     rank1[n] = rank2[n] = 0
                     if rlc:
                         n1, n2 = nrecv[n]
                         dsum[n][0] += n1
                         dsum[n][1] += n2
-                        dsumsq[n][0] += n1 * n1
-                        dsumsq[n][1] += n2 * n2
-                        dcross[n] += n1 * n2
-                        dhist[n][0][n1] = dhist[n][0].get(n1, 0) + 1
-                        dhist[n][1][n2] = dhist[n][1].get(n2, 0) + 1
                         basis1[n].clear()
                         basis2[n].clear()
                         nrecv[n][0] = nrecv[n][1] = 0
@@ -227,21 +215,15 @@ def run(config: SimConfig) -> SimResult:
             mu = sum(rates) / len(rates)
             var = sum((r - mu) ** 2 for r in rates) / (len(rates) - 1)
             stderr = math.sqrt(var / len(rates))
-        services = svc_count[n]
-        decode_mean = corr = hist = None
+        departures = sum(batch_dep[n])
+        services = departures // K
+        decode_mean = None
         if rlc and services > 0:
             decode_mean = (dsum[n][0] / services, dsum[n][1] / services)
-            hist = dhist[n]
-            if services > 1:
-                m1, m2 = decode_mean
-                v1 = dsumsq[n][0] / services - m1 * m1
-                v2 = dsumsq[n][1] / services - m2 * m2
-                cov = dcross[n] / services - m1 * m2
-                corr = cov / math.sqrt(v1 * v2) if v1 > 0 and v2 > 0 else None
         sources.append(
             SourceResult(
-                departures=dep[n],
-                departure_rate=dep[n] / slots,
+                departures=departures,
+                departure_rate=departures / slots,
                 stderr=stderr,
                 arrivals=arr[n],
                 final_queue=queue[n],
@@ -250,8 +232,6 @@ def run(config: SimConfig) -> SimResult:
                 services=services,
                 mean_service_time=svc_sum[n] / services if services else float("nan"),
                 mean_decode_count=decode_mean,
-                decode_histogram=hist,
-                decode_correlation=corr,
                 drift_batch_means=None if saturated else [x / drift_len for x in drift_sums[n]],
                 drift_batch_slots=drift_len if not saturated else 0,
             )

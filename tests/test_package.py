@@ -12,7 +12,7 @@ import pytest
 
 import ramcast.sim
 from ramcast.channel import AccessProbabilities
-from ramcast.gf2 import MAX_K
+from ramcast.gf2 import MAX_K, expected_decode_count, rank_cdf, rank_pmf
 from ramcast.rlc_markov import ChainError, build_chain, service_rates_grid
 from ramcast.sim import SimConfig
 
@@ -20,7 +20,7 @@ PKG = Path(ramcast.sim.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("K", [0, MAX_K + 1])
+@pytest.mark.parametrize("K", [0, MAX_K + 1, 2.5, None])
 def test_generation_size_limit_is_shared(strong, K):
     access = AccessProbabilities(0.5, 0.5)
     with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
@@ -29,6 +29,11 @@ def test_generation_size_limit_is_shared(strong, K):
         build_chain(strong, access, K=K)
     with pytest.raises(ChainError, match=f"K must be in \\[1, {MAX_K}\\]"):
         service_rates_grid(strong, np.array([0.5]), np.array([0.5]), K)
+    for law in (rank_cdf, rank_pmf):
+        with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
+            law(K, 3)
+    with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
+        expected_decode_count(K)
 
 
 def test_cli_import_pulls_in_no_scipy():
@@ -192,3 +197,37 @@ def test_public_names_are_reached():
             if not reached and f"{mod}.{name}" not in _CODEC:
                 unreached.append(f"{mod}.{name}")
     assert unreached == []
+
+
+# Record fields that only the tests read, each with the reader that keeps it.
+_TEST_ONLY_FIELDS = {
+    # The criterion-3 residual report in test_acceptance.py prints these rows.
+    "checks.CheckResult.rows",
+}
+
+
+def test_record_fields_are_read():
+    # A dataclass field is there for a caller: some code in the package,
+    # the class's own methods included, or in perfbench/ reads it as an
+    # attribute.  A field nothing reads is state the producer keeps in step
+    # for no one.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PKG.glob("*.py")}
+    bench = [ast.parse(path.read_text(encoding="utf-8")) for path in PERFBENCH.glob("*.py")]
+    read = {
+        node.attr
+        for tree in [*trees.values(), *bench]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    fields = [
+        f"{mod}.{cls.name}.{stmt.target.id}"
+        for mod, tree in sorted(trees.items())
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in cls.decorator_list)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+    ]
+    assert fields
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read and f not in _TEST_ONLY_FIELDS]
+    assert unread == []

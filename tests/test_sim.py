@@ -1,10 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from ramcast.channel import PRESETS, AccessProbabilities, ArrivalRates, ChannelModel
-from ramcast.gf2 import rank_pmf
+from ramcast.gf2 import expected_decode_count, rank_pmf
 from ramcast.retrans import retrans_service_rates
 from ramcast.rlc_markov import build_chain, service_rate
 from ramcast.sim import SimConfig, run, stability_probe
@@ -24,10 +23,7 @@ def _cfg(strong, **kw):
 def test_determinism_bit_identical(strong):
     a = run(_cfg(strong, policy="rlc", K=2, slots=40_000))
     b = run(_cfg(strong, policy="rlc", K=2, slots=40_000))
-    for sa, sb in zip(a.sources, b.sources):
-        assert sa.departures == sb.departures
-        assert sa.departure_rate == sb.departure_rate
-        assert sa.decode_histogram == sb.decode_histogram
+    assert repr(a.sources) == repr(b.sources)
 
 
 def test_conservation_arrivals_mode(strong):
@@ -112,30 +108,17 @@ def test_ci_width_quarter_slots_scaling(strong):
     assert 0.375 <= ratio <= 0.625
 
 
-def test_decode_histogram_matches_rank_pmf(strong):
-    res = run(_cfg(strong, policy="rlc", K=2, slots=400_000))
-    src = res.sources[0]
-    hist = src.decode_histogram[0]
-    n = sum(hist.values())
-    assert n == src.services
-    for j, count in sorted(hist.items()):
-        p = rank_pmf(2, j)
-        expected = n * p
-        if expected < 10:
-            continue
-        sigma = math.sqrt(n * p * (1 - p))
-        assert abs(count - expected) <= 3 * sigma + 1
-
-
-def test_decode_counts_positively_correlated(strong):
-    res = run(_cfg(strong, policy="rlc", K=4, slots=400_000))
-    src = res.sources[0]
-    r = src.decode_correlation
-    n = src.services
-    assert r is not None and n > 100
-    # Fisher z-test at 99% one-sided confidence
-    z = 0.5 * math.log((1 + r) / (1 - r)) * math.sqrt(n - 3)
-    assert z > 2.326
+@pytest.mark.parametrize("K", [2, 4])
+def test_mean_decode_count_matches_rank_law(strong, K):
+    # Each destination needs N received coded packets per generation, N
+    # distributed as rank_pmf, so its simulated mean is E[N] within 3
+    # stderr.  The distribution itself is checked in test_gf2.py.
+    res = run(_cfg(strong, policy="rlc", K=K, slots=400_000))
+    mean = expected_decode_count(K)
+    sd = math.sqrt(sum((j - mean) ** 2 * rank_pmf(K, j) for j in range(K, K + 100)))
+    for src in res.sources:
+        for decode_mean in src.mean_decode_count:
+            assert abs(decode_mean - mean) <= 3 * sd / math.sqrt(src.services)
 
 
 def test_stability_probe_trivial_points(strong):

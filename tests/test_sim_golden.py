@@ -5,11 +5,17 @@ Any change to the RNG draw order, the event logic or the statistics it
 accumulates changes a hash; a rewrite of the inner loop must reproduce
 every one of them.
 
-The hashes were re-recorded when ``SourceResult`` lost its per-slot
-``occupancy`` field.  Before that, every other ``SourceResult`` field
-of all 24 cases was compared between the simulator with and without
-occupancy counting and found equal, so the re-recorded hashes pin the
-same draws and statistics as the ones they replace.
+The hashes were re-recorded twice, each time only after every
+remaining ``SourceResult`` field of all 24 cases had been dumped from
+the simulator before and after the change and found byte-identical, so
+the re-recorded hashes pin the same draws and statistics as the ones
+they replace:
+
+- when ``SourceResult`` lost its per-slot ``occupancy`` field;
+- when it lost the per-destination decode-count histogram and the
+  correlation of the two decode counts, and ``departures`` and
+  ``services`` came to be derived from the per-batch departure counts
+  instead of counted separately.
 
 The seven-part keys, recorded before retransmission joined the RLC
 service path, cover the edges of that path: p = (1, 1), where every
@@ -26,31 +32,31 @@ from ramcast.sim import SimConfig, run
 SLOTS = 20_000
 
 GOLDEN = {
-    ("retrans", 1, "arrivals", 7): "7e563f62c0a75186f0a9b7ddbac3c820f0e1d07d5e6defd819466eabc7a217e7",
-    ("retrans", 1, "arrivals", 2024): "d29db07a08c2ce1426bc90a0a8c739cffff4bff1da757cb294b970eeb487a4ae",
-    ("retrans", 1, "saturated", 7): "ed2cb3fe842337fc447332ffe9312014798f8b7769e4c43c140d0ae17ad38c53",
-    ("retrans", 1, "saturated", 2024): "18eff7066801a3bd5f495a5eac4f8a8d7b308819f7e8791105afe262ad2ee91a",
-    ("rlc", 1, "arrivals", 7): "6a89ae1ebbb0c0b5a9b0e9f08118f36f1554ece88b5550916a735ecb49a6f853",
-    ("rlc", 1, "arrivals", 2024): "745556394f7bc7835c03dda110c65bd3daf82a419ce288cbad61e25790514316",
-    ("rlc", 1, "saturated", 7): "267c6cd3fbf3cbb2bcc0c6e52f03c75d53cdb00f1b692e2bcc7289c69308fc47",
-    ("rlc", 1, "saturated", 2024): "b288bf4ae73274e2d184f639944de9b3040bd98dc106cd374d6fa9dd6be0dc5a",
-    ("rlc", 4, "arrivals", 7): "dae3d295a0859e6421b18da063b1fc4bdfc8e0d74ec4f58dacc04de19bc00afb",
-    ("rlc", 4, "arrivals", 2024): "9ecd431a344deced4d9681777259d5c40f6b4078131f888b02ebdadf51e880bb",
-    ("rlc", 4, "saturated", 7): "037d2a09a76a85ae52b9a0feda2685f5d4817166a5de2158acd41ff437b70dd0",
-    ("rlc", 4, "saturated", 2024): "222f375866b8a96179b909dd39da7a611dd476ccbbf8ba88cf4dadb458286a3d",
-    ("rlc", 64, "arrivals", 7): "71fa73da4db3a4ac9c22244750cd7c50fbe65bbcadf73c7a588e9d336fea18c3",
-    ("rlc", 64, "arrivals", 2024): "fed8637769184bb29eafa1d5d75081584dc7091f76ab9e07e7015ff02ec52a71",
-    ("rlc", 64, "saturated", 7): "1bc547380e10fe9889f4a32ffb6f366b2d0f5daaa77d2fd1c5689bee1f94db99",
-    ("rlc", 64, "saturated", 2024): "93d4d90ba10ce00384dfedeb7b0a39c9ae4363a42463a76d7eba8aea07ac0810",
+    ("retrans", 1, "arrivals", 7): "7e53f5e218260fd04d9c79f019b6d38190eb6aaea66a737f16af406e2be3f43b",
+    ("retrans", 1, "arrivals", 2024): "f0fe368df4935f8a871b72a3d439df06b86a56f42a14ff7ce0fd4ec0b58d22f9",
+    ("retrans", 1, "saturated", 7): "576e20483f7ab81947817dc63ee977e2bec6021b887068fc5ee17c85bf342740",
+    ("retrans", 1, "saturated", 2024): "8663245449a49b226c4c699a79ef25b33726b30a382e78b59f88da6d4d909a19",
+    ("rlc", 1, "arrivals", 7): "d3b5ca927a2855bc28a5d3de41ae1f432a260ed88b2dd51e0692bf002ac0ee4e",
+    ("rlc", 1, "arrivals", 2024): "aecbb0370ddc7574813c1d1335a930ae10b02e640b3b19175eddda4df41b9923",
+    ("rlc", 1, "saturated", 7): "1f711b6ca7180043caa9dc6c2dbec12955f6a8e99cd210decabf5642d426da1d",
+    ("rlc", 1, "saturated", 2024): "b2cfc076dba791c141a066fb5ab950dac5ef21f9dde79e7ce7bb2b2c7b9048fc",
+    ("rlc", 4, "arrivals", 7): "dad9604c86f3b0d74e81fd3ea987ff0a73d14308de6d1a8a7310f40873910531",
+    ("rlc", 4, "arrivals", 2024): "cc0ca7a839fa61520f7bfaa10cdf4e846a4f8633ca44e6091e0dc84a1c145f4f",
+    ("rlc", 4, "saturated", 7): "e6c9b401d0845f79b5d92d5ff5f56a191c33233d174edf688c071ac240737b7d",
+    ("rlc", 4, "saturated", 2024): "09d13ddc42336ef178568315210baff54a8a7c5c1b8a5d69ef5d3564995a11b4",
+    ("rlc", 64, "arrivals", 7): "314a1f735f144583af985f0c24516794b5bc8cc55602f1326ec0711137b4e698",
+    ("rlc", 64, "arrivals", 2024): "aeb056bc43498e6fd0166155cc712ff00cfa51241d2c29198caea80e871e4688",
+    ("rlc", 64, "saturated", 7): "abfc58b03375bf540faaf63e516330b18d1a23cf67f1370987b130284133163e",
+    ("rlc", 64, "saturated", 2024): "3e6d14295ff50cbe8a92cc4e353a7f44ce7a9919c0953a62a1128fdf3c941b56",
     # Edges of the shared service path, keyed (policy, K, mode, seed, channel, p1, p2).
-    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0): "f008a7e695bb107f81f34048b35621bcb42e1b8d4f69781a2cd3949d1fe742c4",
-    ("retrans", 1, "saturated", 2024, "strong_mpr", 1.0, 1.0): "a7e6044f01778f02e99bed99315eb6fc44ea0d680fe985d39a9278d6ef8d0606",
-    ("rlc", 4, "saturated", 7, "strong_mpr", 1.0, 1.0): "98c80eadd5090fc3c07a9a098911f1acbaaf23785da26c04a16f8a304bc3d231",
-    ("rlc", 4, "saturated", 2024, "strong_mpr", 1.0, 1.0): "9266acc0b54940abf3779de33b30e62ee1bed6e76726eefa164b7a9b87faf52f",
-    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4): "e10b03a1d43d30e46e33e13c5e67d64113e5e2434cc91f8f0ee9e8f6eafd642b",
-    ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "3433d4f7e8c31cfb674ab0aa2f3e7008e6a9fe2f3c8525104b6cf0e38a8a420e",
-    ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "af5867f53c52c54deb2799e1eb619b09349888fb6032c29c10ca426cd02d07bb",
-    ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "717eb02d497d65e4a9585057f83b4e3916c88aa859adce6b515ba99daf79a35e",
+    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0): "5c354c2dd3ac169e2b165c0c9b75c383d90abbafd42fd31a1cb2f626f5fe7490",
+    ("retrans", 1, "saturated", 2024, "strong_mpr", 1.0, 1.0): "663a6bee3d1dea32a220a7899803ca5525a79b81026d7db97b839f16d223da1f",
+    ("rlc", 4, "saturated", 7, "strong_mpr", 1.0, 1.0): "cd789967b945ec263583337bc27fe30e6de84523eb922cd05ca1f1b67a955870",
+    ("rlc", 4, "saturated", 2024, "strong_mpr", 1.0, 1.0): "ddf1b6d37851d8646748283d4bbd613bd05a6f40ff24f094364349fd3a8eb655",
+    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4): "23bf615108810dc1390285e1f4c343d07323807b1f6b9ae74adde105faeea382",
+    ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "ee12243fa2333a994a1ab12abfe8153707a2cdb067d9fd0312e76d1d11bc1438",
+    ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "80dba73f7779d60eb56098cad6a53d29305929f84918e0635fd7b1ac84bcbc0a",
+    ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "de4769c1545515d2f9953531afbe0c9005b6910733ae083d3b1c8b0f15ac2a45",
 }
 
 CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
