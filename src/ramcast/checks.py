@@ -256,33 +256,26 @@ def check_figure_structure(
     capacity on the strong channel, and the small-K crossover where
     retransmissions beat rlc.
     """
-    max_rate = 1.0
-    tol = 2.0 * step * max_rate
+    tol = 2.0 * step
     details = []
     for cname, cfun in _CHANNELS:
         channel = cfun()
         capacity = sweep("capacity", channel, step)[4]
         retrans = sweep("retrans", channel, step)[4]
         rlc = {k: sweep("rlc", channel, step, k, _VARIANT)[4] for k in K_list}
-        if not frontier_contains(capacity, retrans, tol):
-            return CheckResult(
-                "figure-structure", False, f"capacity does not contain retrans on {cname}"
-            )
-        for k in K_list:
-            if not frontier_contains(capacity, rlc[k], tol):
-                return CheckResult(
-                    "figure-structure",
-                    False,
-                    f"capacity does not contain rlc K={k} on {cname}",
-                )
         ks = sorted(rlc)
-        for small, large in zip(ks, ks[1:]):
-            if not frontier_contains(rlc[large], rlc[small], tol):
-                return CheckResult(
-                    "figure-structure",
-                    False,
-                    f"rlc frontier not nondecreasing {small}->{large} on {cname}",
-                )
+        # The containment chain, each link as (outer, inner, failure text).
+        chain = [(capacity, retrans, f"capacity does not contain retrans on {cname}")]
+        chain += [
+            (capacity, rlc[k], f"capacity does not contain rlc K={k} on {cname}") for k in K_list
+        ]
+        chain += [
+            (rlc[large], rlc[small], f"rlc frontier not nondecreasing {small}->{large} on {cname}")
+            for small, large in zip(ks, ks[1:])
+        ]
+        for outer, inner, failure in chain:
+            if not frontier_contains(outer, inner, tol):
+                return CheckResult("figure-structure", False, failure)
         # Strict containment: the capacity region exceeds both policies.
         kmax = max(K_list)
         strict_gap = float(np.max(frontier_value(capacity, rlc[kmax].x) - rlc[kmax].y))

@@ -28,7 +28,7 @@ from .channel import (
     load_channel,
     PRESETS,
 )
-from .gf2 import MAX_K, rank_cdf, rank_pmf
+from .gf2 import _check_generation_size, rank_cdf, rank_pmf
 from .regions import service_rates, stable_equals_throughput_frontier
 from .sim import SimConfig, run as sim_run
 
@@ -309,14 +309,16 @@ def cmd_check(args) -> int:
 
 
 def int_list(text: str) -> list[int]:
-    """Comma-separated generation sizes in [1, MAX_K]; empty entries and
-    repeats are skipped, and at least one K is required."""
+    """Comma-separated generation sizes, each passing gf2's check; empty
+    entries and repeats are skipped, and at least one K is required."""
     values = list(dict.fromkeys(int(k) for k in text.split(",") if k))
     if not values:
         raise ValueError(text)
     for k in values:
-        if not 1 <= k <= MAX_K:
-            raise argparse.ArgumentTypeError(f"K must be in [1, {MAX_K}], got {k}")
+        try:
+            _check_generation_size(k)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return values
 
 
@@ -428,7 +430,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs = args.func(args, channel)
         if outputs:
             _write_manifest(args, channel, outputs, started)
-    except (ValueError, OSError) as exc:  # ChannelError and ChainError included
+    except (ValueError, OSError) as exc:  # ChannelError included
         print(f"ramcast: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -13,6 +13,7 @@ packets needed has cdf
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Sequence
 
@@ -34,8 +35,10 @@ MAX_K = 64  # largest generation size anywhere in the package
 
 
 def _check_generation_size(K: int) -> None:
-    if K not in range(1, MAX_K + 1):  # also rejects K = 2.5 and K = None
-        raise ValueError(f"generation size K must be in [1, {MAX_K}], got {K!r}")
+    """The one check of a generation size, for the chain, the simulator,
+    the CLI and the rank laws; NumPy integers pass, K = 2.0 does not."""
+    if not (isinstance(K, numbers.Integral) and 1 <= K <= MAX_K):
+        raise ValueError(f"K must be in [1, {MAX_K}], got {K!r}")
 
 
 def basis_insert(basis: dict[int, int], v: int) -> int:

@@ -45,21 +45,16 @@ from types import SimpleNamespace
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
-from .gf2 import MAX_K
+from .gf2 import _check_generation_size
 from .regions import ServiceRates, factored_rates, service_rates
 
 __all__ = [
-    "ChainError",
     "ChainModel",
     "build_chain",
     "service_rate",
     "rlc_service_rates",
     "service_rates_grid",
 ]
-
-
-class ChainError(ValueError):
-    """Raised for invalid chain parameters."""
 
 
 @dataclass(frozen=True)
@@ -182,11 +177,6 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     )
 
 
-def _pow2(exp: np.ndarray) -> np.ndarray:
-    """Exact powers of two for integer exponents (possibly negative)."""
-    return np.ldexp(1.0, exp.astype(np.int32))
-
-
 def _family_probs(
     space: _StateSpace, channel: ChannelModel, source: int, p_other: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -220,10 +210,10 @@ def _family_probs(
     # for the sum of the two spans (i + j - k in the exact variant); and
     # the published boundary rows' (K - k) 2^-K.
     f = SimpleNamespace(
-        i=_pow2(I - K),
-        j=_pow2(J - K),
-        k=_pow2(C - K),
-        s=_pow2(I + J - C - K),
+        i=np.ldexp(1.0, I - K),
+        j=np.ldexp(1.0, J - K),
+        k=np.ldexp(1.0, C - K),
+        s=np.ldexp(1.0, I + J - C - K),
         fresh=(K - C) * float(np.ldexp(1.0, -K)),
     )
     # A packet that reaches both destinations changes no rank iff it lies
@@ -280,12 +270,11 @@ def build_chain(
     ``other_backlogged=False`` models the empty competing source by
     setting its access probability to 0.
     """
-    if K not in range(1, MAX_K + 1):  # also rejects K = None
-        raise ChainError(f"K must be in [1, {MAX_K}], got {K!r}")
+    _check_generation_size(K)
     if variant not in _FAMILIES:
-        raise ChainError(f"variant must be 'paper' or 'exact', got {variant!r}")
+        raise ValueError(f"variant must be 'paper' or 'exact', got {variant!r}")
     if source not in (1, 2):
-        raise ChainError(f"source must be 1 or 2, got {source!r}")
+        raise ValueError(f"source must be 1 or 2, got {source!r}")
     space = _state_space(K, variant)
     p_own = access.of(source)
     p_other = access.other(source) if other_backlogged else 0.0
@@ -304,29 +293,21 @@ def _visit_counts(chain: ChainModel) -> np.ndarray | None:
     Returns None when the service never completes (dead parameter point).
     """
     space = chain.space
-    n = chain.self_p.size
-    inflow = np.zeros(n)
+    inflow = np.zeros(chain.self_p.size)
     inflow[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
-    visits = np.zeros(n)
+    visits = np.zeros_like(inflow)
     e_src, e_dst, e_prob = space.e_src, space.e_dst, chain.e_prob
-    is_abs = np.zeros(n, dtype=bool)
-    is_abs[space.absorbing] = True
+    # A completion state has no out-edges and a zero self-loop, so the pass
+    # solves it like any other state (denominator 1, never dead) and only
+    # zeroes its visits at the end.
     for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
-        idx = np.arange(s0, s1)
-        idx = idx[~is_abs[idx]]
-        if idx.size:
-            denom = 1.0 - chain.self_p[idx]
-            dead = (denom <= 1e-15) & (inflow[idx] > 0)
-            if np.any(dead):
-                return None
-            with np.errstate(invalid="ignore", divide="ignore"):
-                v = np.where(denom > 0, inflow[idx] / denom, 0.0)
-            visits[idx] = v
-        if e1 > e0:
-            seg = slice(e0, e1)
-            np.add.at(
-                inflow, e_dst[seg], visits[e_src[seg]] * e_prob[seg]
-            )
+        denom = 1.0 - chain.self_p[s0:s1]
+        if np.any((denom <= 1e-15) & (inflow[s0:s1] > 0)):
+            return None
+        with np.errstate(invalid="ignore", divide="ignore"):
+            visits[s0:s1] = np.where(denom > 0, inflow[s0:s1] / denom, 0.0)
+        np.add.at(inflow, e_dst[e0:e1], visits[e_src[e0:e1]] * e_prob[e0:e1])
+    visits[space.absorbing] = 0.0
     return visits
 
 

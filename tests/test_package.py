@@ -13,27 +13,49 @@ import pytest
 import ramcast.sim
 from ramcast.channel import AccessProbabilities
 from ramcast.gf2 import MAX_K, expected_decode_count, rank_cdf, rank_pmf
-from ramcast.rlc_markov import ChainError, build_chain, service_rates_grid
+from ramcast.rlc_markov import build_chain, service_rates_grid
 from ramcast.sim import SimConfig
 
 PKG = Path(ramcast.sim.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-@pytest.mark.parametrize("K", [0, MAX_K + 1, 2.5, None])
+@pytest.mark.parametrize("K", [0, MAX_K + 1, 2.5, 2.0, None])
 def test_generation_size_limit_is_shared(strong, K):
     access = AccessProbabilities(0.5, 0.5)
     with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
         SimConfig(channel=strong, access=access, policy="rlc", K=K)
-    with pytest.raises(ChainError, match=f"K must be in \\[1, {MAX_K}\\]"):
+    with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
         build_chain(strong, access, K=K)
-    with pytest.raises(ChainError, match=f"K must be in \\[1, {MAX_K}\\]"):
+    with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
         service_rates_grid(strong, np.array([0.5]), np.array([0.5]), K)
     for law in (rank_cdf, rank_pmf):
         with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
             law(K, 3)
     with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
         expected_decode_count(K)
+
+
+def test_generation_size_accepts_numpy_integers(strong):
+    K = np.int64(3)
+    access = AccessProbabilities(0.5, 0.5)
+    assert SimConfig(channel=strong, access=access, policy="rlc", K=K).K == 3
+    assert build_chain(strong, access, K=K).K == 3
+    assert rank_cdf(K, 4) == 0.615234375
+
+
+def test_generation_size_is_checked_in_gf2():
+    # gf2._check_generation_size is the one test of K against MAX_K, so a
+    # larger limit is a change to one module.
+    namers = {
+        path.name
+        for path in PKG.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id == "MAX_K")
+        or (isinstance(node, ast.Attribute) and node.attr == "MAX_K")
+        or (isinstance(node, ast.alias) and "MAX_K" in (node.name, node.asname))
+    }
+    assert namers <= {"gf2.py"}, namers
 
 
 def test_cli_import_pulls_in_no_scipy():

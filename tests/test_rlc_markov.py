@@ -10,7 +10,6 @@ from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
     _EXACT_FAMS,
     _PAPER_FAMS,
-    ChainError,
     _state_space,
     _visit_counts,
     build_chain,
@@ -280,13 +279,13 @@ def test_dead_parameters_give_zero_rate(strong):
 
 
 def test_build_chain_validates_parameters(strong):
-    with pytest.raises(ChainError, match="K must be in \\[1"):
+    with pytest.raises(ValueError, match="K must be in \\[1"):
         build_chain(strong, ACCESS, K=0)
-    with pytest.raises(ChainError, match="K must be in \\[1"):
+    with pytest.raises(ValueError, match="K must be in \\[1"):
         build_chain(strong, ACCESS, K=65)
-    with pytest.raises(ChainError):
+    with pytest.raises(ValueError):
         build_chain(strong, ACCESS, K=2, variant="approx")
-    with pytest.raises(ChainError):
+    with pytest.raises(ValueError):
         build_chain(strong, ACCESS, source=3, K=2)
 
 
