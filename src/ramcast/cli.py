@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +48,12 @@ def _resolve_out(path: str | Path) -> Path:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` (any iterable, consumed once) line by line."""
+    """Write ``rows`` (any iterable, consumed once) line by line; a ``%s``
+    template built from the header formats each row, and ``%s`` is ``str``."""
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 # Parsed arguments that are bookkeeping, not parameters of the run.
@@ -97,9 +101,14 @@ def cmd_capacity(args, channel) -> list[Path]:
     on = np.zeros(p1s.size, dtype=np.int8)
     on[frontier.index] = 1
     out = _resolve_out(args.out)
-    # Zipped as an int8 array, not a list: str gives the same 0/1, and a
-    # million-point grid needs no million-entry list.
-    rows = zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist(), on)
+    # The grid is p1-major, so the first row's p2 values are the grid: each
+    # value is formatted once, and the rows go out one p1 row at a time.
+    n = math.isqrt(p1s.size)
+    grid = [str(p) for p in p2s[:n].tolist()]
+    rows = chain.from_iterable(
+        zip(repeat(p1, n), grid, a.tolist(), b.tolist(), c.tolist())
+        for p1, a, b, c in zip(grid, r1.reshape(n, n), r2.reshape(n, n), on.reshape(n, n))
+    )
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
     print(f"wrote {out} ({p1s.size} grid points, {frontier.index.size} on frontier)")
     return [out]
@@ -430,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         outputs = args.func(args, channel)
         if outputs:
             _write_manifest(args, channel, outputs, started)
-    except (ValueError, OSError) as exc:  # ChannelError included
+    except (ValueError, OSError, MemoryError) as exc:  # ChannelError included
         print(f"ramcast: error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -78,12 +78,15 @@ class ServiceRates:
                 )
 
 
-def p_grid(step: float) -> np.ndarray:
-    """Uniform grid over [0, 1] whose spacing is as close to ``step`` as divides 1."""
+def _grid_size(step: float) -> int:
     if not 0.0 < step <= 0.1:
         raise ValueError(f"grid step must be in (0, 0.1], got {step!r}")
-    n = int(round(1.0 / step))
-    return np.linspace(0.0, 1.0, n + 1)
+    return int(round(1.0 / step)) + 1
+
+
+def p_grid(step: float) -> np.ndarray:
+    """Uniform grid over [0, 1] whose spacing is as close to ``step`` as divides 1."""
+    return np.linspace(0.0, 1.0, _grid_size(step))
 
 
 def pareto_frontier(points) -> np.ndarray:
@@ -91,15 +94,24 @@ def pareto_frontier(points) -> np.ndarray:
 
     ``points`` is anything ``np.asarray`` turns into an (n, 4) array.
     Dominance ties (identical x and y) keep the lexicographically
-    smallest (p1, p2) witness so that repeated sweeps are reproducible.
+    smallest (p1, p2) witness, and identical records their first row, so
+    that repeated sweeps are reproducible.
     """
     x, y, p1, p2 = np.asarray(points, dtype=float).reshape(-1, 4).T
+    # A record with a smaller y than one at equal or larger x is dominated:
+    # one argsort of x and a running max of y drop all of those.  The few
+    # left go back to row order, so the stable sort below still puts the
+    # first of identical records first.
+    by_x = np.argsort(-x)
+    y_by_x = y[by_x]
+    rows = np.sort(by_x[y_by_x >= np.maximum.accumulate(y_by_x)])
+    x, y, p1, p2 = x[rows], y[rows], p1[rows], p2[rows]
     # x descending, then y descending, then the smallest witness first:
     # a record survives iff its y beats every record sorted before it.
     order = np.lexsort((p2, p1, -y, -x))
     ys = y[order]
     best_before = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[:-1]
-    return order[ys > best_before][::-1]
+    return rows[order[ys > best_before]][::-1]
 
 
 def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
@@ -143,8 +155,13 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
     arrays covering the grid, p1-major.
     """
+    n = _grid_size(grid_step)
+    # The flat columns are allocated before the 1-D grid is written, so a
+    # grid too large for memory fails at once with MemoryError.
+    p1s, p2s = np.empty(n * n), np.empty(n * n)
     grid = p_grid(grid_step)
-    p1s, p2s = (P.ravel() for P in np.meshgrid(grid, grid, indexing="ij"))
+    p1s.reshape(n, n)[:] = grid[:, None]
+    p2s.reshape(n, n)[:] = grid
     mu1, mu2 = region_rates(kind, channel, K, variant)(p1s, p2s)
     at = pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
     frontier = RegionFrontier(

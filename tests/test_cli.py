@@ -58,6 +58,66 @@ def test_capacity_flags_exactly_the_frontier_rows(tmp_path, channel):
     assert len(set(pairs)) == len(pairs)
 
 
+# Asymmetric: source 1's links differ from source 2's mirrored links, so
+# a transposed (p1, p2) block changes the rates it writes.
+_ASYMMETRIC = {
+    "q_solo.1.1": 0.9, "q_solo.1.2": 0.55, "q_solo.2.1": 0.7, "q_solo.2.2": 0.85,
+    "q_joint.1.1": 0.45, "q_joint.1.2": 0.2, "q_joint.2.1": 0.3, "q_joint.2.2": 0.6,
+}
+
+
+@pytest.mark.parametrize("channel", ["asymmetric", "collision"])
+def test_capacity_csv_is_the_flat_sweep_cell_by_cell(tmp_path, channel):
+    # The command writes the grid one p1 row at a time with each grid value
+    # formatted once; the reference formats every cell of the flat sweep.
+    # Step 0.03 gives a 34-value grid whose linspace values are not all
+    # i/33 (0.33333333333333337 at i = 11), so a grid string computed any
+    # other way shows.
+    from ramcast.capacity import capacity_sweep
+    from ramcast.channel import load_channel
+
+    if channel == "asymmetric":
+        channel = tmp_path / "chan.json"
+        channel.write_text(json.dumps(_ASYMMETRIC))
+    out = tmp_path / "cap.csv"
+    assert run_cli("capacity", "--channel", channel, "--step", "0.03", "--out", out) == 0
+    p1s, p2s, r1, r2, frontier = capacity_sweep(load_channel(channel), 0.03)
+    assert p1s.size == 34 * 34 and str(p2s[11]) == "0.33333333333333337"
+    on = set(frontier.index.tolist())
+    cells = zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist())
+    lines = ["p1,p2,r1,r2,on_frontier"]
+    lines += [",".join(map(str, (*row, int(n in on)))) for n, row in enumerate(cells)]
+    assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
+def test_capacity_csv_is_streamed(tmp_path):
+    # At step 0.002 (251,001 rows), a writer that turns whole grid columns
+    # into lists peaks at 40.7 MB under tracemalloc; one p1 row at a time
+    # it is 22.6 MB, nearly all of it the sweep's own arrays.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        rc = run_cli("capacity", "--channel", "strong_mpr", "--step", "0.002",
+                     "--out", tmp_path / "cap.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 30e6
+
+
+def test_grid_too_large_for_memory_is_a_clean_error(tmp_path, capsys):
+    # Step 1e-9 asks for two flat columns of 6.94 EiB each, which numpy
+    # refuses at once, before anything of the grid is written.
+    out = tmp_path / "cap.csv"
+    assert run_cli("capacity", "--channel", "strong_mpr", "--step", "1e-9", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ramcast: error: Unable to allocate 6.94 EiB")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rates_command_stdout(tmp_path, capsys):
     assert run_cli("rates", "--channel", "strong_mpr", "--policy", "retrans",
                    "--p1", "0.5", "--p2", "0.5") == 0

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ramcast.capacity import capacity_sweep, rate_bounds_grid
-from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
+from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel, load_channel
 from ramcast.checks import _closure_overshoot, check_stability_closure
 from ramcast.cli import main
 from ramcast.regions import (
@@ -20,6 +20,7 @@ from ramcast.regions import (
     pareto_frontier,
     stability_region_at,
     stable_equals_throughput_frontier,
+    sweep,
 )
 from ramcast.retrans import retrans_service_rates
 from ramcast.retrans import service_rates_grid as retrans_grid
@@ -79,6 +80,14 @@ def _brute_force_frontier(pts):
     return sorted((x, y, *w) for (x, y), w in out.items())
 
 
+def _full_lexsort_frontier(pts):
+    """Reference rows: the 4-key lexsort over every record, no prefilter."""
+    x, y, p1, p2 = np.asarray(pts, dtype=float).reshape(-1, 4).T
+    order = np.lexsort((p2, p1, -y, -x))
+    ys = y[order]
+    return order[ys > np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[:-1]][::-1]
+
+
 @settings(max_examples=300)
 @given(
     st.lists(
@@ -89,8 +98,19 @@ def _brute_force_frontier(pts):
 def test_pareto_frontier_matches_brute_force(pts):
     # A coarse value set forces exact (x, y) ties with different witnesses
     # and fully duplicated records.
-    got = [pts[n] for n in pareto_frontier(pts).tolist()]
-    assert got == _brute_force_frontier(pts)
+    rows = pareto_frontier(pts).tolist()
+    assert [pts[n] for n in rows] == _brute_force_frontier(pts)
+    # Rows, not only records: of fully duplicated records the first row
+    # wins, and on_frontier and RegionFrontier.index show which one.
+    assert rows == _full_lexsort_frontier(pts).tolist()
+
+
+@pytest.mark.parametrize("kind", ["capacity", "retrans"])
+@pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
+def test_pareto_frontier_rows_match_full_lexsort_on_presets(kind, channel):
+    p1s, p2s, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
+    ref = _full_lexsort_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
+    assert frontier.index.tolist() == ref.tolist()
 
 
 def test_pareto_frontier_single_and_empty():
