@@ -56,13 +56,14 @@ def basis_insert(basis: dict[int, int], v: int) -> int:
     return 0
 
 
-def draw_coefficients(rng: np.random.Generator, n: int, K: int) -> list[int]:
-    """``n`` uniform K-bit coefficient vectors; K = 64 draws all high 32-bit halves first."""
+def draw_coefficients(rng: np.random.Generator, n: int, K: int) -> np.ndarray:
+    """``n`` uniform K-bit coefficient vectors as uint64; K = 64 draws all
+    high 32-bit halves first."""
     if K < 64:
-        return rng.integers(0, 1 << K, size=n, dtype=np.uint64).tolist()
+        return rng.integers(0, 1 << K, size=n, dtype=np.uint64)
     hi = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
     lo = rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-    return ((hi << np.uint64(32)) | lo).tolist()
+    return (hi << np.uint64(32)) | lo
 
 
 def _log_cdf(K: int, j: int) -> float:
@@ -145,7 +146,7 @@ def encode(
     length = len(generation[0])
     if any(len(p) != length for p in generation):
         raise ValueError("generation packets must have equal length")
-    coeffs = draw_coefficients(rng, 1, K)[0]
+    coeffs = int(draw_coefficients(rng, 1, K)[0])
     acc = 0
     for i in range(K):
         if (coeffs >> i) & 1:

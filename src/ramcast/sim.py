@@ -8,12 +8,23 @@ measures departure rates, service times, decode counts and queue drift.
 Determinism: one named stream per random decision, spawned from the
 config seed via ``numpy.random.SeedSequence(seed).spawn(10)`` in the
 fixed order (arrivals 1, arrivals 2, transmit 1, transmit 2, reception
-1->1, 1->2, 2->1, 2->2, coefficients 1, coefficients 2).  Streams are
-consumed by slot index, so identical configs give bit-identical results.
+1->1, 1->2, 2->1, 2->2, coefficients 1, coefficients 2).  Each stream is
+drawn in blocks of ``_BLOCK`` slots, so identical configs give
+bit-identical results.
 
 Retransmission is simulated as a K = 1 generation whose receptions are
-always innovative, so both policies share one service path; only RLC
+always innovative, so both policies share one service rule; only RLC
 draws coefficients and keeps GF(2) bases and decode counts.
+
+Saturated mode keeps both sources always active, so it never draws the
+arrival streams.  Per block, the transmit, joint and candidate-reception
+masks are numpy arrays, and given them each source evolves on its own:
+a service ends where the later of its two destinations reaches rank K.
+Python then loops only over services for K = 1, where next-index arrays
+give each destination's next innovative reception, and only over
+candidate receptions for K > 1, where the GF(2) inserts happen.
+Arrivals mode couples the sources through their queues and still steps
+slot by slot.
 
 Throughput runs track coefficient vectors only; payload bits never
 influence timing and are exercised in the encode/decode round-trip
@@ -22,6 +33,8 @@ tests instead.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +74,8 @@ class SimConfig:
             raise ValueError(f"policy must be 'retrans' or 'rlc', got {self.policy!r}")
         if self.mode not in ("saturated", "arrivals"):
             raise ValueError(f"mode must be 'saturated' or 'arrivals', got {self.mode!r}")
-        if self.slots < 1:
-            raise ValueError(f"slots must be >= 1, got {self.slots!r}")
+        if not (isinstance(self.slots, numbers.Integral) and self.slots >= 1):
+            raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
         if self.policy == "rlc":
             _check_generation_size(self.K)
         validate(self.channel)
@@ -94,20 +107,206 @@ class SimResult:
 
 
 def run(config: SimConfig) -> SimResult:
-    """Simulate the system slot by slot and collect per-source statistics."""
+    """Simulate the system and collect per-source statistics."""
     ch = config.channel
     p = (config.access.p1, config.access.p2)
-    lam = (config.arrivals.lambda1, config.arrivals.lambda2)
     rlc = config.policy == "rlc"
     K = config.K if rlc else 1
-    slots = config.slots
-    saturated = config.mode == "saturated"
-
     solo = ((ch.solo(1, 1), ch.solo(1, 2)), (ch.solo(2, 1), ch.solo(2, 2)))
     joint = ((ch.joint(1, 1), ch.joint(1, 2)), (ch.joint(2, 1), ch.joint(2, 2)))
-
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(10)]
+    batch_len = max(1, config.slots // _RATE_BATCHES)
+    if config.mode == "saturated":
+        return _run_saturated(config.slots, p, rlc, K, solo, joint, streams, batch_len)
+    lam = (config.arrivals.lambda1, config.arrivals.lambda2)
+    return _run_arrivals(config.slots, p, lam, rlc, K, solo, joint, streams, batch_len)
 
+
+def _source_result(
+    slots: int,
+    K: int,
+    batch_len: int,
+    batch_dep: list[int],
+    svc_sum: int,
+    dsum: list | None,
+    **queue,
+) -> SourceResult:
+    """Rates, service time and decode counts of one source from its tallies.
+
+    ``batch_dep`` holds the departures per rate batch plus one last entry
+    for the slots past the whole batches; ``dsum`` the summed decode
+    counts per destination (None for retransmission); ``queue`` the
+    queue fields of :class:`SourceResult`.
+    """
+    rates = [c / batch_len for c in batch_dep[:_RATE_BATCHES]]
+    stderr = float("nan")
+    if slots >= _RATE_BATCHES:
+        mu = sum(rates) / len(rates)
+        var = sum((r - mu) ** 2 for r in rates) / (len(rates) - 1)
+        stderr = math.sqrt(var / len(rates))
+    departures = sum(batch_dep)
+    services = departures // K
+    decode_mean = None
+    if dsum is not None and services > 0:
+        decode_mean = (dsum[0] / services, dsum[1] / services)
+    return SourceResult(
+        departures=departures,
+        departure_rate=departures / slots,
+        stderr=stderr,
+        services=services,
+        mean_service_time=svc_sum / services if services else float("nan"),
+        mean_decode_count=decode_mean,
+        **queue,
+    )
+
+
+class _SaturatedSource:
+    """One always-active source, fed its candidate receptions block by block.
+
+    A candidate reception at destination d is a slot where the source
+    transmits and d's channel draw succeeds; it counts only while d's
+    rank is below K.  A service started at slot s ends at max(T1, T2),
+    T_d being the slot where d reaches rank K, and the next one starts a
+    slot later.  The service in progress at a block's end carries into
+    the next block through the bases, ranks and reception counts.
+    """
+
+    def __init__(self, K: int, rlc: bool, batch_len: int) -> None:
+        self.K = K
+        self.rlc = rlc
+        self.batch_len = batch_len
+        self.bases: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.rank = [0, 0]
+        self.count = [0, 0]  # receptions counted in the service in progress
+        self.dsum = [0, 0]
+        self.batch_dep = np.zeros(_RATE_BATCHES + 1, dtype=np.int64)
+        self.last_end = -1
+
+    def block(self, start: int, cand: list[np.ndarray], coef: np.ndarray | None) -> None:
+        """Advance over the block starting at slot ``start``; ``cand`` holds
+        each destination's candidate-reception mask."""
+        ends = self._ends_k1(cand, coef) if self.K == 1 else self._ends_walk(cand, coef)
+        if ends:
+            slots = np.array(ends) + start
+            batch = np.minimum(slots // self.batch_len, _RATE_BATCHES)
+            self.batch_dep += self.K * np.bincount(batch, minlength=_RATE_BATCHES + 1)
+            self.last_end = int(slots[-1])
+
+    def _ends_k1(self, cand: list[np.ndarray], coef: np.ndarray | None) -> list[int]:
+        """Completion slots of K = 1 services: T_d is d's next innovative
+        candidate, read from a next-index array; Python loops over services.
+        Decode counts are prefix-count differences of the candidate masks."""
+        n = len(cand[0])
+        innov = cand if coef is None else [c & (coef == 1) for c in cand]
+        nxt = []
+        for d in (0, 1):
+            a = np.full(n + 1, n)
+            hits = np.flatnonzero(innov[d])
+            a[hits] = hits
+            nxt.append(np.minimum.accumulate(a[::-1])[::-1])
+        # T_d of the service carried in; -1 if d reached rank 1 before the block.
+        first = [int(nxt[d][0]) if self.rank[d] == 0 else -1 for d in (0, 1)]
+        e = max(first)
+        ends: list[int] = []
+        if e < n:
+            m = np.maximum(nxt[0], nxt[1]).tolist()
+            append = ends.append
+            while e < n:
+                append(e)
+                e = m[e + 1]
+        # Every service begun in the block, the carried one as starting at 0;
+        # the last is unfinished.
+        starts = np.array([-1] + ends) + 1
+        for d in (0, 1):
+            T = nxt[d][starts]
+            T[0] = first[d]
+            self.rank[d] = int(T[-1] < n)
+            if self.rlc:
+                cc = np.zeros(n + 1, dtype=np.int64)
+                np.cumsum(cand[d], out=cc[1:])
+                counts = cc[np.minimum(T + 1, n)] - cc[starts]
+                counts[0] += self.count[d]
+                self.dsum[d] += int(counts[:-1].sum())
+                self.count[d] = int(counts[-1])
+        return ends
+
+    def _ends_walk(self, cand: list[np.ndarray], coef: np.ndarray) -> list[int]:
+        """Completion slots of K > 1 services: walk each destination's
+        candidates through GF(2) inserts until rank K, then skip the ones
+        up to the service's end."""
+        K = self.K
+        where = [np.flatnonzero(c) for c in cand]
+        slots = [w.tolist() for w in where]
+        vecs = [coef[w].tolist() for w in where]
+        ptr = [0, 0]
+        done = [-1, -1]  # slot where d reached rank K; -1 if before this block
+        rank, count, bases = self.rank, self.count, self.bases
+        ends: list[int] = []
+        while True:
+            for d in (0, 1):
+                r = rank[d]
+                if r == K:
+                    continue
+                basis, sd, vd = bases[d], slots[d], vecs[d]
+                i = i0 = ptr[d]
+                while i < len(sd):
+                    r += basis_insert(basis, vd[i])
+                    i += 1
+                    if r == K:
+                        done[d] = sd[i - 1]
+                        break
+                rank[d] = r
+                count[d] += i - i0
+                ptr[d] = i
+            if rank[0] < K or rank[1] < K:
+                return ends
+            e = max(done)
+            ends.append(e)
+            for d in (0, 1):
+                ptr[d] = bisect_right(slots[d], e, ptr[d])
+                self.dsum[d] += count[d]
+                count[d] = rank[d] = 0
+                bases[d].clear()
+
+    def result(self, slots: int) -> SourceResult:
+        return _source_result(
+            slots,
+            self.K,
+            self.batch_len,
+            self.batch_dep.tolist(),
+            self.last_end + 1,  # services tile slots 0 .. last end
+            self.dsum if self.rlc else None,
+            arrivals=0,
+            final_queue=0,
+            mean_queue=0.0,
+            max_queue=0,
+        )
+
+
+def _run_saturated(slots, p, rlc, K, solo, joint, streams, batch_len) -> SimResult:
+    """Both sources always active: per-block numpy masks, one kernel per source."""
+    sources = (_SaturatedSource(K, rlc, batch_len), _SaturatedSource(K, rlc, batch_len))
+    for block_start in range(0, slots, _BLOCK):
+        nblk = min(_BLOCK, slots - block_start)
+        ut = (streams[2].random(nblk), streams[3].random(nblk))
+        ur = (
+            (streams[4].random(nblk), streams[5].random(nblk)),
+            (streams[6].random(nblk), streams[7].random(nblk)),
+        )
+        coef = (
+            draw_coefficients(streams[8], nblk, K) if rlc else None,
+            draw_coefficients(streams[9], nblk, K) if rlc else None,
+        )
+        tx = (ut[0] < p[0], ut[1] < p[1])
+        both = tx[0] & tx[1]
+        for n in (0, 1):
+            cand = [tx[n] & (ur[n][d] < np.where(both, joint[n][d], solo[n][d])) for d in (0, 1)]
+            sources[n].block(block_start, cand, coef[n])
+    return SimResult(sources=(sources[0].result(slots), sources[1].result(slots)))
+
+
+def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> SimResult:
+    """Queued sources, coupled through who transmits: stepped slot by slot."""
     # Per-source mutable state.
     queue = [0, 0]
     arr = [0, 0]
@@ -115,7 +314,7 @@ def run(config: SimConfig) -> SimResult:
     qmax = [0, 0]
     svc_sum = [0, 0]
     svc_start = [0, 0]  # read only while active
-    active = [saturated, saturated]
+    active = [False, False]
     basis1: list[dict[int, int]] = [{}, {}]
     basis2: list[dict[int, int]] = [{}, {}]
     rank1 = [0, 0]
@@ -123,7 +322,6 @@ def run(config: SimConfig) -> SimResult:
     nrecv = [[0, 0], [0, 0]]
     dsum = [[0.0, 0.0], [0.0, 0.0]]
 
-    batch_len = max(1, slots // _RATE_BATCHES)
     # Departures per rate batch; the extra last entry takes the slots past
     # the whole batches, so a row sums to all of a source's departures.
     batch_dep = [[0] * (_RATE_BATCHES + 1) for _ in range(2)]
@@ -141,20 +339,19 @@ def run(config: SimConfig) -> SimResult:
             (streams[6].random(nblk).tolist(), streams[7].random(nblk).tolist()),
         )
         coef = (
-            draw_coefficients(streams[8], nblk, K) if rlc else None,
-            draw_coefficients(streams[9], nblk, K) if rlc else None,
+            draw_coefficients(streams[8], nblk, K).tolist() if rlc else None,
+            draw_coefficients(streams[9], nblk, K).tolist() if rlc else None,
         )
 
         for s in range(nblk):
             t = block_start + s
-            if not saturated:
-                for n in (0, 1):
-                    if ua[n][s] < lam[n]:
-                        queue[n] += 1
-                        arr[n] += 1
-                        if not active[n] and queue[n] >= K:
-                            active[n] = True
-                            svc_start[n] = t
+            for n in (0, 1):
+                if ua[n][s] < lam[n]:
+                    queue[n] += 1
+                    arr[n] += 1
+                    if not active[n] and queue[n] >= K:
+                        active[n] = True
+                        svc_start[n] = t
 
             tx0 = active[0] and ut[0][s] < p[0]
             tx1 = active[1] and ut[1][s] < p[1]
@@ -191,52 +388,39 @@ def run(config: SimConfig) -> SimResult:
                         basis1[n].clear()
                         basis2[n].clear()
                         nrecv[n][0] = nrecv[n][1] = 0
-                    if not saturated:
-                        queue[n] -= K
-                        if queue[n] < K:
-                            active[n] = False
+                    queue[n] -= K
+                    if queue[n] < K:
+                        active[n] = False
 
-            if not saturated:
-                for n in (0, 1):
-                    qn = queue[n]
-                    qsum[n] += qn
-                    if qn > qmax[n]:
-                        qmax[n] = qn
-                    if t >= drift_half:
-                        b = (t - drift_half) // drift_len
-                        if b < _DRIFT_BATCHES:
-                            drift_sums[n][b] += qn
+            for n in (0, 1):
+                qn = queue[n]
+                qsum[n] += qn
+                if qn > qmax[n]:
+                    qmax[n] = qn
+                if t >= drift_half:
+                    b = (t - drift_half) // drift_len
+                    if b < _DRIFT_BATCHES:
+                        drift_sums[n][b] += qn
 
-    sources = []
-    for n in (0, 1):
-        rates = [c / batch_len for c in batch_dep[n][:_RATE_BATCHES]]
-        stderr = float("nan")
-        if slots >= _RATE_BATCHES:
-            mu = sum(rates) / len(rates)
-            var = sum((r - mu) ** 2 for r in rates) / (len(rates) - 1)
-            stderr = math.sqrt(var / len(rates))
-        departures = sum(batch_dep[n])
-        services = departures // K
-        decode_mean = None
-        if rlc and services > 0:
-            decode_mean = (dsum[n][0] / services, dsum[n][1] / services)
-        sources.append(
-            SourceResult(
-                departures=departures,
-                departure_rate=departures / slots,
-                stderr=stderr,
+    return SimResult(
+        sources=tuple(
+            _source_result(
+                slots,
+                K,
+                batch_len,
+                batch_dep[n],
+                svc_sum[n],
+                dsum[n] if rlc else None,
                 arrivals=arr[n],
                 final_queue=queue[n],
-                mean_queue=qsum[n] / slots if not saturated else 0.0,
+                mean_queue=qsum[n] / slots,
                 max_queue=qmax[n],
-                services=services,
-                mean_service_time=svc_sum[n] / services if services else float("nan"),
-                mean_decode_count=decode_mean,
-                drift_batch_means=None if saturated else [x / drift_len for x in drift_sums[n]],
-                drift_batch_slots=drift_len if not saturated else 0,
+                drift_batch_means=[x / drift_len for x in drift_sums[n]],
+                drift_batch_slots=drift_len,
             )
+            for n in (0, 1)
         )
-    return SimResult(sources=(sources[0], sources[1]))
+    )
 
 
 @dataclass

@@ -150,3 +150,32 @@ def test_config_validation(strong):
         SimConfig(channel=strong, access=ACCESS, slots=0)
     with pytest.raises(ValueError):
         SimConfig(channel=strong, access=ACCESS, mode="both")
+    for slots in (1e4, 2.5):
+        with pytest.raises(ValueError, match="slots must be an integer >= 1"):
+            SimConfig(channel=strong, access=ACCESS, slots=slots)
+
+
+@pytest.mark.parametrize(
+    "policy, preset, p",
+    [
+        ("retrans", "strong_mpr", (0.6, 0.4)),
+        ("retrans", "collision", (0.6, 0.4)),
+        ("rlc", "weak_mpr", (0.05, 0.9)),
+        ("rlc", "strong_mpr", (1.0, 1.0)),
+    ],
+)
+def test_k1_saturated_matches_always_busy_arrivals(policy, preset, p):
+    # With K = 1 and lambda = 1 every slot brings a packet, so in arrivals
+    # mode both queues are busy from slot 0 on and never idle: the slot
+    # loop then serves exactly as saturated mode does, from the same
+    # transmit, reception and coefficient streams.  70,001 slots cross two
+    # block boundaries.
+    base = dict(channel=PRESETS[preset](), access=AccessProbabilities(*p), policy=policy,
+                K=1, slots=70_001, seed=13)
+    sat = run(SimConfig(mode="saturated", **base))
+    busy = run(SimConfig(mode="arrivals", arrivals=ArrivalRates(1.0, 1.0), **base))
+    fields = ("departures", "departure_rate", "stderr", "services", "mean_service_time",
+              "mean_decode_count")
+    for a, b in zip(sat.sources, busy.sources):
+        assert a.departures > 0
+        assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]

@@ -1,6 +1,7 @@
 """Bit-identity gate for the simulator.
 
-Each case pins ``sha256(repr(result.sources))`` of one 20,000-slot run.
+Each case pins ``sha256(repr(result.sources))`` of one run, 20,000 slots
+unless its key says otherwise.
 Any change to the RNG draw order, the event logic or the statistics it
 accumulates changes a hash; a rewrite of the inner loop must reproduce
 every one of them.
@@ -21,6 +22,12 @@ The seven-part keys, recorded before retransmission joined the RLC
 service path, cover the edges of that path: p = (1, 1), where every
 slot is a joint transmission, and the collision channel, where joint
 receptions never succeed.
+
+The eight-part keys run 70,001 slots in saturated mode: two block
+boundaries (``sim._BLOCK`` is 32,768 slots) and a ragged last block, so
+a service carried wrongly from one block into the next changes a hash.
+Their hashes were recorded from the slot-by-slot saturated loop, before
+saturated mode moved to per-block masks.
 """
 import hashlib
 
@@ -57,6 +64,14 @@ GOLDEN = {
     ("retrans", 1, "arrivals", 2024, "collision", 0.6, 0.4): "ee12243fa2333a994a1ab12abfe8153707a2cdb067d9fd0312e76d1d11bc1438",
     ("rlc", 2, "arrivals", 7, "collision", 0.6, 0.4): "80dba73f7779d60eb56098cad6a53d29305929f84918e0635fd7b1ac84bcbc0a",
     ("rlc", 2, "arrivals", 2024, "collision", 0.6, 0.4): "de4769c1545515d2f9953531afbe0c9005b6910733ae083d3b1c8b0f15ac2a45",
+    # Saturated runs across two block boundaries with a ragged last block,
+    # keyed (policy, K, mode, seed, channel, p1, p2, slots).
+    ("retrans", 1, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "e7c91761891379a515c2e4ddb95684b1c2eee0e0e4de120560ef46c468175e7a",
+    ("retrans", 1, "saturated", 7, "strong_mpr", 1.0, 1.0, 70_001): "fb13bd85ecd7cc6a2bd37f060568b0c424c5621588d200b0d00cab5d3f54a096",
+    ("rlc", 1, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "f64fbb075d119100da3e044d954017cac4fbd4b5683827c93d5cff0a374f4f3f",
+    ("rlc", 4, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "1fe271210519e04fcfb97aae6f132669adfd7dfe158c1583265dc1c0a90a6876",
+    ("rlc", 64, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "9ad7f37182dcc767740c059ad0aa63018131cc896dad7ae5985c125391292bf4",
+    ("retrans", 1, "saturated", 7, "collision", 0.6, 0.4, 70_001): "371a511338ea05eb1c569bb2a96c27a78e56d0e639e9270b0c534d1815b5176a",
 }
 
 CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
@@ -70,6 +85,7 @@ def _digest(
     channel: str = "strong_mpr",
     p1: float = 0.6,
     p2: float = 0.4,
+    slots: int = SLOTS,
 ) -> str:
     config = SimConfig(
         channel=CHANNELS[channel](),
@@ -77,7 +93,7 @@ def _digest(
         arrivals=ArrivalRates(0.12, 0.08) if mode == "arrivals" else ArrivalRates(0.0, 0.0),
         policy=policy,
         K=K,
-        slots=SLOTS,
+        slots=slots,
         seed=seed,
         mode=mode,
     )
