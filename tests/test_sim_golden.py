@@ -28,6 +28,13 @@ boundaries (``sim._BLOCK`` is 32,768 slots) and a ragged last block, so
 a service carried wrongly from one block into the next changes a hash.
 Their hashes were recorded from the slot-by-slot saturated loop, before
 saturated mode moved to per-block masks.
+
+The ten-part keys run 70,001 slots in arrivals mode, with the arrival
+rates last.  Besides the default rates they cover a pair just inside the
+stability boundary, where services and idle periods straddle block
+edges, and lambda1 = 1, where source 1 never idles.  Their hashes were
+recorded from the slot-by-slot arrivals loop, before arrivals mode moved
+to a per-block event loop.
 """
 import hashlib
 
@@ -72,6 +79,16 @@ GOLDEN = {
     ("rlc", 4, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "1fe271210519e04fcfb97aae6f132669adfd7dfe158c1583265dc1c0a90a6876",
     ("rlc", 64, "saturated", 7, "strong_mpr", 0.6, 0.4, 70_001): "9ad7f37182dcc767740c059ad0aa63018131cc896dad7ae5985c125391292bf4",
     ("retrans", 1, "saturated", 7, "collision", 0.6, 0.4, 70_001): "371a511338ea05eb1c569bb2a96c27a78e56d0e639e9270b0c534d1815b5176a",
+    # Arrivals runs across two block boundaries with a ragged last block,
+    # keyed (policy, K, mode, seed, channel, p1, p2, slots, lambda1, lambda2).
+    ("retrans", 1, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.12, 0.08): "3bbb3aeabea353ec5461d1c2d02d6eb9773e35f65c57cac9e43b4769dc9cea28",
+    ("rlc", 4, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.12, 0.08): "3cbaeb67c619c4053f99982c33c92794ca557cd13d482abcf253c1183d42dc62",
+    ("rlc", 64, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.12, 0.08): "f610ca797ce7d9775d9351636f7356870e5c1e05869cd07eda6202f1a64b5f50",
+    ("retrans", 1, "arrivals", 7, "collision", 0.6, 0.4, 70_001, 0.12, 0.08): "b1c2ff5e2083125f0c42b3db881083280e21b7f87b0de77913c2c0d1cf56be10",
+    ("retrans", 1, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.34, 0.15): "f923e781192e6b64495d46a181f03e1d0eb34f7b268bd54ad6a97428130e3bc1",
+    ("rlc", 4, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.25, 0.15): "b3efb5a578be844dffc25f55294b1f738ba79d0fad10ae7d11d3178b5e9c8366",
+    ("retrans", 1, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 1.0, 0.08): "527b92eeeb6c166070b80f48f38b19e02ca0c1995e3e0e662a37f40e95943606",
+    ("rlc", 4, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 1.0, 0.08): "97060569a7e0f1de937f99755353d7e7aac0db94cdcda65f6a63f9ed8fd91774",
 }
 
 CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
@@ -86,11 +103,13 @@ def _digest(
     p1: float = 0.6,
     p2: float = 0.4,
     slots: int = SLOTS,
+    lambda1: float = 0.12,
+    lambda2: float = 0.08,
 ) -> str:
     config = SimConfig(
         channel=CHANNELS[channel](),
         access=AccessProbabilities(p1, p2),
-        arrivals=ArrivalRates(0.12, 0.08) if mode == "arrivals" else ArrivalRates(0.0, 0.0),
+        arrivals=ArrivalRates(lambda1, lambda2) if mode == "arrivals" else ArrivalRates(0.0, 0.0),
         policy=policy,
         K=K,
         slots=slots,
