@@ -215,5 +215,5 @@ class ArrivalRates:
 
     def __post_init__(self) -> None:
         for name, v in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
-            if not v >= 0.0:  # also rejects NaN
-                raise ChannelError(f"{name}={v!r} must be >= 0")
+            if not 0.0 <= v <= 1.0:  # also rejects NaN
+                raise ChannelError(f"{name}={v!r} outside [0, 1]")

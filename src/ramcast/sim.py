@@ -23,8 +23,10 @@ a service ends where the later of its two destinations reaches rank K.
 Python then loops only over services for K = 1, where next-index arrays
 give each destination's next innovative reception, and only over
 candidate receptions for K > 1, where the GF(2) inserts happen.
-Arrivals mode couples the sources through their queues and still steps
-slot by slot.
+Arrivals mode couples the sources through their queues, so per block it
+runs one event loop over both: Python visits only the candidate slots of
+active sources and the activations, and the queue statistics come from
+per-block arrays.
 
 Throughput runs track coefficient vectors only; payload bits never
 influence timing and are exercised in the encode/decode round-trip
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +78,8 @@ class SimConfig:
             raise ValueError(f"mode must be 'saturated' or 'arrivals', got {self.mode!r}")
         if not (isinstance(self.slots, numbers.Integral) and self.slots >= 1):
             raise ValueError(f"slots must be an integer >= 1, got {self.slots!r}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if self.policy == "rlc":
             _check_generation_size(self.K)
         validate(self.channel)
@@ -160,6 +164,12 @@ def _source_result(
     )
 
 
+def _per_batch(slots: np.ndarray, batch_len: int) -> np.ndarray:
+    """How many of ``slots`` fall in each rate batch, the slots past the
+    whole batches counted last."""
+    return np.bincount(np.minimum(slots // batch_len, _RATE_BATCHES), minlength=_RATE_BATCHES + 1)
+
+
 class _SaturatedSource:
     """One always-active source, fed its candidate receptions block by block.
 
@@ -188,8 +198,7 @@ class _SaturatedSource:
         ends = self._ends_k1(cand, coef) if self.K == 1 else self._ends_walk(cand, coef)
         if ends:
             slots = np.array(ends) + start
-            batch = np.minimum(slots // self.batch_len, _RATE_BATCHES)
-            self.batch_dep += self.K * np.bincount(batch, minlength=_RATE_BATCHES + 1)
+            self.batch_dep += self.K * _per_batch(slots, self.batch_len)
             self.last_end = int(slots[-1])
 
     def _ends_k1(self, cand: list[np.ndarray], coef: np.ndarray | None) -> list[int]:
@@ -306,101 +315,139 @@ def _run_saturated(slots, p, rlc, K, solo, joint, streams, batch_len) -> SimResu
 
 
 def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> SimResult:
-    """Queued sources, coupled through who transmits: stepped slot by slot."""
-    # Per-source mutable state.
-    queue = [0, 0]
+    """Queued sources, coupled through who transmits: an event loop per block.
+
+    A source is active exactly while its queue holds at least K packets,
+    so its activation slot is one bisect on its cumulative arrivals.  A
+    candidate slot is one where a source transmits and some destination's
+    solo draw succeeds (joint draws succeed less often).  Python visits
+    the candidate slots of active sources in slot order.  The other
+    source interferes at slot s when it transmits and is active at s,
+    after its arrivals at s and before its departure at s.  The queue
+    trajectory of a block, q0 + cumsum(arrivals) - K cumsum(departures),
+    gives the queue statistics and drift-batch sums.
+    """
+    queue = [0, 0]  # at the block start
     arr = [0, 0]
     qsum = [0, 0]
     qmax = [0, 0]
     svc_sum = [0, 0]
     svc_start = [0, 0]  # read only while active
-    active = [False, False]
-    basis1: list[dict[int, int]] = [{}, {}]
-    basis2: list[dict[int, int]] = [{}, {}]
-    rank1 = [0, 0]
-    rank2 = [0, 0]
+    bases: list[list[dict[int, int]]] = [[{}, {}], [{}, {}]]
+    rank = [[0, 0], [0, 0]]
     nrecv = [[0, 0], [0, 0]]
-    dsum = [[0.0, 0.0], [0.0, 0.0]]
-
-    # Departures per rate batch; the extra last entry takes the slots past
-    # the whole batches, so a row sums to all of a source's departures.
-    batch_dep = [[0] * (_RATE_BATCHES + 1) for _ in range(2)]
+    dsum = [[0, 0], [0, 0]]
+    batch_dep = [np.zeros(_RATE_BATCHES + 1, dtype=np.int64) for _ in range(2)]
 
     drift_half = slots // 2
     drift_len = max(1, (slots - drift_half) // _DRIFT_BATCHES)
-    drift_sums = [[0.0] * _DRIFT_BATCHES for _ in range(2)]
+    drift_end = drift_half + _DRIFT_BATCHES * drift_len
+    drift_sums = [np.zeros(_DRIFT_BATCHES) for _ in range(2)]
 
     for block_start in range(0, slots, _BLOCK):
         nblk = min(_BLOCK, slots - block_start)
-        ua = (streams[0].random(nblk).tolist(), streams[1].random(nblk).tolist())
-        ut = (streams[2].random(nblk).tolist(), streams[3].random(nblk).tolist())
+        cum = [np.cumsum(streams[n].random(nblk) < lam[n]) for n in (0, 1)]
+        tx = (streams[2].random(nblk) < p[0], streams[3].random(nblk) < p[1])
         ur = (
-            (streams[4].random(nblk).tolist(), streams[5].random(nblk).tolist()),
-            (streams[6].random(nblk).tolist(), streams[7].random(nblk).tolist()),
+            (streams[4].random(nblk), streams[5].random(nblk)),
+            (streams[6].random(nblk), streams[7].random(nblk)),
         )
         coef = (
-            draw_coefficients(streams[8], nblk, K).tolist() if rlc else None,
-            draw_coefficients(streams[9], nblk, K).tolist() if rlc else None,
+            draw_coefficients(streams[8], nblk, K) if rlc else None,
+            draw_coefficients(streams[9], nblk, K) if rlc else None,
         )
+        # Per source: candidate slots (then nblk as a sentinel), a code per
+        # candidate (bits 0-1 solo successes at destinations 1-2, bits 2-3
+        # joint successes, bit 4 the other source transmits), and vectors.
+        cand, code, vecs = [], [], []
+        for n in (0, 1):
+            ok = [ur[n][d] < solo[n][d] for d in (0, 1)]
+            where = np.flatnonzero(tx[n] & (ok[0] | ok[1]))
+            u = [ur[n][d][where] for d in (0, 1)]
+            bits = (
+                ok[0][where]
+                + 2 * ok[1][where]
+                + 4 * (u[0] < joint[n][0])
+                + 8 * (u[1] < joint[n][1])
+                + 16 * tx[1 - n][where]
+            )
+            code.append(bits.tolist())
+            cand.append(where.tolist() + [nblk])
+            vecs.append(coef[n][where].tolist() if rlc else None)
+        A = [c.tolist() for c in cum]  # queue at slot s is base + A[s]
+        base = queue[:]
+        act = [bisect_left(A[n], K - queue[n]) for n in (0, 1)]  # active from
+        for n in (0, 1):
+            if queue[n] < K:
+                svc_start[n] = block_start + act[n]
+        ptr = [bisect_left(cand[n], act[n]) for n in (0, 1)]
+        dep: list[list[int]] = [[], []]
+        last = [-1, -1]  # slot of the latest departure in this block
 
-        for s in range(nblk):
+        while True:
+            s = cand[0][ptr[0]]
+            s1 = cand[1][ptr[1]]
+            if s <= s1:
+                if s == nblk:
+                    break
+                n = 0
+            else:
+                n, s = 1, s1
+            m = 1 - n
+            i = ptr[n]
+            c = code[n][i]
+            if c & 16 and (act[m] <= s or last[m] == s):
+                c >>= 2
+            r = rank[n]
+            if rlc:
+                v = vecs[n][i]
+                for d in (0, 1):
+                    if c & (1 << d) and r[d] < K:
+                        nrecv[n][d] += 1
+                        r[d] += basis_insert(bases[n][d], v)
+            else:
+                if c & 1:
+                    r[0] = 1
+                if c & 2:
+                    r[1] = 1
+            if r[0] < K or r[1] < K:
+                ptr[n] = i + 1
+                continue
+            dep[n].append(s)
+            last[n] = s
             t = block_start + s
-            for n in (0, 1):
-                if ua[n][s] < lam[n]:
-                    queue[n] += 1
-                    arr[n] += 1
-                    if not active[n] and queue[n] >= K:
-                        active[n] = True
-                        svc_start[n] = t
+            svc_sum[n] += t - svc_start[n] + 1
+            r[0] = r[1] = 0
+            if rlc:
+                for d in (0, 1):
+                    dsum[n][d] += nrecv[n][d]
+                    nrecv[n][d] = 0
+                    bases[n][d].clear()
+            base[n] -= K
+            if base[n] + A[n][s] >= K:
+                svc_start[n] = t + 1
+                ptr[n] = i + 1
+            else:
+                a = act[n] = bisect_left(A[n], K - base[n], s + 1)
+                svc_start[n] = block_start + a
+                ptr[n] = bisect_left(cand[n], a, i + 1)
 
-            tx0 = active[0] and ut[0][s] < p[0]
-            tx1 = active[1] and ut[1][s] < p[1]
-            both = tx0 and tx1
-
-            for n, tx in ((0, tx0), (1, tx1)):
-                if not tx:
-                    continue
-                thr = joint[n] if both else solo[n]
-                got1 = rank1[n] < K and ur[n][0][s] < thr[0]
-                got2 = rank2[n] < K and ur[n][1][s] < thr[1]
-                if rlc:
-                    v = coef[n][s]
-                    if got1:
-                        nrecv[n][0] += 1
-                        rank1[n] += basis_insert(basis1[n], v)
-                    if got2:
-                        nrecv[n][1] += 1
-                        rank2[n] += basis_insert(basis2[n], v)
-                else:
-                    if got1:
-                        rank1[n] += 1
-                    if got2:
-                        rank2[n] += 1
-                if rank1[n] == K and rank2[n] == K:
-                    batch_dep[n][min(t // batch_len, _RATE_BATCHES)] += K
-                    svc_sum[n] += t - svc_start[n] + 1
-                    svc_start[n] = t + 1
-                    rank1[n] = rank2[n] = 0
-                    if rlc:
-                        n1, n2 = nrecv[n]
-                        dsum[n][0] += n1
-                        dsum[n][1] += n2
-                        basis1[n].clear()
-                        basis2[n].clear()
-                        nrecv[n][0] = nrecv[n][1] = 0
-                    queue[n] -= K
-                    if queue[n] < K:
-                        active[n] = False
-
-            for n in (0, 1):
-                qn = queue[n]
-                qsum[n] += qn
-                if qn > qmax[n]:
-                    qmax[n] = qn
-                if t >= drift_half:
-                    b = (t - drift_half) // drift_len
-                    if b < _DRIFT_BATCHES:
-                        drift_sums[n][b] += qn
+        lo = max(block_start, drift_half) - block_start
+        hi = min(block_start + nblk, drift_end) - block_start
+        for n in (0, 1):
+            q = queue[n] + cum[n]
+            if dep[n]:
+                steps = np.zeros(nblk, dtype=np.int64)
+                steps[dep[n]] = K
+                q -= np.cumsum(steps)
+                batch_dep[n] += K * _per_batch(np.array(dep[n]) + block_start, batch_len)
+            arr[n] += A[n][-1]
+            queue[n] = int(q[-1])
+            qsum[n] += int(q.sum())
+            qmax[n] = max(qmax[n], int(q.max()))
+            if lo < hi:
+                b = (np.arange(lo, hi) + (block_start - drift_half)) // drift_len
+                drift_sums[n] += np.bincount(b, weights=q[lo:hi], minlength=_DRIFT_BATCHES)
 
     return SimResult(
         sources=tuple(
@@ -408,14 +455,14 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
                 slots,
                 K,
                 batch_len,
-                batch_dep[n],
+                batch_dep[n].tolist(),
                 svc_sum[n],
                 dsum[n] if rlc else None,
                 arrivals=arr[n],
                 final_queue=queue[n],
                 mean_queue=qsum[n] / slots,
                 max_queue=qmax[n],
-                drift_batch_means=[x / drift_len for x in drift_sums[n]],
+                drift_batch_means=[x / drift_len for x in drift_sums[n].tolist()],
                 drift_batch_slots=drift_len,
             )
             for n in (0, 1)

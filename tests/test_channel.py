@@ -112,9 +112,13 @@ def test_access_probabilities_validation():
 
 
 def test_arrival_rates_validation():
-    ArrivalRates(0.0, 2.0)
+    ArrivalRates(0.0, 1.0)
     with pytest.raises(ChannelError):
         ArrivalRates(-1e-9, 0.1)
+    with pytest.raises(ChannelError, match=r"lambda1=1\.5 outside \[0, 1\]"):
+        ArrivalRates(1.5, 0.1)
+    with pytest.raises(ChannelError, match=r"lambda2=inf outside \[0, 1\]"):
+        ArrivalRates(0.1, float("inf"))
 
 
 def test_arrival_rates_reject_nan():

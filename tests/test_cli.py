@@ -320,6 +320,22 @@ def test_sim_rejects_nan_arrival_rate(capsys):
     assert "ramcast: error: lambda1=nan" in captured.err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lambda1", "1.5", "--lambda2", "inf"], "lambda1=1.5 outside [0, 1]"),
+        (["--lambda2", "inf"], "lambda2=inf outside [0, 1]"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+    ],
+)
+def test_sim_rejects_bad_rate_or_seed(capsys, flags, message):
+    assert run_cli("sim", "--channel", "strong_mpr", "--p1", "0.5", "--p2", "0.5",
+                   "--mode", "arrivals", "--slots", "100", *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"ramcast: error: {message}" in captured.err
+
+
 def test_figure_k_list_repeats_computed_once(tmp_path, capsys):
     out = tmp_path / "fig"
     assert run_cli("figure", "--channel", "strong_mpr", "--K-list", "1,1",

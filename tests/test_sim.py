@@ -153,6 +153,9 @@ def test_config_validation(strong):
     for slots in (1e4, 2.5):
         with pytest.raises(ValueError, match="slots must be an integer >= 1"):
             SimConfig(channel=strong, access=ACCESS, slots=slots)
+    for seed in (2.5, -1):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            SimConfig(channel=strong, access=ACCESS, seed=seed)
 
 
 @pytest.mark.parametrize(
@@ -166,8 +169,8 @@ def test_config_validation(strong):
 )
 def test_k1_saturated_matches_always_busy_arrivals(policy, preset, p):
     # With K = 1 and lambda = 1 every slot brings a packet, so in arrivals
-    # mode both queues are busy from slot 0 on and never idle: the slot
-    # loop then serves exactly as saturated mode does, from the same
+    # mode both queues are busy from slot 0 on and never idle: arrivals
+    # mode then serves exactly as saturated mode does, from the same
     # transmit, reception and coefficient streams.  70,001 slots cross two
     # block boundaries.
     base = dict(channel=PRESETS[preset](), access=AccessProbabilities(*p), policy=policy,
@@ -179,3 +182,29 @@ def test_k1_saturated_matches_always_busy_arrivals(policy, preset, p):
     for a, b in zip(sat.sources, busy.sources):
         assert a.departures > 0
         assert [getattr(a, f) for f in fields] == [getattr(b, f) for f in fields]
+
+
+@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 4)])
+def test_silent_source_never_couples(strong, policy, K):
+    # With p1 = 0 source 1 never transmits, so its queue only grows and
+    # source 2 sees the same channel whether packets reach source 1 or not.
+    base = dict(channel=strong, access=AccessProbabilities(0.0, 0.6), policy=policy, K=K,
+                slots=40_000, seed=17, mode="arrivals")
+    silent, src2 = run(SimConfig(arrivals=ArrivalRates(0.3, 0.1), **base)).sources
+    alone = run(SimConfig(arrivals=ArrivalRates(0.0, 0.1), **base)).sources[1]
+    assert silent.arrivals > 0
+    assert silent.departures == silent.services == 0
+    assert silent.final_queue == silent.max_queue == silent.arrivals
+    assert src2.departures > 0
+    assert repr(src2) == repr(alone)
+
+
+def test_no_arrivals_no_activity(strong):
+    res = run(SimConfig(channel=strong, access=ACCESS, policy="rlc", K=3, slots=40_000,
+                        seed=3, mode="arrivals"))
+    for src in res.sources:
+        assert (src.departures, src.arrivals, src.final_queue, src.max_queue, src.services) == (
+            0, 0, 0, 0, 0)
+        assert src.mean_queue == 0.0
+        assert math.isnan(src.mean_service_time)
+        assert src.drift_batch_means == [0.0] * len(src.drift_batch_means)
