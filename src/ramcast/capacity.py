@@ -45,10 +45,10 @@ def rate_bounds_grid(
 
 def capacity_sweep(
     channel: ChannelModel, grid_step: float = 0.01
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RegionFrontier]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, RegionFrontier]:
     """Evaluate the rate caps over the (p1, p2) grid and reduce to a frontier.
 
-    Returns (p1, p2, r1, r2, frontier) with the first four as flat arrays
-    covering the full grid.
+    Returns (grid, r1, r2, frontier) as ``regions.sweep`` lays them out:
+    ``r[i, j]`` is the cap at (p1, p2) = (grid[i], grid[j]).
     """
     return sweep("capacity", channel, grid_step)

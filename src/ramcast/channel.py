@@ -148,7 +148,8 @@ def load_channel(source: str | Path) -> ChannelModel:
     """Build a validated channel from a preset name or a config file.
 
     Config files are either a JSON object or plain ``key = value`` lines
-    with keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in {1, 2}).
+    with keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in {1, 2}).  Text
+    that starts with ``{`` or ``[`` is read as JSON only.
     """
     if isinstance(source, str) and source in PRESETS:
         return validate(PRESETS[source]())
@@ -158,12 +159,15 @@ def load_channel(source: str | Path) -> ChannelModel:
             f"unknown channel {source!r}: not a preset "
             f"({', '.join(sorted(PRESETS))}) and no such file"
         )
-    text = path.read_text(encoding="utf-8")
-    try:
-        values = json.loads(text)
+    text = path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
+    if text.lstrip()[:1] in ("{", "["):
+        try:
+            values = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ChannelError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(values, dict):
             raise ChannelError(f"{path}: JSON channel config must be an object")
-    except json.JSONDecodeError:
+    else:
         values = _parse_keyvalue(text)
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
@@ -176,6 +180,8 @@ def load_channel(source: str | Path) -> ChannelModel:
             for m in (1, 2):
                 raw = values[f"{kind}.{n}.{m}"]
                 try:
+                    if isinstance(raw, bool):  # float(True) would be 1.0
+                        raise TypeError(raw)
                     row.append(float(raw))
                 except (TypeError, ValueError):
                     raise ChannelError(

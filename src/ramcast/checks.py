@@ -11,7 +11,7 @@ import contextlib
 import io
 import itertools
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +24,6 @@ from .regions import (
     frontier_contains,
     frontier_excess,
     frontier_value,
-    p_grid,
     stability_region_at,
     sweep,
 )
@@ -46,6 +45,14 @@ class CheckResult:
     passed: bool
     detail: str
     rows: list[dict] = field(default_factory=list)
+    # Why the check is expected to fail, for a known defect of its claim.
+    xfail_reason: str = ""
+
+
+_GAP_XFAIL = (
+    "the 5% threshold is unattainable at K=50: expected-max coupling keeps the "
+    "gap near 8%, and the smallest K that meets it is 102 (exact chain, step 0.05)"
+)
 
 
 def _enumerate_full_rank(K: int, j: int) -> Fraction:
@@ -225,9 +232,9 @@ def check_jensen_dominance(
     ]
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        b1, b2 = sweep("capacity", channel, step)[2:4]
+        b1, b2 = sweep("capacity", channel, step)[1:3]
         for label, tag, kind, K in cells:
-            m1, m2 = sweep(kind, channel, step, K, _VARIANT)[2:4]
+            m1, m2 = sweep(kind, channel, step, K, _VARIANT)[1:3]
             if np.any(m1 > b1 + slack) or np.any(m2 > b2 + slack):
                 return CheckResult(
                     "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
@@ -260,9 +267,9 @@ def check_figure_structure(
     details = []
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        capacity = sweep("capacity", channel, step)[4]
-        retrans = sweep("retrans", channel, step)[4]
-        rlc = {k: sweep("rlc", channel, step, k, _VARIANT)[4] for k in K_list}
+        capacity = sweep("capacity", channel, step)[3]
+        retrans = sweep("retrans", channel, step)[3]
+        rlc = {k: sweep("rlc", channel, step, k, _VARIANT)[3] for k in K_list}
         ks = sorted(rlc)
         # The containment chain, each link as (outer, inner, failure text).
         chain = [(capacity, retrans, f"capacity does not contain retrans on {cname}")]
@@ -318,8 +325,8 @@ def check_figure_gap(
     as the defect; the check reports the measured gap.
     """
     channel = strong_mpr()
-    b1, b2 = sweep("capacity", channel, step)[2:4]
-    r1, r2 = sweep("rlc", channel, step, K, variant)[2:4]
+    b1, b2 = sweep("capacity", channel, step)[1:3]
+    r1, r2 = sweep("rlc", channel, step, K, variant)[1:3]
     mask1 = b1 > 1e-9
     mask2 = b2 > 1e-9
     rel_gap = max(
@@ -403,15 +410,12 @@ def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> floa
     ``edges`` is sampled where present and measured against the policy's
     swept frontier polyline by ``frontier_excess``.  The empty rates come
     from the same sweep: an empty competitor has access probability 0,
-    which the grid contains, so mu_1e(p1) is the rate at (p1, 0) and
-    mu_2e(p2) the one at (0, p2).
+    which the grid starts with, so mu_1e(p1) is the sweep's first column
+    and mu_2e(p2) its first row.
     """
-    _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
-    n = p_grid(step).size  # the sweep is p1-major over n x n points
-    region = StabilityRegion(
-        mu_1b=mu1b, mu_2b=mu2b, mu_1e=np.repeat(mu1b[::n], n), mu_2e=np.tile(mu2b[:n], n)
-    )
-    t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None]
+    _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
+    region = StabilityRegion(mu_1b=mu1b, mu_2b=mu2b, mu_1e=mu1b[:, :1], mu_2e=mu2b[:1, :])
+    t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None, None]
     xs, ys = [], []
     for (x0, y0), (x1, y1), present in region.edges():
         xs.append((x0 + t * (x1 - x0))[:, present].ravel())
@@ -523,7 +527,10 @@ def check_determinism() -> CheckResult:
 
 
 def run_checks(quick: bool = False) -> list[CheckResult]:
-    """Run the suite; quick mode shrinks Monte Carlo sizes and grids."""
+    """Run the suite; quick mode shrinks Monte Carlo sizes and grids.
+
+    The K=50 gap is the one expected failure, and quick mode skips it.
+    """
     if quick:
         results = [
             check_rank_distribution(kmax=2, jmax=4),
@@ -542,7 +549,7 @@ def run_checks(quick: bool = False) -> list[CheckResult]:
             check_rlc_oracle(),
             check_jensen_dominance(),
             check_figure_structure(),
-            check_figure_gap(),
+            replace(check_figure_gap(), xfail_reason=_GAP_XFAIL),
             check_overhead_limit(),
             check_stability_boundary(),
             check_stability_closure(),

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import time
@@ -97,20 +96,18 @@ def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
 
 
 def cmd_capacity(args, channel) -> list[Path]:
-    p1s, p2s, r1, r2, frontier = capacity_sweep(channel, args.step)
-    on = np.zeros(p1s.size, dtype=np.int8)
-    on[frontier.index] = 1
+    grid, r1, r2, frontier = capacity_sweep(channel, args.step)
+    on = np.zeros(r1.shape, dtype=np.int8)
+    on.flat[frontier.index] = 1
     out = _resolve_out(args.out)
-    # The grid is p1-major, so the first row's p2 values are the grid: each
-    # value is formatted once, and the rows go out one p1 row at a time.
-    n = math.isqrt(p1s.size)
-    grid = [str(p) for p in p2s[:n].tolist()]
+    # Each grid value is formatted once, and the rows go out one p1 row at a time.
+    text = [str(p) for p in grid.tolist()]
     rows = chain.from_iterable(
-        zip(repeat(p1, n), grid, a.tolist(), b.tolist(), c.tolist())
-        for p1, a, b, c in zip(grid, r1.reshape(n, n), r2.reshape(n, n), on.reshape(n, n))
+        zip(repeat(p1, len(text)), text, a.tolist(), b.tolist(), c.tolist())
+        for p1, a, b, c in zip(text, r1, r2, on)
     )
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
-    print(f"wrote {out} ({p1s.size} grid points, {frontier.index.size} on frontier)")
+    print(f"wrote {out} ({r1.size} grid points, {frontier.index.size} on frontier)")
     return [out]
 
 
@@ -140,7 +137,7 @@ def _write_frontier(path: Path, frontier) -> None:
 
 def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
     if kind == "capacity":
-        return capacity_sweep(channel, step)[4]
+        return capacity_sweep(channel, step)[3]
     return stable_equals_throughput_frontier(kind, channel, step, K, variant)
 
 
@@ -312,8 +309,12 @@ def cmd_check(args) -> int:
     ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
+        if res.xfail_reason:
+            status = "XPASS" if res.passed else "XFAIL"
+            print(f"ramcast: {res.name} is expected to fail: {res.xfail_reason}", file=sys.stderr)
         print(f"{status} {res.name}: {res.detail}")
-        ok = ok and res.passed
+        # Like a strict xfail, an expected failure that passes fails the run.
+        ok = ok and res.passed != bool(res.xfail_reason)
     return 0 if ok else 1
 
 

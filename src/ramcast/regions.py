@@ -46,9 +46,9 @@ class RegionFrontier:
 
     ``x`` and ``y`` are the rate pairs, sorted by x strictly increasing
     with y strictly decreasing, so no point dominates another; ``p1``
-    and ``p2`` are their witnesses and ``index`` their rows in the sweep
-    grid.  ``kind`` is one of "capacity", "retrans" or "rlc" (with ``K``
-    set for rlc).
+    and ``p2`` are their witnesses and ``index`` their cells in the
+    sweep's (n, n) tables, counted row by row.  ``kind`` is one of
+    "capacity", "retrans" or "rlc" (with ``K`` set for rlc).
     """
 
     kind: str
@@ -152,8 +152,10 @@ def region_rates(kind: str, channel, K: int | None = None, variant: str = "paper
 def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: str = "paper"):
     """Evaluate a region kind over the (p1, p2) grid and reduce it to a frontier.
 
-    Returns (p1, p2, mu1, mu2, frontier) with the first four as flat
-    arrays covering the grid, p1-major.
+    Returns (grid, mu1, mu2, frontier): the 1-D grid and two (n, n) rate
+    tables, ``mu[i, j]`` being the rate at (p1, p2) = (grid[i], grid[j]).
+    So ``mu1[:, 0]`` and ``mu2[0, :]`` are the rates against an empty
+    competitor, and ``frontier.index`` counts the cells row by row.
     """
     n = _grid_size(grid_step)
     # The flat columns are allocated before the 1-D grid is written, so a
@@ -173,7 +175,7 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
         index=at,
         K=K if kind == "rlc" else None,
     )
-    return p1s, p2s, mu1, mu2, frontier
+    return grid, mu1.reshape(n, n), mu2.reshape(n, n), frontier
 
 
 def service_rates(
@@ -286,5 +288,5 @@ def stable_equals_throughput_frontier(
     it, 1.58e-3 on strong_mpr and 5.19e-3 on weak_mpr for retransmission
     at step 0.05, and about 3e-16 on the collision channel.
     """
-    return sweep(policy, channel, grid_step, K, variant)[4]
+    return sweep(policy, channel, grid_step, K, variant)[3]
 

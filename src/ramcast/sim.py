@@ -506,8 +506,13 @@ def stability_probe(
 
     A source is flagged unstable when the queue-length regression slope
     over the second half of the run exceeds 3 of its standard errors;
-    the point is stable only if both sources are stable.
+    the point is stable only if both sources are stable.  The drift
+    batches tile the second half of the run, so ``slots`` must leave at
+    least one slot per batch there.
     """
+    min_slots = 2 * _DRIFT_BATCHES - 1
+    if slots < min_slots:
+        raise ValueError(f"stability_probe needs slots >= {min_slots}, got {slots}")
     verdicts = []
     for lam1, lam2 in lambda_grid:
         res = run(

@@ -221,19 +221,19 @@ def test_mutual_info_enumeration_oracle(strong, u):
 
 
 def test_capacity_frontier_collision_corners():
-    frontier = capacity_sweep(collision_channel(), grid_step=0.01)[4]
+    frontier = capacity_sweep(collision_channel(), grid_step=0.01)[3]
     assert frontier.x.max() >= 0.99
     assert frontier.y.max() >= 0.99
 
 
 def test_capacity_frontier_strong_symmetric_point(strong):
-    frontier = capacity_sweep(strong, grid_step=0.01)[4]
+    frontier = capacity_sweep(strong, grid_step=0.01)[3]
     best = np.minimum(frontier.x, frontier.y).max()
     assert best == pytest.approx(0.6, abs=1e-12)
 
 
 def test_capacity_frontier_is_pareto_sorted(strong):
-    frontier = capacity_sweep(strong, grid_step=0.05)[4]
+    frontier = capacity_sweep(strong, grid_step=0.05)[3]
     assert np.all(np.diff(frontier.x) > 0)
     assert np.all(np.diff(frontier.y) < 0)
 
@@ -268,14 +268,15 @@ def test_channel_monotonicity_grows_frontier():
         rb1, rb2 = rate_bounds_grid(big, P1.ravel(), P2.ravel())
         assert np.all(rb1 >= rs1 - 1e-15)
         assert np.all(rb2 >= rs2 - 1e-15)
-        f_small = capacity_sweep(small, 0.1)[4]
-        f_big = capacity_sweep(big, 0.1)[4]
+        f_small = capacity_sweep(small, 0.1)[3]
+        f_big = capacity_sweep(big, 0.1)[3]
         assert frontier_contains(f_big, f_small, tol=1e-12)
 
 
 def test_capacity_sweep_marks_frontier(strong):
-    p1s, p2s, r1, r2, frontier = capacity_sweep(strong, 0.1)
-    assert len(p1s) == len(p2s) == len(r1) == len(r2) == 121
+    grid, r1, r2, frontier = capacity_sweep(strong, 0.1)
+    assert grid.shape == (11,) and r1.shape == r2.shape == (11, 11)
+    p1s, p2s = np.repeat(grid, 11), np.tile(grid, 11)
     at = frontier.index
     assert np.array_equal(p1s[at], frontier.p1) and np.array_equal(p2s[at], frontier.p2)
-    assert np.array_equal(r1[at], frontier.x) and np.array_equal(r2[at], frontier.y)
+    assert np.array_equal(r1.ravel()[at], frontier.x) and np.array_equal(r2.ravel()[at], frontier.y)

@@ -83,12 +83,41 @@ def test_load_channel_json_roundtrip(tmp_path, weak):
     assert load_channel(path) == weak
 
 
+def test_load_channel_skips_a_byte_order_mark(tmp_path, weak):
+    # With the mark read as text, the JSON fell to the key = value parser,
+    # which reported all eight keys missing.
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(weak.as_dict()), encoding="utf-8-sig")
+    assert load_channel(path) == weak
+
+
 def test_load_channel_keyvalue(tmp_path, strong):
     lines = ["# comment", ""]
     lines += [f"{k} = {v}" for k, v in strong.as_dict().items()]
     path = tmp_path / "chan.txt"
     path.write_text("\n".join(lines))
     assert load_channel(path) == strong
+
+
+def test_load_channel_reports_json_syntax_errors(tmp_path, weak):
+    # A trailing comma is a JSON error, not a malformed key = value line.
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(weak.as_dict())[:-1] + ",}")
+    with pytest.raises(ChannelError, match=r"invalid JSON: .* line 1 column \d+") as exc:
+        load_channel(path)
+    assert "key = value" not in str(exc.value)
+    path.write_text('\n  [1, 2,\n  ]')
+    with pytest.raises(ChannelError, match="invalid JSON: .* line 3 column 3"):
+        load_channel(path)
+
+
+def test_load_channel_rejects_json_booleans(tmp_path, weak):
+    values = weak.as_dict()
+    values["q_solo.1.1"] = True
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(values))
+    with pytest.raises(ChannelError, match=r"q_solo\.1\.1=True is not a number"):
+        load_channel(path)
 
 
 def test_load_channel_missing_key(tmp_path):

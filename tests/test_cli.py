@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ramcast.cli import main
@@ -34,9 +35,11 @@ def test_capacity_csv_roundtrip_lossless(tmp_path):
     from ramcast.capacity import capacity_sweep
     from ramcast.channel import weak_mpr
 
-    p1s, p2s, r1, r2, _ = capacity_sweep(weak_mpr(), 0.1)
+    grid, r1, r2, _ = capacity_sweep(weak_mpr(), 0.1)
     _, rows = read_csv(out)
-    for row, a, b, x, y in zip(rows, p1s, p2s, r1, r2):
+    cells = [(a, b) for a in grid for b in grid]
+    assert len(rows) == len(cells) == r1.size
+    for row, (a, b), x, y in zip(rows, cells, r1.ravel(), r2.ravel()):
         assert float(row[0]) == a and float(row[1]) == b
         assert float(row[2]) == x and float(row[3]) == y
 
@@ -48,7 +51,7 @@ def test_capacity_flags_exactly_the_frontier_rows(tmp_path, channel):
 
     out = tmp_path / "cap.csv"
     run_cli("capacity", "--channel", channel, "--step", "0.05", "--out", out)
-    frontier = capacity_sweep(load_channel(channel), 0.05)[4]
+    frontier = capacity_sweep(load_channel(channel), 0.05)[3]
     _, rows = read_csv(out)
     flagged = [n for n, row in enumerate(rows) if row[4] == "1"]
     assert all(row[4] in ("0", "1") for row in rows)
@@ -81,10 +84,11 @@ def test_capacity_csv_is_the_flat_sweep_cell_by_cell(tmp_path, channel):
         channel.write_text(json.dumps(_ASYMMETRIC))
     out = tmp_path / "cap.csv"
     assert run_cli("capacity", "--channel", channel, "--step", "0.03", "--out", out) == 0
-    p1s, p2s, r1, r2, frontier = capacity_sweep(load_channel(channel), 0.03)
-    assert p1s.size == 34 * 34 and str(p2s[11]) == "0.33333333333333337"
+    grid, r1, r2, frontier = capacity_sweep(load_channel(channel), 0.03)
+    assert r1.shape == (34, 34) and str(grid[11]) == "0.33333333333333337"
     on = set(frontier.index.tolist())
-    cells = zip(p1s.tolist(), p2s.tolist(), r1.tolist(), r2.tolist())
+    p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    cells = zip(p1s.tolist(), p2s.tolist(), r1.ravel().tolist(), r2.ravel().tolist())
     lines = ["p1,p2,r1,r2,on_frontier"]
     lines += [",".join(map(str, (*row, int(n in on)))) for n, row in enumerate(cells)]
     assert out.read_text(encoding="utf-8") == "\n".join(lines) + "\n"
@@ -382,6 +386,28 @@ def test_channel_config_file(tmp_path):
     assert out.read_bytes() == ref.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # A trailing comma, reported where the decoder stopped.
+        (lambda text: text[:-1] + ",}", "invalid JSON: Expecting property name enclosed in "
+         "double quotes: line 1 column "),
+        (lambda text: text.replace("0.8,", "true,", 1), "q_solo.1.1=True is not a number"),
+    ],
+    ids=["trailing-comma", "boolean"],
+)
+def test_bad_json_channel_is_a_clean_error(tmp_path, capsys, edit, message):
+    from ramcast.channel import weak_mpr
+
+    cfg = tmp_path / "chan.json"
+    cfg.write_text(edit(json.dumps(weak_mpr().as_dict())))
+    assert run_cli("capacity", "--channel", cfg, "--step", "0.1", "--out", tmp_path / "c.csv") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ramcast: error: ") and message in err
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chan.json"]
+
+
 def test_channel_with_dead_link_is_an_error(tmp_path, capsys):
     from ramcast.channel import weak_mpr
 
@@ -406,6 +432,27 @@ def test_check_quick_passes(capsys):
     assert all(ln.startswith("PASS") for ln in lines)
     assert any(ln.startswith("PASS stability-closure:") for ln in lines)
     assert any(ln.startswith("PASS retrans-oracle: 8 channel/p") for ln in lines)
+
+
+@pytest.mark.parametrize(
+    "statuses, code",
+    [(("PASS", "XFAIL"), 0), (("PASS", "FAIL", "XFAIL"), 1), (("XPASS",), 1)],
+)
+def test_check_exit_status(monkeypatch, capsys, statuses, code):
+    # An expected failure does not fail the run; any FAIL does, and so does
+    # an expected failure that passes.
+    import ramcast.checks
+    from ramcast.checks import CheckResult
+
+    results = [
+        CheckResult(f"c{n}", s.endswith("PASS"), "detail", xfail_reason="known" if s[0] == "X" else "")
+        for n, s in enumerate(statuses)
+    ]
+    monkeypatch.setattr(ramcast.checks, "run_checks", lambda quick: results)
+    assert main(["check"]) == code
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"{s} c{n}: detail" for n, s in enumerate(statuses)]
+    assert captured.err.count("is expected to fail: known") == 1
 
 
 def test_version_flag(capsys):

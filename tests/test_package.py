@@ -58,6 +58,21 @@ def test_generation_size_is_checked_in_gf2():
     assert namers <= {"gf2.py"}, namers
 
 
+def test_grid_is_laid_out_in_regions():
+    # regions.sweep builds the grid and lays out its (n, n) rate tables;
+    # other modules read the grid and the tables it returns.
+    grid_names = {"p_grid", "_grid_size"}
+    namers = {
+        path.name
+        for path in PKG.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Name) and node.id in grid_names)
+        or (isinstance(node, ast.Attribute) and node.attr in grid_names)
+        or (isinstance(node, ast.alias) and {node.name, node.asname} & grid_names)
+    }
+    assert namers <= {"regions.py"}, namers
+
+
 def test_cli_import_pulls_in_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))

@@ -9,6 +9,7 @@ from ramcast.capacity import capacity_sweep, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel, load_channel
 from ramcast.checks import _closure_overshoot, check_stability_closure
 from ramcast.cli import main
+from ramcast.gf2 import expected_decode_count
 from ramcast.regions import (
     RegionFrontier,
     ServiceRates,
@@ -18,6 +19,7 @@ from ramcast.regions import (
     frontier_value,
     p_grid,
     pareto_frontier,
+    service_rates,
     stability_region_at,
     stable_equals_throughput_frontier,
     sweep,
@@ -108,9 +110,49 @@ def test_pareto_frontier_matches_brute_force(pts):
 @pytest.mark.parametrize("kind", ["capacity", "retrans"])
 @pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
 def test_pareto_frontier_rows_match_full_lexsort_on_presets(kind, channel):
-    p1s, p2s, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
-    ref = _full_lexsort_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
+    grid, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
+    p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+    ref = _full_lexsort_frontier(np.column_stack((mu1.ravel(), mu2.ravel(), p1s, p2s)))
     assert frontier.index.tolist() == ref.tolist()
+
+
+# Hand-written, with source 1's links unlike source 2's mirrored ones, so
+# swapping p1 and p2 or rows and columns changes the rates.
+_ASYMMETRIC = ChannelModel(q_solo=((0.9, 0.55), (0.7, 0.85)), q_joint=((0.45, 0.2), (0.3, 0.6)))
+
+
+@pytest.mark.parametrize("kind, K", [("capacity", None), ("retrans", None), ("rlc", 2)])
+def test_sweep_tables_are_indexed_by_the_grid(kind, K):
+    grid, mu1, mu2, frontier = sweep(kind, _ASYMMETRIC, 0.1, K)
+    n = grid.size
+    assert grid[0] == 0.0 and grid[-1] == 1.0
+    assert mu1.shape == mu2.shape == (n, n)
+    assert np.array_equal(frontier.p1, grid[frontier.index // n])
+    assert np.array_equal(frontier.p2, grid[frontier.index % n])
+    assert np.array_equal(frontier.x, mu1.ravel()[frontier.index])
+    assert np.array_equal(frontier.y, mu2.ravel()[frontier.index])
+    # Row 0 and column 0 are the rates against an empty competitor.
+    for i, j in [(0, 0), (0, 3), (7, 0), (0, n - 1), (n - 1, 0), (2, 9), (8, 5), (n - 1, n - 1)]:
+        rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(grid[i], grid[j]), K)
+        assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
+
+
+@pytest.mark.parametrize(
+    "kind, K, variant",
+    [("capacity", None, "paper"), ("retrans", None, "paper")]
+    + [("rlc", K, variant) for K in (1, 4, 10, 50) for variant in ("paper", "exact")],
+)
+def test_collision_frontier_is_the_aloha_curve(kind, K, variant):
+    # On the collision channel both destinations hear the same slots, and
+    # every rate is c * p_own * (1 - p_other): c = 1 for capacity and
+    # retransmission, K / E[N_K] for rlc.  The closure is the scaled
+    # two-user ALOHA region sqrt(x) + sqrt(y) <= sqrt(c), and the grid
+    # points with p1 + p2 = 1 lie on its boundary.
+    c = K / expected_decode_count(K) if kind == "rlc" else 1.0
+    frontier = sweep(kind, collision_channel(), 0.05, K, variant)[3]
+    radius = np.sqrt(frontier.x) + np.sqrt(frontier.y)
+    assert radius.max() == pytest.approx(math.sqrt(c), abs=1e-12)
+    assert np.all(radius <= math.sqrt(c) + 1e-12)
 
 
 def test_pareto_frontier_single_and_empty():
@@ -151,7 +193,7 @@ def test_dead_points_rate_exactly_zero(strong, K):
 
 
 def test_frontier_contains_reflexive(strong):
-    f = capacity_sweep(strong, 0.05)[4]
+    f = capacity_sweep(strong, 0.05)[3]
     assert frontier_contains(f, f, tol=0.0)
     # The frontier's own points lie on it; a point right of its end lies
     # its horizontal distance outside.
@@ -161,7 +203,7 @@ def test_frontier_contains_reflexive(strong):
 
 def test_capacity_contains_retrans_but_not_conversely(strong, weak):
     for ch in (strong, weak):
-        cap = capacity_sweep(ch, 0.05)[4]
+        cap = capacity_sweep(ch, 0.05)[3]
         ret = stable_equals_throughput_frontier("retrans", ch, 0.05)
         tol = 2 * 0.05 * 1.0
         assert frontier_contains(cap, ret, tol)
@@ -306,13 +348,13 @@ def test_sweep_rejects_unknown_kind(strong):
 
 
 def test_collision_capacity_frontier_contains_corners():
-    frontier = capacity_sweep(collision_channel(), 0.05)[4]
+    frontier = capacity_sweep(collision_channel(), 0.05)[3]
     assert frontier.x[-1] == pytest.approx(1.0, abs=1e-12)
     assert frontier.y[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_frontier_contains_requires_nonempty(strong):
-    f = capacity_sweep(strong, 0.1)[4]
+    f = capacity_sweep(strong, 0.1)[3]
     none = np.empty(0)
     empty = RegionFrontier("capacity", none, none, none, none, none.astype(int))
     with pytest.raises(ValueError):

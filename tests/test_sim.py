@@ -135,6 +135,19 @@ def test_stability_probe_trivial_points(strong):
     assert not verdicts[1].stable
 
 
+@pytest.mark.parametrize("slots", [40, 58, 59])
+def test_stability_probe_needs_a_drift_batch_per_slot_of_its_second_half(strong, slots):
+    # 30 drift batches tile the second half of the run.  Below 59 slots they
+    # would run past its end and read as an empty queue, and an overloaded
+    # point (lambda = 1 for both sources) would come out stable.
+    probe = [(1.0, 1.0)]
+    if slots < 59:
+        with pytest.raises(ValueError, match=f"slots >= 59, got {slots}"):
+            stability_probe(strong, ACCESS, "retrans", probe, slots=slots)
+    else:
+        assert not stability_probe(strong, ACCESS, "retrans", probe, slots=slots)[0].stable
+
+
 def test_saturated_rate_below_one(strong):
     res = run(_cfg(strong, policy="rlc", K=4, slots=50_000))
     for src in res.sources:
