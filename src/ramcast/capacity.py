@@ -30,8 +30,8 @@ __all__ = [
 def rate_bounds_grid(
     channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Min-over-destinations rate caps (r1, r2) in packets/slot over paired
-    arrays of access probabilities (the capacity integrand).
+    """Min-over-destinations rate caps (r1, r2) in packets/slot over two
+    access axes, as (len(p1), len(p2)) tables (the capacity integrand).
 
     They also bound every policy's backlogged service rate (Jensen): the
     service time is the max of the per-destination delivery times, and

@@ -8,6 +8,7 @@ in the same slot.  Links to different destinations erase independently.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -128,8 +129,20 @@ _REQUIRED_KEYS = [
 ]
 
 
-def _parse_keyvalue(text: str) -> dict[str, object]:
+def _unique_keys(path: Path, pairs) -> dict[str, object]:
+    """A JSON object's members, refusing a repeated key."""
     values: dict[str, object] = {}
+    for key, val in pairs:
+        if key in values:
+            raise ChannelError(f"{path}: channel key {key!r} repeated")
+        values[key] = val
+    return values
+
+
+def _parse_keyvalue(path: Path, text: str) -> tuple[dict[str, object], dict[str, int]]:
+    """The values of ``key = value`` lines and the line of each key."""
+    values: dict[str, object] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -139,17 +152,21 @@ def _parse_keyvalue(text: str) -> dict[str, object]:
                 key, _, val = line.partition(sep)
                 break
         else:
-            raise ChannelError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        values[key.strip()] = val.strip()
-    return values
+            raise ChannelError(f"{path}: line {lineno}: expected 'key = value', got {raw!r}")
+        key = key.strip()
+        if key in values:
+            raise ChannelError(f"{path}: line {lineno}: channel key {key!r} repeated")
+        values[key], lines[key] = val.strip(), lineno
+    return values, lines
 
 
 def load_channel(source: str | Path) -> ChannelModel:
     """Build a validated channel from a preset name or a config file.
 
     Config files are either a JSON object or plain ``key = value`` lines
-    with keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in {1, 2}).  Text
-    that starts with ``{`` or ``[`` is read as JSON only.
+    with each of the keys ``q_solo.n.m`` / ``q_joint.n.m`` (n, m in
+    {1, 2}) exactly once and no other key.  Text that starts with ``{``
+    or ``[`` is read as JSON only.
     """
     if isinstance(source, str) and source in PRESETS:
         return validate(PRESETS[source]())
@@ -162,13 +179,14 @@ def load_channel(source: str | Path) -> ChannelModel:
     text = path.read_text(encoding="utf-8-sig")  # drops a byte-order mark
     if text.lstrip()[:1] in ("{", "["):
         try:
-            values = json.loads(text)
+            values = json.loads(text, object_pairs_hook=functools.partial(_unique_keys, path))
         except json.JSONDecodeError as exc:
             raise ChannelError(f"{path}: invalid JSON: {exc}") from None
         if not isinstance(values, dict):
             raise ChannelError(f"{path}: JSON channel config must be an object")
+        lines = {}
     else:
-        values = _parse_keyvalue(text)
+        values, lines = _parse_keyvalue(path, text)
     missing = [k for k in _REQUIRED_KEYS if k not in values]
     if missing:
         raise ChannelError(f"{path}: missing channel keys: {', '.join(missing)}")
@@ -190,7 +208,14 @@ def load_channel(source: str | Path) -> ChannelModel:
             rows.append((row[0], row[1]))
         return (rows[0], rows[1])
 
-    return validate(ChannelModel(grab("q_solo"), grab("q_joint")))
+    channel = validate(ChannelModel(grab("q_solo"), grab("q_joint")))
+    # Checked after the values, so a file whose channel is itself invalid
+    # names that fault first.
+    for key in values:
+        if key not in _REQUIRED_KEYS:
+            at = f"line {lines[key]}: " if key in lines else ""
+            raise ChannelError(f"{path}: {at}unknown channel key {key!r}")
+    return channel
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,16 @@
 The achievable-rate regions produced elsewhere in the package are all
 "closures over the access-probability square": sweep (p1, p2) over a
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
-pairs.  Each rate factors as p_own * g(p_other), so a sweep evaluates
-g once per distinct grid value and source (``factored_rates``), not
-once per point.  This module maps a region kind ("capacity", "retrans"
-or "rlc") to its rates (``region_rates``) and owns the sweep over them
-(``sweep``), a single point's backlogged and empty rates through the
-same path (``service_rates``), the Pareto reduction, the per-point
-stability region (union of the two dominant-system constraint sets) and
-how far points lie outside a frontier (``frontier_excess``), which the
-containment test and the stability closure both measure.
+pairs.  Each rate factors as p_own * g(p_other), so a rate is a table
+over two access axes with g evaluated once per axis value and source
+(``factored_rates``), not once per point.  This module maps a region
+kind ("capacity", "retrans" or "rlc") to its rates (``region_rates``)
+and owns the sweep over them (``sweep``), a single point's backlogged
+and empty rates through the same path (``service_rates``), the Pareto
+reduction, the per-point stability region (union of the two
+dominant-system constraint sets) and how far points lie outside a
+frontier (``frontier_excess``), which the containment test and the
+stability closure both measure.
 """
 from __future__ import annotations
 
@@ -115,24 +116,24 @@ def pareto_frontier(points) -> np.ndarray:
 
 
 def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
-    """Rate pairs (p1 * g(1, p2), p2 * g(2, p1)) over paired access arrays.
+    """Rate tables ``mu1[i, j] = p1[i] * g(1, p2[j])`` and
+    ``mu2[i, j] = p2[j] * g(2, p1[i])`` over the access axes p1 and p2.
 
     Every rate here carries the own access probability as a factor:
     mu_n(p_own, p_other) = p_own * g_n(p_other) with g_n(q) = mu_n(1, q).
-    ``g(source, q)`` maps an array of distinct p_other values to g_n, and
-    is called once per source, so each distinct value costs one
-    evaluation however many points share it.
+    ``g(source, q)`` maps an array of p_other values to g_n, and is
+    called once per source on the other source's axis, so each axis
+    value costs one evaluation however many points share it.
     """
     p1 = np.asarray(p1, dtype=float)
     p2 = np.asarray(p2, dtype=float)
-    q2, at2 = np.unique(p2, return_inverse=True)
-    q1, at1 = np.unique(p1, return_inverse=True)
-    return p1 * np.asarray(g(1, q2))[at2], p2 * np.asarray(g(2, q1))[at1]
+    return np.multiply.outer(p1, g(1, p2)), np.multiply.outer(g(2, p1), p2)
 
 
 def region_rates(kind: str, channel, K: int | None = None, variant: str = "paper"):
-    """The ``rates_grid(p1, p2)`` of one region kind over paired access arrays.
+    """The ``rates_grid(p1, p2)`` of one region kind over two access axes.
 
+    It returns the (len(p1), len(p2)) tables of ``factored_rates``:
     "capacity" gives the rate caps, "retrans" the closed-form backlogged
     rates and "rlc" the chain's backlogged rates at generation size K
     (``K`` and ``variant`` are read only there; the chain checks K).
@@ -164,18 +165,19 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     grid = p_grid(grid_step)
     p1s.reshape(n, n)[:] = grid[:, None]
     p2s.reshape(n, n)[:] = grid
-    mu1, mu2 = region_rates(kind, channel, K, variant)(p1s, p2s)
-    at = pareto_frontier(np.column_stack((mu1, mu2, p1s, p2s)))
+    mu1, mu2 = region_rates(kind, channel, K, variant)(grid, grid)
+    x, y = mu1.ravel(), mu2.ravel()
+    at = pareto_frontier(np.column_stack((x, y, p1s, p2s)))
     frontier = RegionFrontier(
         kind=kind,
-        x=mu1[at],
-        y=mu2[at],
+        x=x[at],
+        y=y[at],
         p1=p1s[at],
         p2=p2s[at],
         index=at,
         K=K if kind == "rlc" else None,
     )
-    return grid, mu1.reshape(n, n), mu2.reshape(n, n), frontier
+    return grid, mu1, mu2, frontier
 
 
 def service_rates(
@@ -184,15 +186,13 @@ def service_rates(
     """Backlogged and empty rates of a region kind at one (p1, p2).
 
     An empty competitor has access probability 0, so the empty rates are
-    the kind's rates at (p1, 0) and (0, p2).  All three points go through
-    the same p_own * g_n(p_other) as a sweep.
+    the kind's rates at (p1, 0) and (0, p2): cells of its tables over the
+    axes (p1, 0) and (p2, 0), the same p_own * g_n(p_other) as a sweep.
     """
-    mu1, mu2 = region_rates(kind, channel, K, variant)(
-        np.array([access.p1, access.p1, 0.0]), np.array([access.p2, 0.0, access.p2])
-    )
+    mu1, mu2 = region_rates(kind, channel, K, variant)([access.p1, 0.0], [access.p2, 0.0])
     return ServiceRates(
-        backlogged=(float(mu1[0]), float(mu2[0])),
-        empty=(float(mu1[1]), float(mu2[2])),
+        backlogged=(float(mu1[0, 0]), float(mu2[0, 0])),
+        empty=(float(mu1[0, 1]), float(mu2[1, 0])),
         generation_size=K if kind == "rlc" else 1,
     )
 

@@ -48,7 +48,7 @@ def retrans_service_rates(
 def service_rates_grid(
     channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized backlogged rates (mu_1b, mu_2b) over access-probability arrays."""
+    """Backlogged rates (mu_1b, mu_2b) as tables over two access axes."""
     return factored_rates(
         lambda source, q: _rate_formula(*channel.reception(source, q)), p1, p2
     )

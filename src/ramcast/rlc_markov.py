@@ -353,10 +353,10 @@ def service_rates_grid(
     K: int,
     variant: str = "paper",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Backlogged rates (mu_1b, mu_2b) over paired access-probability arrays.
+    """Backlogged rates (mu_1b, mu_2b) as tables over two access axes.
 
-    Costs one chain solve per distinct value of p2 (for source 1) and of
-    p1 (for source 2), not two per point.
+    Costs one chain solve per axis value of p2 (for source 1) and of p1
+    (for source 2), not two per point.
     """
     return factored_rates(
         lambda source, q: _rates_at_full_access(channel, source, q, K, variant), p1, p2

@@ -51,7 +51,7 @@ def access_probs(draw) -> AccessProbabilities:
 def rate_caps(channel: ChannelModel, p1: float, p2: float) -> tuple[float, float]:
     """The capacity caps (r1, r2) at one (p1, p2), from ``rate_bounds_grid``."""
     r1, r2 = rate_bounds_grid(channel, [p1], [p2])
-    return float(r1[0]), float(r2[0])
+    return float(r1[0, 0]), float(r2[0, 0])
 
 
 def chain_states(chain) -> list[tuple[int, int, int]]:

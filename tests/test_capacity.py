@@ -263,9 +263,8 @@ def test_channel_monotonicity_grows_frontier():
         )
         big = ChannelModel(q_solo=big_solo, q_joint=big_joint)
         grid = np.linspace(0, 1, 11)
-        P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-        rs1, rs2 = rate_bounds_grid(small, P1.ravel(), P2.ravel())
-        rb1, rb2 = rate_bounds_grid(big, P1.ravel(), P2.ravel())
+        rs1, rs2 = rate_bounds_grid(small, grid, grid)
+        rb1, rb2 = rate_bounds_grid(big, grid, grid)
         assert np.all(rb1 >= rs1 - 1e-15)
         assert np.all(rb2 >= rs2 - 1e-15)
         f_small = capacity_sweep(small, 0.1)[3]

@@ -120,6 +120,27 @@ def test_load_channel_rejects_json_booleans(tmp_path, weak):
         load_channel(path)
 
 
+def test_load_channel_rejects_repeated_and_unknown_keyvalue_keys(tmp_path, strong):
+    lines = [f"{k} = {v}" for k, v in strong.as_dict().items()]
+    path = tmp_path / "chan.txt"
+    path.write_text("\n".join(lines + ["q_joint.2.2 = 0.1", "q_jiont.1.1 = 0.9"]))
+    with pytest.raises(ChannelError, match=r"line 9: channel key 'q_joint\.2\.2' repeated"):
+        load_channel(path)
+    path.write_text("\n".join(lines + ["q_jiont.1.1 = 0.9"]))
+    with pytest.raises(ChannelError, match=r"line 9: unknown channel key 'q_jiont\.1\.1'"):
+        load_channel(path)
+
+
+def test_load_channel_rejects_repeated_and_unknown_json_keys(tmp_path, weak):
+    path = tmp_path / "chan.json"
+    path.write_text(json.dumps(weak.as_dict())[:-1] + ', "q_joint.2.2": 0.1}')
+    with pytest.raises(ChannelError, match=r"channel key 'q_joint\.2\.2' repeated"):
+        load_channel(path)
+    path.write_text(json.dumps({**weak.as_dict(), "q_jiont.1.1": 0.9}))
+    with pytest.raises(ChannelError, match=r"unknown channel key 'q_jiont\.1\.1'"):
+        load_channel(path)
+
+
 def test_load_channel_missing_key(tmp_path):
     path = tmp_path / "chan.json"
     path.write_text(json.dumps({"q_solo.1.1": 0.8}))

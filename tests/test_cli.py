@@ -393,8 +393,9 @@ def test_channel_config_file(tmp_path):
         (lambda text: text[:-1] + ",}", "invalid JSON: Expecting property name enclosed in "
          "double quotes: line 1 column "),
         (lambda text: text.replace("0.8,", "true,", 1), "q_solo.1.1=True is not a number"),
+        (lambda text: text[:-1] + ', "q_joint.2.2": 0.1}', "channel key 'q_joint.2.2' repeated"),
     ],
-    ids=["trailing-comma", "boolean"],
+    ids=["trailing-comma", "boolean", "repeated-key"],
 )
 def test_bad_json_channel_is_a_clean_error(tmp_path, capsys, edit, message):
     from ramcast.channel import weak_mpr

@@ -19,6 +19,7 @@ from ramcast.regions import (
     frontier_value,
     p_grid,
     pareto_frontier,
+    region_rates,
     service_rates,
     stability_region_at,
     stable_equals_throughput_frontier,
@@ -135,6 +136,13 @@ def test_sweep_tables_are_indexed_by_the_grid(kind, K):
     for i, j in [(0, 0), (0, 3), (7, 0), (0, n - 1), (n - 1, 0), (2, 9), (8, 5), (n - 1, n - 1)]:
         rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(grid[i], grid[j]), K)
         assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
+    # The kind's grid function takes any two axes, of any lengths.
+    p1, p2 = [0.0, 0.35, 1.0], [0.0, 0.2, 0.45, 0.9, 1.0]
+    mu1, mu2 = region_rates(kind, _ASYMMETRIC, K)(p1, p2)
+    assert mu1.shape == mu2.shape == (3, 5)
+    for i, j in np.ndindex(3, 5):
+        rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(p1[i], p2[j]), K)
+        assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
 
 
 @pytest.mark.parametrize(
@@ -166,8 +174,7 @@ def test_dead_points_rate_exactly_zero(strong, K):
     # p_own = 0 kills a source on any channel; on the collision channel
     # (q_joint = 0) so does p_other = 1.
     grid = p_grid(0.1)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s, p2s = P1.ravel(), P2.ravel()
+    p1s, p2s = np.meshgrid(grid, grid, indexing="ij")
     for ch in (strong, collision_channel()):
         for rates_grid in (
             rate_bounds_grid,
@@ -175,7 +182,7 @@ def test_dead_points_rate_exactly_zero(strong, K):
             lambda c, a, b: rlc_grid(c, a, b, K),
             lambda c, a, b: rlc_grid(c, a, b, K, variant="exact"),
         ):
-            mu1, mu2 = rates_grid(ch, p1s, p2s)
+            mu1, mu2 = rates_grid(ch, grid, grid)
             dead1 = p1s == 0.0
             dead2 = p2s == 0.0
             if ch.joint(1, 1) == 0.0:

@@ -85,7 +85,7 @@ def test_jensen_bound_examples(strong):
 
 
 def test_jensen_dominance_bulk_random():
-    # 10^4 random (channel, access) samples: mu_nb <= capacity bound.
+    # 100 random channels over two random 100-value axes: 10^6 cells, mu_nb <= bound.
     rng = np.random.default_rng(17)
     for _ in range(100):
         ch = random_channel(rng)

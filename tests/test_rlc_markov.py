@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ramcast.capacity import rate_bounds_grid
 from ramcast.channel import PRESETS, AccessProbabilities, ChannelModel
 from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
@@ -179,14 +180,11 @@ def test_rlc_service_rates_structure(strong):
 def test_rate_dominated_by_capacity_bound(strong, weak):
     for ch in (strong, weak):
         grid = np.linspace(0, 1, 6)
-        P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-        p1s, p2s = P1.ravel(), P2.ravel()
+        r1, r2 = rate_bounds_grid(ch, grid, grid)
         for K in (1, 3):
-            m1, m2 = service_rates_grid(ch, p1s, p2s, K)
-            for a, b, x, y in zip(p1s, p2s, m1, m2):
-                r1, r2 = rate_caps(ch, float(a), float(b))
-                assert x <= r1 + 1e-12
-                assert y <= r2 + 1e-12
+            m1, m2 = service_rates_grid(ch, grid, grid, K)
+            assert np.all(m1 <= r1 + 1e-12)
+            assert np.all(m2 <= r2 + 1e-12)
 
 
 def test_rate_grows_with_k_toward_bound(strong):
@@ -321,17 +319,15 @@ def test_rate_factors_out_own_access(ch, p_own):
 @pytest.mark.parametrize("variant", ["paper", "exact"])
 def test_grid_matches_pointwise_chain(strong, weak, variant):
     grid = np.linspace(0, 1, 6)
-    P1, P2 = np.meshgrid(grid, grid, indexing="ij")
-    p1s, p2s = P1.ravel(), P2.ravel()
     for ch in (strong, weak):
         for K in (1, 3):
-            m1, m2 = service_rates_grid(ch, p1s, p2s, K, variant)
-            for a, b, x, y in zip(p1s.tolist(), p2s.tolist(), m1, m2):
-                access = AccessProbabilities(a, b)
+            m1, m2 = service_rates_grid(ch, grid, grid, K, variant)
+            for i, j in np.ndindex(m1.shape):
+                access = AccessProbabilities(grid[i].item(), grid[j].item())
                 want1 = service_rate(build_chain(ch, access, 1, True, K, variant))
                 want2 = service_rate(build_chain(ch, access, 2, True, K, variant))
-                assert x == pytest.approx(want1, rel=1e-12, abs=0)
-                assert y == pytest.approx(want2, rel=1e-12, abs=0)
+                assert m1[i, j] == pytest.approx(want1, rel=1e-12, abs=0)
+                assert m2[i, j] == pytest.approx(want2, rel=1e-12, abs=0)
 
 
 def _published_rows(ch, source, po, K, states):
