@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 __all__ = [
     "ChannelError",
     "ChannelModel",
@@ -220,15 +222,20 @@ def load_channel(source: str | Path) -> ChannelModel:
 
 @dataclass(frozen=True)
 class AccessProbabilities:
-    """Per-slot transmission probabilities of the two backlogged sources."""
+    """Per-slot transmission probabilities of the two backlogged sources.
 
-    p1: float
-    p2: float
+    A field may also be an array of values, as when
+    ``rlc_markov.build_chain`` builds one chain row per value.
+    """
+
+    p1: float | np.ndarray
+    p2: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, v in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= v <= 1.0:
-                raise ChannelError(f"{name}={v!r} outside [0, 1]")
+            for x in np.ravel(v).tolist():
+                if not 0.0 <= x <= 1.0:
+                    raise ChannelError(f"{name}={x!r} outside [0, 1]")
 
     def of(self, source: int) -> float:
         return self.p1 if source == 1 else self.p2

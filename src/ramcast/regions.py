@@ -40,6 +40,9 @@ __all__ = [
 
 _TOL = 1e-12
 
+# Rows per chunk of the Pareto prefilter, which bounds its scratch memory.
+_PARETO_ROWS = 1 << 16
+
 
 @dataclass
 class RegionFrontier:
@@ -91,25 +94,34 @@ def p_grid(step: float) -> np.ndarray:
 
 
 def pareto_frontier(points) -> np.ndarray:
-    """Row indices of the Pareto-maximal (x, y, p1, p2) records, x increasing.
+    """Row indices of the Pareto-maximal records, x increasing.
 
-    ``points`` is anything ``np.asarray`` turns into an (n, 4) array.
-    Dominance ties (identical x and y) keep the lexicographically
-    smallest (p1, p2) witness, and identical records their first row, so
-    that repeated sweeps are reproducible.
+    ``points`` is anything ``np.asarray`` turns into an (n, 2 + w) array:
+    the rate pair (x, y) of each record, then w >= 0 witness columns.
+    Dominance ties (identical x and y) keep the record whose witness is
+    lexicographically smallest, and then the first row, so that repeated
+    sweeps are reproducible.  A sweep's rows are in witness order, so it
+    passes the rate pairs alone.
     """
-    x, y, p1, p2 = np.asarray(points, dtype=float).reshape(-1, 4).T
+    points = np.asarray(points, dtype=float)
+    if points.size == 0:
+        return np.empty(0, dtype=np.intp)
+    x, y, *witness = np.atleast_2d(points).T
     # A record with a smaller y than one at equal or larger x is dominated:
-    # one argsort of x and a running max of y drop all of those.  The few
-    # left go back to row order, so the stable sort below still puts the
-    # first of identical records first.
-    by_x = np.argsort(-x)
-    y_by_x = y[by_x]
-    rows = np.sort(by_x[y_by_x >= np.maximum.accumulate(y_by_x)])
-    x, y, p1, p2 = x[rows], y[rows], p1[rows], p2[rows]
+    # in each chunk of rows, one argsort of x and a running max of y drop
+    # those that the chunk itself dominates.  The few left stay in row
+    # order, so the stable sort below still puts the first of identical
+    # records first.
+    kept = []
+    for r in range(0, x.size, _PARETO_ROWS):
+        by_x = np.argsort(-x[r : r + _PARETO_ROWS])
+        y_by_x = y[r : r + _PARETO_ROWS][by_x]
+        kept.append(r + np.sort(by_x[y_by_x >= np.maximum.accumulate(y_by_x)]))
+    rows = np.concatenate(kept)
+    x, y = x[rows], y[rows]
     # x descending, then y descending, then the smallest witness first:
     # a record survives iff its y beats every record sorted before it.
-    order = np.lexsort((p2, p1, -y, -x))
+    order = np.lexsort((*(c[rows] for c in reversed(witness)), -y, -x))
     ys = y[order]
     best_before = np.concatenate(([-np.inf], np.maximum.accumulate(ys)))[:-1]
     return rows[order[ys > best_before]][::-1]
@@ -159,21 +171,22 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     competitor, and ``frontier.index`` counts the cells row by row.
     """
     n = _grid_size(grid_step)
-    # The flat columns are allocated before the 1-D grid is written, so a
-    # grid too large for memory fails at once with MemoryError.
-    p1s, p2s = np.empty(n * n), np.empty(n * n)
+    # Each table holds n * n rates.  Asking for that much memory before
+    # the 1-D grid is written makes a grid too large for memory fail at
+    # once with MemoryError.
+    np.empty((n, n))
     grid = p_grid(grid_step)
-    p1s.reshape(n, n)[:] = grid[:, None]
-    p2s.reshape(n, n)[:] = grid
     mu1, mu2 = region_rates(kind, channel, K, variant)(grid, grid)
     x, y = mu1.ravel(), mu2.ravel()
-    at = pareto_frontier(np.column_stack((x, y, p1s, p2s)))
+    # Row by row, the cells come in (p1, p2) order, so the rate pairs alone
+    # keep the smallest-witness tie rule.
+    at = pareto_frontier(np.column_stack((x, y)))
     frontier = RegionFrontier(
         kind=kind,
         x=x[at],
         y=y[at],
-        p1=p1s[at],
-        p2=p2s[at],
+        p1=grid[at // n],
+        p2=grid[at % n],
         index=at,
         K=K if kind == "rlc" else None,
     )

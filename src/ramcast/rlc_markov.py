@@ -11,11 +11,16 @@ In a slot where the source transmits, its coded packet reaches
 destination 1 only, destination 2 only, both or neither, with the
 reception weights w1, w2, wb and wn.  A uniform coefficient vector lies
 in a subspace of dimension d with probability 2^(d - K), so every
-transition probability is a reception weight times such fractions.
-Each variant is one table of transition families, one row per family:
-its name, its step (di, dj, dk), the states it leaves from and its
-probability.  Both tables use the same weights and the same self-loop,
+transition probability is a sum of at most two terms, each a reception
+weight times such fractions.  Each variant is one table of transition
+families, one row per family: its name, its step (di, dj, dk), the
+states it leaves from and its (weight, fraction) terms.  Both tables use
+the same weights and the same self-loop,
 wn + w1 * 2^(i-K) + w2 * 2^(j-K) + wb * (fraction of the overlap).
+The fractions depend only on (K, variant), so they are computed once per
+edge and state, with the cached state space; a chain holds only its
+reception weights, one row per value of the other source's access
+probability.
 
 * ``variant="paper"`` -- the published transition table, where k counts
   packets that advanced both destinations simultaneously and the
@@ -34,7 +39,8 @@ wn + w1 * 2^(i-K) + w2 * 2^(j-K) + wb * (fraction of the overlap).
 The service rate is K packets per expected service time.  Every
 transition raises i + j + k, so the expected visits to each state in one
 renewal cycle follow from a single level-ordered forward pass
-(``_visit_counts``); their sum is the expected service time.
+(``_visit_counts``), which solves every row of a chain at once; their
+sum is the expected service time.
 """
 from __future__ import annotations
 
@@ -56,27 +62,46 @@ __all__ = [
     "service_rates_grid",
 ]
 
+# A chain row's reception weights, in this order on its last axis: the
+# packet reaches destination 1 only (w1), 2 only (w2), both (wb) or
+# neither (wn); it reaches 1 with probability phi = w1 + wb and 2 with
+# sigma = w2 + wb.
+_WEIGHTS = ("w1", "w2", "wb", "wn", "phi", "sigma")
+
+# At most this many visit counts (rows x states) in one level pass:
+# ``service_rate`` takes a chain's rows in chunks of this size, so its
+# memory does not grow with the number of access values.
+_PASS_ELEMENTS = 1 << 18
+
 
 @dataclass(frozen=True)
 class _StateSpace:
-    """Static state enumeration and edge topology for one (K, variant).
+    """Static state enumeration, edge topology and transition fractions
+    for one (K, variant).
 
     States are ordered by level i + j + k, then i, then j; every edge
     raises the level, so the edge table ``e_src``/``e_dst``/``e_fam``
     (all families, grouped by the source state's level) admits a single
     forward pass.  ``e_fam`` is each edge's row in the variant's family
     table; inside a family, edges keep the order of their source states.
+    At p_own = 1, for a row w of reception weights, an edge's
+    probability is ``w[e_w[0]] * e_f[0] + w[e_w[1]] * e_f[1]`` (a one-term
+    family's second fraction is 0) and a state's self-loop is
+    ``wn + w1 * loop_f[0] + w2 * loop_f[1] + wb * loop_f[2]``.
     """
 
     K: int
-    variant: str
     I: np.ndarray
     J: np.ndarray
     C: np.ndarray
     absorbing: np.ndarray            # state indices with i == j == K
+    completes: np.ndarray            # the same states, as a mask
+    loop_f: np.ndarray               # (3, states) self-loop fractions
     e_src: np.ndarray                # edges, level-ordered: source state,
-    e_dst: np.ndarray                # target state
-    e_fam: np.ndarray                # and family row
+    e_dst: np.ndarray                # target state,
+    e_fam: np.ndarray                # family row,
+    e_w: np.ndarray                  # (2, edges) weight column per term
+    e_f: np.ndarray                  # and (2, edges) fraction per term
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
 
@@ -98,28 +123,32 @@ def _any_collects(I, J, K):
     return (I < K) | (J < K)
 
 
-# name, di, dj, dk, source rows, probability at p_own = 1 from the
-# weights w and the fractions f of the source state.
+# name, di, dj, dk, source rows, and the probability at p_own = 1 as
+# (weight, fraction) terms, summed in this order; a fraction is a
+# function of the fractions f of the source state (see ``_state_space``).
 _PAPER_FAMS = (
-    ("move_i", 1, 0, 0, _both_collect, lambda w, f: w.w1 * (1 - f.i) + w.wb * (f.j - f.k)),
-    ("move_j", 0, 1, 0, _both_collect, lambda w, f: w.w2 * (1 - f.j) + w.wb * (f.i - f.k)),
-    ("move_ij", 1, 1, 1, _both_collect, lambda w, f: w.wb * (1 - (f.i + f.j - f.k))),
-    ("bnd_i", 1, 0, 0, _only_1_collects, lambda w, f: w.phi * (1 - (f.i + f.fresh))),
-    ("bnd_ik", 1, 0, 1, _only_1_collects, lambda w, f: w.phi * f.fresh),
-    ("bnd_j", 0, 1, 0, _only_2_collects, lambda w, f: w.sigma * (1 - (f.j + f.fresh))),
-    ("bnd_jk", 0, 1, 1, _only_2_collects, lambda w, f: w.sigma * f.fresh),
+    ("move_i", 1, 0, 0, _both_collect, (("w1", lambda f: 1 - f.i), ("wb", lambda f: f.j - f.k))),
+    ("move_j", 0, 1, 0, _both_collect, (("w2", lambda f: 1 - f.j), ("wb", lambda f: f.i - f.k))),
+    ("move_ij", 1, 1, 1, _both_collect, (("wb", lambda f: 1 - (f.i + f.j - f.k)),)),
+    ("bnd_i", 1, 0, 0, _only_1_collects, (("phi", lambda f: 1 - (f.i + f.fresh)),)),
+    ("bnd_ik", 1, 0, 1, _only_1_collects, (("phi", lambda f: f.fresh),)),
+    ("bnd_j", 0, 1, 0, _only_2_collects, (("sigma", lambda f: 1 - (f.j + f.fresh)),)),
+    ("bnd_jk", 0, 1, 1, _only_2_collects, (("sigma", lambda f: f.fresh),)),
 )
 
 _EXACT_FAMS = (
-    ("x1", 1, 0, 0, _any_collects, lambda w, f: w.w1 * (1 - f.s)),
-    ("x1k", 1, 0, 1, _any_collects, lambda w, f: w.w1 * (f.s - f.i) + w.wb * (f.j - f.k)),
-    ("x2", 0, 1, 0, _any_collects, lambda w, f: w.w2 * (1 - f.s)),
-    ("x2k", 0, 1, 1, _any_collects, lambda w, f: w.w2 * (f.s - f.j) + w.wb * (f.i - f.k)),
-    ("xb1", 1, 1, 1, _any_collects, lambda w, f: w.wb * (1 - f.s)),
-    ("xb2", 1, 1, 2, _any_collects, lambda w, f: w.wb * (f.s - f.i - f.j + f.k)),
+    ("x1", 1, 0, 0, _any_collects, (("w1", lambda f: 1 - f.s),)),
+    ("x1k", 1, 0, 1, _any_collects, (("w1", lambda f: f.s - f.i), ("wb", lambda f: f.j - f.k))),
+    ("x2", 0, 1, 0, _any_collects, (("w2", lambda f: 1 - f.s),)),
+    ("x2k", 0, 1, 1, _any_collects, (("w2", lambda f: f.s - f.j), ("wb", lambda f: f.i - f.k))),
+    ("xb1", 1, 1, 1, _any_collects, (("wb", lambda f: 1 - f.s),)),
+    ("xb2", 1, 1, 2, _any_collects, (("wb", lambda f: f.s - f.i - f.j + f.k),)),
 )
 
 _FAMILIES = {"paper": _PAPER_FAMS, "exact": _EXACT_FAMS}
+
+# The second term of a one-term family: w1 * 0 adds nothing.
+_NO_TERM = ("w1", lambda f: 0.0)
 
 
 def _slices(bounds: np.ndarray) -> tuple[tuple[int, int], ...]:
@@ -142,16 +171,17 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     # k + 2 indexes the array and reads -1 outside the state space.
     lookup = np.full((K + 2, K + 2, K + 3), -1, dtype=np.int32)
     lookup[I, J, C] = np.arange(I.size, dtype=np.int32)
-    absorbing = np.flatnonzero((I == K) & (J == K))
+    completes = (I == K) & (J == K)
+    fams = _FAMILIES[variant]
 
     edges = []
-    for fam, (_, di, dj, dk, rows, _) in enumerate(_FAMILIES[variant]):
+    for fam, (_, di, dj, dk, rows, _) in enumerate(fams):
         src = np.flatnonzero(rows(I, J, K)).astype(np.int32)
         dst = lookup[I[src] + di, J[src] + dj, C[src] + dk]
         hit = dst >= 0
         edges.append((src[hit], dst[hit], np.full(np.count_nonzero(hit), fam, dtype=np.int8)))
     e_src, e_dst, e_fam = (np.concatenate(col) for col in zip(*edges))
-    del edges  # the sort below is this build's memory peak
+    del edges, lookup  # the sort and the fractions below are this build's memory peak
 
     # Topological grouping: every edge strictly increases i + j + k, so
     # processing states level-by-level makes the visit-count recursion a
@@ -161,50 +191,10 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     bounds = np.arange(int(level[-1]) + 2)
     order = np.argsort(level[e_src], kind="stable")
     e_src, e_dst, e_fam = e_src[order], e_dst[order], e_fam[order]
+    level_state_slices = _slices(np.searchsorted(level, bounds))
+    level_edge_slices = _slices(np.searchsorted(level[e_src], bounds))
+    del order, level
 
-    return _StateSpace(
-        K=K,
-        variant=variant,
-        I=I,
-        J=J,
-        C=C,
-        absorbing=absorbing,
-        e_src=e_src,
-        e_dst=e_dst,
-        e_fam=e_fam,
-        level_state_slices=_slices(np.searchsorted(level, bounds)),
-        level_edge_slices=_slices(np.searchsorted(level[e_src], bounds)),
-    )
-
-
-def _family_probs(
-    space: _StateSpace, channel: ChannelModel, source: int, p_other: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edge probabilities (aligned with ``space.e_src``) and per-state
-    self-loop probabilities of the chain at p_own = 1 (the source
-    transmits in every slot).
-
-    The self-loops of the completion states are left for ``build_chain``.
-    """
-    K, I, J, C = space.K, space.I, space.J, space.C
-    s1, s2 = channel.solo(source, 1), channel.solo(source, 2)
-    j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
-
-    def mix(f_solo, f_joint):
-        return (1.0 - p_other) * f_solo + p_other * f_joint
-
-    # Reception weights: the packet reaches destination 1 only (w1), 2
-    # only (w2), both (wb) or neither (wn); it reaches 1 with probability
-    # phi = w1 + wb and 2 with sigma = w2 + wb.
-    phi, sigma, _ = channel.reception(source, p_other)
-    w = SimpleNamespace(
-        w1=mix(s1 * (1 - s2), j1 * (1 - j2)),
-        w2=mix((1 - s1) * s2, (1 - j1) * j2),
-        wb=mix(s1 * s2, j1 * j2),
-        wn=mix((1 - s1) * (1 - s2), (1 - j1) * (1 - j2)),
-        phi=phi,
-        sigma=sigma,
-    )
     # Per state, the chance 2^(d - K) that a uniform coefficient vector
     # lies in a span of dimension d: i, j and k for those coordinates, s
     # for the sum of the two spans (i + j - k in the exact variant); and
@@ -222,38 +212,117 @@ def _family_probs(
     # variant J == K forces k = i and I == K forces k = j, so there the
     # overlap is always the span of dimension k.
     overlap = np.where(J == K, f.i, np.where(I == K, f.j, f.k))
-    self_p = w.wn + w.w1 * f.i + w.w2 * f.j + w.wb * overlap
-    del overlap
-    # One row per family, one column per state; an edge reads its family's
-    # row at its source state.  This call is the memory peak of a large-K
-    # sweep, so the rows are filled one at a time and every temporary is
-    # dropped once spent.
-    fams = _FAMILIES[space.variant]
-    table = np.empty((len(fams), I.size))
-    for row, (*_, prob) in zip(table, fams):
-        row[:] = prob(w, f)
-    del f
-    return table[space.e_fam, space.e_src], self_p
+
+    # Each edge's (weight, fraction) terms, in its family's order; a
+    # one-term family's second term is ``_NO_TERM``.
+    e_w = np.empty((2, e_src.size), dtype=np.int8)
+    e_f = np.empty((2, e_src.size))
+    for fam, (*_, terms) in enumerate(fams):
+        at = np.flatnonzero(e_fam == fam)
+        src = e_src[at]
+        for t, (weight, frac) in enumerate((terms + (_NO_TERM,))[:2]):
+            e_w[t, at] = _WEIGHTS.index(weight)
+            e_f[t, at] = np.broadcast_to(frac(f), I.shape)[src]
+
+    return _StateSpace(
+        K=K,
+        I=I,
+        J=J,
+        C=C,
+        absorbing=np.flatnonzero(completes),
+        completes=completes,
+        loop_f=np.stack((f.i, f.j, overlap)),
+        e_src=e_src,
+        e_dst=e_dst,
+        e_fam=e_fam,
+        e_w=e_w,
+        e_f=e_f,
+        level_state_slices=level_state_slices,
+        level_edge_slices=level_edge_slices,
+    )
+
+
+def _reception_weights(channel: ChannelModel, source: int, p_other) -> np.ndarray:
+    """The ``_WEIGHTS`` of one transmission of ``source`` per value of
+    ``p_other``, on a new last axis."""
+    s1, s2 = channel.solo(source, 1), channel.solo(source, 2)
+    j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
+
+    def mix(f_solo, f_joint):
+        return (1.0 - p_other) * f_solo + p_other * f_joint
+
+    phi, sigma, _ = channel.reception(source, p_other)
+    return np.stack(
+        (
+            mix(s1 * (1 - s2), j1 * (1 - j2)),
+            mix((1 - s1) * s2, (1 - j1) * j2),
+            mix(s1 * s2, j1 * j2),
+            mix((1 - s1) * (1 - s2), (1 - j1) * (1 - j2)),
+            phi,
+            sigma,
+        ),
+        axis=-1,
+    )
+
+
+def _self_loops(space: _StateSpace, p, w, s0: int, s1: int) -> np.ndarray:
+    """Self-loop probabilities of the states s0:s1, per chain row.
+
+    ``p`` is the own access probability and ``w`` the reception weights,
+    with one trailing axis each (of length 1 and ``len(_WEIGHTS)``).
+    """
+    f = space.loop_f[:, s0:s1]
+    w1, w2, wb, wn = (w[..., n, None] for n in range(4))
+    loop = wn + w1 * f[0] + w2 * f[1] + wb * f[2]
+    # A slot moves the p_own = 1 chain with probability p_own and otherwise
+    # leaves the state as it is; a completion state's renewal transition
+    # replaces its row.
+    return np.where(space.completes[s0:s1], 0.0, (1 - p) + p * loop)
+
+
+def _edge_probs(space: _StateSpace, p, w, e0: int, e1: int) -> np.ndarray:
+    """Probabilities of the edges e0:e1, per chain row (``p`` and ``w`` as
+    in ``_self_loops``)."""
+    terms = np.take(w, space.e_w[:, e0:e1], axis=-1) * space.e_f[:, e0:e1]
+    return p * (terms[..., 0, :] + terms[..., 1, :])
 
 
 @dataclass
 class ChainModel:
-    """A built chain: its state space plus the self-loop and edge
-    probabilities at one parameter point."""
+    """A built chain: its state space plus, per value of the access
+    probabilities, the own access probability and the reception weights.
+
+    ``p_own`` has the shape of the access values (``()`` at one point) and
+    ``weights`` that shape plus an axis of ``_WEIGHTS``.  ``self_p``,
+    ``e_prob`` and ``row_sums`` spell the chain out with that shape plus
+    an axis of states or edges.
+    """
 
     space: _StateSpace = field(repr=False)
-    self_p: np.ndarray = field(repr=False)
-    e_prob: np.ndarray = field(repr=False)  # aligned with space.e_src/e_dst
+    p_own: np.ndarray = field(repr=False)
+    weights: np.ndarray = field(repr=False)
 
     @property
     def K(self) -> int:
         return self.space.K
 
+    @property
+    def self_p(self) -> np.ndarray:
+        """Per-state self-loop probabilities (0 at the completion states)."""
+        return _self_loops(self.space, self.p_own[..., None], self.weights, 0, self.space.I.size)
+
+    @property
+    def e_prob(self) -> np.ndarray:
+        """Edge probabilities, aligned with ``space.e_src``/``e_dst``."""
+        edges = self.space.e_src.size
+        return _edge_probs(self.space, self.p_own[..., None], self.weights, 0, edges)
+
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
-        sums = self.self_p.copy()
-        np.add.at(sums, self.space.e_src, self.e_prob)
-        sums[self.space.absorbing] = 1.0
+        sums = self.self_p
+        # Transposed, states and edges lead, whatever the chain's shape.
+        np.add.at(sums.T, self.space.e_src, self.e_prob.T)
+        sums[..., self.space.absorbing] = 1.0
         return sums
 
 
@@ -265,7 +334,8 @@ def build_chain(
     K: int = 1,
     variant: str = "paper",
 ) -> ChainModel:
-    """Assemble the per-source chain at one parameter point.
+    """Assemble the per-source chain at one parameter point, or at one per
+    value where the access fields are arrays (they broadcast together).
 
     ``other_backlogged=False`` models the empty competing source by
     setting its access probability to 0.
@@ -275,47 +345,77 @@ def build_chain(
         raise ValueError(f"variant must be 'paper' or 'exact', got {variant!r}")
     if source not in (1, 2):
         raise ValueError(f"source must be 1 or 2, got {source!r}")
-    space = _state_space(K, variant)
-    p_own = access.of(source)
-    p_other = access.other(source) if other_backlogged else 0.0
-    e_prob, self_p = _family_probs(space, channel, source, p_other)
-    # A slot moves the p_own = 1 chain with probability p_own and
-    # otherwise leaves the state as it is.
-    self_p = (1 - p_own) + p_own * self_p
-    self_p[space.absorbing] = 0.0  # renewal transition replaces the row
-    return ChainModel(space=space, self_p=self_p, e_prob=p_own * e_prob)
+    p_own, p_other = np.broadcast_arrays(
+        np.asarray(access.of(source), dtype=float),
+        np.asarray(access.other(source) if other_backlogged else 0.0, dtype=float),
+    )
+    return ChainModel(
+        space=_state_space(K, variant),
+        p_own=p_own,
+        weights=_reception_weights(channel, source, p_other),
+    )
 
 
-def _visit_counts(chain: ChainModel) -> np.ndarray | None:
+def _visit_counts(chain: ChainModel) -> np.ndarray:
     """Expected visits per renewal cycle for transient states (0 for the
-    completion states).
+    completion states), per chain row: the shape of ``chain.p_own`` plus
+    an axis of states.
 
-    Returns None when the service never completes (dead parameter point).
+    A row whose service never completes (a dead parameter point) has an
+    infinite expected cycle: all its visit counts are inf.
     """
     space = chain.space
-    inflow = np.zeros(chain.self_p.size)
-    inflow[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
-    visits = np.zeros_like(inflow)
-    e_src, e_dst, e_prob = space.e_src, space.e_dst, chain.e_prob
+    n = space.I.size
+    p = chain.p_own.reshape(-1, 1)
+    w = chain.weights.reshape(-1, len(_WEIGHTS))
+    # Each state's inflow becomes its visit count in place, once every
+    # level below it has been passed.
+    visits = np.zeros((p.shape[0], n))
+    visits[:, 0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
+    flat = visits.reshape(-1)
+    row_start = np.arange(0, visits.size, n)[:, None]
+    dead = np.zeros(p.shape[0], dtype=bool)
     # A completion state has no out-edges and a zero self-loop, so the pass
     # solves it like any other state (denominator 1, never dead) and only
     # zeroes its visits at the end.
     for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
-        denom = 1.0 - chain.self_p[s0:s1]
-        if np.any((denom <= 1e-15) & (inflow[s0:s1] > 0)):
-            return None
-        with np.errstate(invalid="ignore", divide="ignore"):
-            visits[s0:s1] = np.where(denom > 0, inflow[s0:s1] / denom, 0.0)
-        np.add.at(inflow, e_dst[e0:e1], visits[e_src[e0:e1]] * e_prob[e0:e1])
-    visits[space.absorbing] = 0.0
-    return visits
+        denom = 1.0 - _self_loops(space, p, w, s0, s1)
+        level = visits[:, s0:s1]
+        tiny = denom <= 1e-15
+        if tiny.any():
+            # Such a state is never left: its row is dead if it has inflow,
+            # and otherwise it gets no visits.
+            stuck = np.any(tiny & (level > 0), axis=1)
+            dead |= stuck
+            visits[stuck] = 0.0  # so nothing flows on from a dead row
+            np.divide(level, denom, out=level, where=~tiny)
+        else:
+            level /= denom
+        # One flat add.at over all rows: each destination still sums its
+        # inflow in edge order.
+        np.add.at(
+            flat,
+            (row_start + space.e_dst[e0:e1]).ravel(),
+            (visits[:, space.e_src[e0:e1]] * _edge_probs(space, p, w, e0, e1)).ravel(),
+        )
+    visits[:, space.absorbing] = 0.0
+    visits[dead] = np.inf
+    return visits.reshape(chain.p_own.shape + (n,))
 
 
-def service_rate(chain: ChainModel) -> float:
-    """K / E[slots to complete one generation] in packets/slot; 0 if the
-    service never completes."""
-    visits = _visit_counts(chain)
-    return 0.0 if visits is None else chain.K / float(visits.sum())
+def service_rate(chain: ChainModel):
+    """K / E[slots to complete one generation] in packets/slot, per chain
+    row (a float for a chain at one point); 0 where the service never
+    completes."""
+    p = chain.p_own.reshape(-1)
+    w = chain.weights.reshape(-1, len(_WEIGHTS))
+    rows = max(1, _PASS_ELEMENTS // chain.space.I.size)
+    slots = np.empty(p.size)
+    for r in range(0, p.size, rows):
+        part = ChainModel(space=chain.space, p_own=p[r : r + rows], weights=w[r : r + rows])
+        slots[r : r + rows] = _visit_counts(part).sum(axis=-1)
+    rate = (chain.K / slots).reshape(chain.p_own.shape)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def rlc_service_rates(
@@ -331,19 +431,15 @@ def rlc_service_rates(
 def _rates_at_full_access(
     channel: ChannelModel, source: int, q: np.ndarray, K: int, variant: str
 ) -> np.ndarray:
-    """g_n(q) = mu_nb(p_own=1, p_other=q), one chain solve per value of q.
+    """g_n(q) = mu_nb(p_own=1, p_other=q) for every value of q, from one
+    chain with a row per value.
 
     A smaller p_own only holds each state for 1 / p_own times as many
     slots on average, so the expected service time is T(1, q) / p_own
     and mu_nb(p_own, q) = p_own * g_n(q).
     """
-    out = np.empty(len(q))
-    for n, p_other in enumerate(q.tolist()):
-        access = AccessProbabilities(
-            *((1.0, p_other) if source == 1 else (p_other, 1.0))
-        )
-        out[n] = service_rate(build_chain(channel, access, source, True, K, variant))
-    return out
+    access = AccessProbabilities(*((1.0, q) if source == 1 else (q, 1.0)))
+    return service_rate(build_chain(channel, access, source, True, K, variant))
 
 
 def service_rates_grid(
@@ -355,8 +451,8 @@ def service_rates_grid(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backlogged rates (mu_1b, mu_2b) as tables over two access axes.
 
-    Costs one chain solve per axis value of p2 (for source 1) and of p1
-    (for source 2), not two per point.
+    Solves one chain per source, with a row per axis value of p2 (for
+    source 1) and of p1 (for source 2), not one per point.
     """
     return factored_rates(
         lambda source, q: _rates_at_full_access(channel, source, q, K, variant), p1, p2

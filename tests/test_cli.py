@@ -97,7 +97,7 @@ def test_capacity_csv_is_the_flat_sweep_cell_by_cell(tmp_path, channel):
 def test_capacity_csv_is_streamed(tmp_path):
     # At step 0.002 (251,001 rows), a writer that turns whole grid columns
     # into lists peaks at 40.7 MB under tracemalloc; one p1 row at a time
-    # it is 22.6 MB, nearly all of it the sweep's own arrays.
+    # it is 10.4 MB, nearly all of it the sweep's own arrays.
     import tracemalloc
 
     tracemalloc.start()

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ramcast import regions
 from ramcast.capacity import capacity_sweep, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel, load_channel
 from ramcast.checks import _closure_overshoot, check_stability_closure
@@ -106,6 +108,39 @@ def test_pareto_frontier_matches_brute_force(pts):
     # Rows, not only records: of fully duplicated records the first row
     # wins, and on_frontier and RegionFrontier.index show which one.
     assert rows == _full_lexsort_frontier(pts).tolist()
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(
+        st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in range(4))),
+        max_size=30,
+    ),
+    st.integers(1, 8),
+)
+def test_pareto_frontier_of_pairs_in_witness_order(pts, chunk):
+    # Rows in witness order need no witness columns: the first row of a
+    # tie is its smallest witness.  Prefiltering in chunks of rows keeps
+    # the same rows, whatever the chunk size.
+    pts = sorted(pts, key=lambda r: (r[2], r[3]))
+    ref = _full_lexsort_frontier(pts).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_PARETO_ROWS", chunk)
+        assert pareto_frontier(pts).tolist() == ref
+        assert pareto_frontier([(x, y) for x, y, *_ in pts]).tolist() == ref
+
+
+def test_sweep_memory_is_the_rate_tables_and_the_pareto_input():
+    # At step 0.001 the two (n, n) tables take 16 MB and the (n * n, 2)
+    # rate pairs handed to pareto_frontier 16 MB more.  Flat witness
+    # columns and a 4-column copy took the peak to 89 MB.
+    tracemalloc.start()
+    try:
+        sweep("capacity", load_channel("strong_mpr"), 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 @pytest.mark.parametrize("kind", ["capacity", "retrans"])
