@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -46,13 +45,24 @@ def _resolve_out(path: str | Path) -> Path:
     return p
 
 
-def write_csv(path: Path, header: list[str], rows) -> None:
-    """Write ``rows`` (any iterable, consumed once) line by line; a ``%s``
-    template built from the header formats each row, and ``%s`` is ``str``."""
-    line = ",".join(["%s"] * len(header)) + "\n"
+def _csv_lines(header: list[str], blocks):
+    """Yield the header line, then each block (equal-length columns, one per
+    field) as one string: its cells interleaved row-major and formatted by a
+    ``%s`` template repeated once per row, and ``%s`` is ``str``."""
+    k = len(header)
+    line = ",".join(["%s"] * k) + "\n"
+    yield ",".join(header) + "\n"
+    for block in blocks:
+        cells = [None] * (k * len(block[0]))
+        for j, column in enumerate(block):
+            cells[j::k] = column
+        yield (line * len(block[0])) % tuple(cells)
+
+
+def write_csv(path: Path, header: list[str], blocks) -> None:
+    """Write ``blocks`` (any iterable, consumed once) after the header."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in rows)
+        fh.writelines(_csv_lines(header, blocks))
 
 
 # Parsed arguments that are bookkeeping, not parameters of the run.
@@ -85,13 +95,13 @@ def _write_manifest(args, channel, out_files: list[Path], started: float) -> Non
 
 
 def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
-    """Print a CSV table to stdout and, with ``--out``, write it there too."""
-    for row in [header] + rows:
-        print(",".join(map(str, row)))
+    """Print a CSV table to stdout and, with ``--out``, write the same lines there."""
+    block = list(zip(*rows))
+    sys.stdout.writelines(_csv_lines(header, [block]))
     if not args.out:
         return []
     out = _resolve_out(args.out)
-    write_csv(out, header, rows)
+    write_csv(out, header, [block])
     return [out]
 
 
@@ -100,13 +110,13 @@ def cmd_capacity(args, channel) -> list[Path]:
     on = np.zeros(r1.shape, dtype=np.int8)
     on.flat[frontier.index] = 1
     out = _resolve_out(args.out)
-    # Each grid value is formatted once, and the rows go out one p1 row at a time.
+    # Each grid value is formatted once; one block per p1 row keeps one row's lists alive.
     text = [str(p) for p in grid.tolist()]
-    rows = chain.from_iterable(
-        zip(repeat(p1, len(text)), text, a.tolist(), b.tolist(), c.tolist())
+    blocks = (
+        ([p1] * len(text), text, a.tolist(), b.tolist(), c.tolist())
         for p1, a, b, c in zip(text, r1, r2, on)
     )
-    write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], rows)
+    write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], blocks)
     print(f"wrote {out} ({r1.size} grid points, {frontier.index.size} on frontier)")
     return [out]
 
@@ -130,9 +140,10 @@ def cmd_rates(args, channel) -> list[Path]:
 
 def _write_frontier(path: Path, frontier) -> None:
     K = frontier.K if frontier.K is not None else ""
-    columns = (frontier.p1, frontier.p2, frontier.x, frontier.y)
-    rows = ([frontier.kind, K, *row] for row in zip(*(c.tolist() for c in columns)))
-    write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], rows)
+    n = frontier.x.size
+    columns = [c.tolist() for c in (frontier.p1, frontier.p2, frontier.x, frontier.y)]
+    block = ([frontier.kind] * n, [K] * n, *columns)
+    write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], [block])
 
 
 def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
@@ -153,8 +164,9 @@ def cmd_rankdist(args, channel) -> list[Path]:
     if args.max_j < 0:
         raise ValueError(f"--max-j must be >= 0, got {args.max_j}")
     out = _resolve_out(args.out)
-    rows = [[j, rank_cdf(args.K, j), rank_pmf(args.K, j)] for j in range(args.max_j + 1)]
-    write_csv(out, ["j", "cdf", "pmf"], rows)
+    js = range(args.max_j + 1)
+    columns = (js, [rank_cdf(args.K, j) for j in js], [rank_pmf(args.K, j) for j in js])
+    write_csv(out, ["j", "cdf", "pmf"], [columns])
     print(f"wrote {out}")
     return [out]
 
@@ -228,16 +240,20 @@ def cmd_verify_chain(args, channel) -> list[Path]:
         "rel_delta",
     ]
     rows = []
-    worst = 0.0
+    worst, silent = 0.0, 0
     access = AccessProbabilities(args.p1, args.p2)
     for r in chain_vs_sim(channel, access, args.K, args.slots, args.seed):
         point = [r["variant"], args.K, args.p1, args.p2, r["source"]]
         rows.append(["row_sum_residual", *point, r["resid"], 0.0, "", ""])
         rows.append(["mu_b", *point, r["mu"], r["sim"], r["stderr"], r["rel"]])
-        worst = max(worst, abs(r["rel"]))
+        if r["sim"]:
+            worst = max(worst, abs(r["rel"]))
+        elif r["mu"] > 0:  # a source with p = 0 has both rates 0 and is left out
+            silent += 1
     out = _resolve_out(args.out)
-    write_csv(out, header, rows)
-    print(f"wrote {out} (worst |rel delta| vs simulation: {worst:.4%})")
+    write_csv(out, header, [list(zip(*rows))])
+    summary = f"nan, {silent} rates > 0 with no simulated departure" if silent else f"{worst:.4%}"
+    print(f"wrote {out} (worst |rel delta| vs simulation: {summary})")
     return [out]
 
 

@@ -112,14 +112,62 @@ def test_capacity_csv_is_streamed(tmp_path):
 
 
 def test_grid_too_large_for_memory_is_a_clean_error(tmp_path, capsys):
-    # Step 1e-9 asks for two flat columns of 6.94 EiB each, which numpy
-    # refuses at once, before anything of the grid is written.
+    # Step 1e-9 makes regions.sweep ask first for one (n, n) rate table of
+    # 6.94 EiB, which numpy refuses at once, before anything is written.
     out = tmp_path / "cap.csv"
     assert run_cli("capacity", "--channel", "strong_mpr", "--step", "1e-9", "--out", out) == 1
     err = capsys.readouterr().err
     assert err.startswith("ramcast: error: Unable to allocate 6.94 EiB")
     assert "Traceback" not in err
     assert list(tmp_path.iterdir()) == []
+
+
+_CELLS = ["a", "", 7, -3, 0.0, -0.0, 1e-05, 1e16, float("nan"), float("inf"),
+          float("-inf"), 0.1, 1 / 3, 0.33333333333333337]
+
+
+@pytest.mark.parametrize("sizes", [[], [0], [1], [5], [3, 0, 1, 14]])
+def test_write_csv_blocks_equal_the_row_wise_lines(tmp_path, sizes):
+    # Blocks of columns, consumed once from an iterator, give the bytes of
+    # one ",".join(map(str, row)) line per row; every cell type is cycled
+    # through every column.
+    from itertools import cycle
+
+    from ramcast.cli import write_csv
+
+    header = ["s", "x", "y"]
+    cells = cycle(_CELLS)
+    row_lists = [[[next(cells) for _ in header] for _ in range(m)] for m in sizes]
+    blocks = ([[row[j] for row in rows] for j in range(len(header))] for rows in row_lists)
+    out = tmp_path / "t.csv"
+    write_csv(out, header, blocks)
+    lines = ["s,x,y\n"] + [",".join(map(str, row)) + "\n" for rows in row_lists for row in rows]
+    assert out.read_bytes() == "".join(lines).encode("utf-8")
+
+
+def test_verify_chain_flags_rates_the_simulation_never_delivered(tmp_path, capsys):
+    # In 10 slots no K = 2 generation decodes: every simulated rate is 0 and
+    # every rel_delta nan, which the summary must not report as agreement.
+    out = tmp_path / "v.csv"
+    assert run_cli("verify-chain", "--channel", "strong_mpr", "--K", "2",
+                   "--slots", "10", "--out", out) == 0
+    _, rows = read_csv(out)
+    assert [r[9] for r in rows if r[0] == "mu_b"] == ["nan"] * 4
+    stdout = capsys.readouterr().out
+    assert "vs simulation: nan, 4 rates > 0 with no simulated departure)" in stdout
+
+
+def test_verify_chain_leaves_a_silent_source_out_of_the_worst(tmp_path, capsys):
+    # At p1 = 0 source 1's analytic and simulated rates are both 0; the worst
+    # is then source 2's, in both variants.
+    out = tmp_path / "v.csv"
+    assert run_cli("verify-chain", "--channel", "strong_mpr", "--K", "2", "--p1", "0",
+                   "--slots", "2000", "--out", out) == 0
+    _, rows = read_csv(out)
+    mu_b = [r for r in rows if r[0] == "mu_b"]
+    assert [r[9] for r in mu_b if r[5] == "1"] == ["nan", "nan"]
+    worst = max(abs(float(r[9])) for r in mu_b if r[5] == "2")
+    assert f"vs simulation: {worst:.4%})" in capsys.readouterr().out
 
 
 def test_rates_command_stdout(tmp_path, capsys):
