@@ -14,7 +14,9 @@ rows took the exact chain's reception weights, and ``verify-chain`` when
 its mu_b also became p_own * g_n(p_other): every rate moved by at most
 4.7e-16 relative.  ``rankdist`` was re-recorded when the pmf became a
 difference of survival probabilities: f_3(10) moved by one ulp, from
-0.006795935332775116 to 0.006795935332775117.
+0.006795935332775116 to 0.006795935332775117.  ``capacity-fine`` (10,201
+rows at step 0.01) was recorded before CSV floats were rendered by a
+vectorized kernel instead of ``repr``, to pin many more float cells.
 """
 import hashlib
 import json
@@ -25,6 +27,9 @@ from ramcast.cli import main
 
 CASES = {
     "capacity": ["capacity", "--channel", "strong_mpr", "--step", "0.1", "--out", "OUT/cap.csv"],
+    "capacity-fine": [
+        "capacity", "--channel", "weak_mpr", "--step", "0.01", "--out", "OUT/cap.csv",
+    ],
     "rates-retrans": [
         "rates", "--channel", "strong_mpr", "--policy", "retrans", "--p1", "0.5", "--p2", "0.5",
     ],
@@ -85,6 +90,13 @@ GOLDEN = {
         "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "cap.csv": "309bb9020346d2a67657abd0bc0e34577d16590db0c334ef92b7c4c9c94bcca0",
         "cap.manifest.json": "df6130b47420c10e39d781ef8178b77e4afeb4ae3f9b48ecc06ad9eaf6470ed0",
+    },
+    "capacity-fine": {
+        "rc": 0,
+        "stdout": "97b519978499500c70b79679293591111d07d902e8fbddac5422e8994f7e7cf0",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cap.csv": "43ff8328bb426538538c2cf1f4ea07fd4ba8277d4f51140c63eeea937322174f",
+        "cap.manifest.json": "2062c8b516047fc12c9658cf209a0d86be3a27f73bd72125a7b8b7d2a18a9011",
     },
     "error-grid-step": {
         "rc": 1,
