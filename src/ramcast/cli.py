@@ -4,9 +4,11 @@ Each command computes and returns the files it wrote; ``main`` loads
 the channel, times the run and writes a JSON manifest alongside the
 files recording the parsed arguments, the resolved channel, tool
 version, seed and output list, so any artifact can be reproduced from
-its manifest alone.  CSV files use UTF-8, LF line endings, a header row,
-and ``str`` of each cell, which for a Python float is its shortest
-round-trip ``repr``, so re-reading a CSV recovers the exact values and
+its manifest alone.  CSV files use UTF-8, LF line endings and a header
+row.  A cell of a float64 array column is its shortest round-trip
+``repr``, rendered by ``floatfmt``; a bytes array column is written as
+it is and any other cell as its ``str``, which for a Python float is
+``repr`` again.  So re-reading a CSV recovers the exact values and
 identical invocations produce byte-identical files.
 """
 from __future__ import annotations
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, floatfmt
 from .capacity import capacity_sweep
 from .channel import (
     AccessProbabilities,
@@ -45,24 +47,60 @@ def _resolve_out(path: str | Path) -> Path:
     return p
 
 
-def _csv_lines(header: list[str], blocks):
-    """Yield the header line, then each block (equal-length columns, one per
-    field) as one string: its cells interleaved row-major and formatted by a
-    ``%s`` template repeated once per row, and ``%s`` is ``str``."""
-    k = len(header)
-    line = ",".join(["%s"] * k) + "\n"
-    yield ",".join(header) + "\n"
+def _text_words(column, separator: bytes) -> np.ndarray:
+    """The cells of a column that is not float64 as (m, w) little-endian
+    uint64 words: each cell's text, NUL-padded, then ``separator`` in the
+    last byte.  A bytes array gives its bytes, any other column the
+    UTF-8 of ``str`` of each cell."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "S":
+        cells = column
+    else:
+        cells = np.array([str(cell).encode("utf-8") for cell in column], dtype="S")
+    words = cells.itemsize // 8 + 1
+    padded = np.zeros((len(cells), 8 * words), dtype=np.uint8)
+    padded[:, : cells.itemsize] = cells.view(np.uint8).reshape(len(cells), cells.itemsize)
+    padded[:, -1] = ord(separator)
+    return padded.view("<u8")
+
+
+def _csv_bytes(header: list[str], blocks):
+    """Yield the CSV text of ``header`` and ``blocks`` in pieces of bytes.
+
+    Each block is a sequence of equal-length columns, one per field.  A
+    float64 array column is rendered by ``floatfmt``; any other column
+    goes through ``_text_words``.  Every cell becomes a run of NUL-padded
+    words ending in its separator.  floatfmt.CHUNK rows at a time, the
+    runs are laid side by side as fixed-width byte rows and one pass
+    drops the NULs, so a NUL in a cell's text is dropped too.
+    """
+    yield (",".join(header) + "\n").encode("utf-8")
     for block in blocks:
-        cells = [None] * (k * len(block[0]))
-        for j, column in enumerate(block):
-            cells[j::k] = column
-        yield (line * len(block[0])) % tuple(cells)
+        separators = [b","] * (len(block) - 1) + [b"\n"]
+        columns = [
+            c if isinstance(c, np.ndarray) and c.dtype == np.float64 else _text_words(c, sep)
+            for c, sep in zip(block, separators)
+        ]
+        widths = [floatfmt.WORDS if c.ndim == 1 else c.shape[1] for c in columns]
+        ends = np.cumsum(widths)
+        rows = len(columns[0])
+        for start in range(0, rows, floatfmt.CHUNK):
+            stop = min(start + floatfmt.CHUNK, rows)
+            words = np.empty((ends[-1], stop - start), dtype="<u8")
+            for column, end, width, sep in zip(columns, ends, widths, separators):
+                cell = words[end - width : end]
+                if column.ndim == 1:
+                    floatfmt.render(column[start:stop], out=cell)
+                    cell[-1] |= np.uint64(ord(sep) << 56)
+                else:
+                    cell[:] = column[start:stop].T
+            yield words.T.tobytes().translate(None, b"\0")
 
 
 def write_csv(path: Path, header: list[str], blocks) -> None:
     """Write ``blocks`` (any iterable, consumed once) after the header."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(_csv_lines(header, blocks))
+    with open(path, "wb") as fh:
+        for piece in _csv_bytes(header, blocks):
+            fh.write(piece)
 
 
 # Parsed arguments that are bookkeeping, not parameters of the run.
@@ -87,7 +125,7 @@ def _write_manifest(args, channel, out_files: list[Path], started: float) -> Non
         "seed": getattr(args, "seed", None),
         "outputs": [p.name for p in out_files],
         "defaults": DEFAULTS,
-        "duration_s": round(time.time() - started, 3),
+        "duration_s": round(time.perf_counter() - started, 3),
     }
     out = _resolve_out(args.out)
     path = out / "manifest.json" if out.is_dir() else out.with_name(out.stem + ".manifest.json")
@@ -97,7 +135,7 @@ def _write_manifest(args, channel, out_files: list[Path], started: float) -> Non
 def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
     """Print a CSV table to stdout and, with ``--out``, write the same lines there."""
     block = list(zip(*rows))
-    sys.stdout.writelines(_csv_lines(header, [block]))
+    sys.stdout.write(b"".join(_csv_bytes(header, [block])).decode("utf-8"))
     if not args.out:
         return []
     out = _resolve_out(args.out)
@@ -107,14 +145,18 @@ def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
 
 def cmd_capacity(args, channel) -> list[Path]:
     grid, r1, r2, frontier = capacity_sweep(channel, args.step)
-    on = np.zeros(r1.shape, dtype=np.int8)
-    on.flat[frontier.index] = 1
+    on = np.full(r1.shape, b"0")
+    on.flat[frontier.index] = b"1"
     out = _resolve_out(args.out)
-    # Each grid value is formatted once; one block per p1 row keeps one row's lists alive.
-    text = [str(p) for p in grid.tolist()]
+    # Each grid value is spelled once.  A block of a few p1 rows fits in
+    # one floatfmt chunk, so memory stays flat.
+    text = np.array([str(p).encode() for p in grid.tolist()])
+    n = grid.size
+    step = max(1, floatfmt.CHUNK // n)
     blocks = (
-        ([p1] * len(text), text, a.tolist(), b.tolist(), c.tolist())
-        for p1, a, b, c in zip(text, r1, r2, on)
+        (np.repeat(text[i : i + step], n), np.tile(text, min(step, n - i)),
+         *(table[i : i + step].ravel() for table in (r1, r2, on)))
+        for i in range(0, n, step)
     )
     write_csv(out, ["p1", "p2", "r1", "r2", "on_frontier"], blocks)
     print(f"wrote {out} ({r1.size} grid points, {frontier.index.size} on frontier)")
@@ -141,8 +183,7 @@ def cmd_rates(args, channel) -> list[Path]:
 def _write_frontier(path: Path, frontier) -> None:
     K = frontier.K if frontier.K is not None else ""
     n = frontier.x.size
-    columns = [c.tolist() for c in (frontier.p1, frontier.p2, frontier.x, frontier.y)]
-    block = ([frontier.kind] * n, [K] * n, *columns)
+    block = ([frontier.kind] * n, [K] * n, frontier.p1, frontier.p2, frontier.x, frontier.y)
     write_csv(path, ["kind", "K", "p1", "p2", "x", "y"], [block])
 
 
@@ -448,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     returns its exit code instead.
     """
     args = build_parser().parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         if args.command == "check":
             return cmd_check(args)

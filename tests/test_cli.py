@@ -145,6 +145,28 @@ def test_write_csv_blocks_equal_the_row_wise_lines(tmp_path, sizes):
     assert out.read_bytes() == "".join(lines).encode("utf-8")
 
 
+@pytest.mark.parametrize("sizes", [[], [0], [1], [14, 0, 3], [8193]])
+def test_write_csv_float_array_columns_equal_the_row_wise_lines(tmp_path, sizes):
+    # float64 array columns go through floatfmt, bytes arrays are written
+    # as they are, and any other column through str: together the same
+    # bytes as one ",".join(map(str, row)) line per row.
+    from ramcast.cli import write_csv
+
+    rng = np.random.default_rng(len(sizes))
+    floats = [float(v) for v in _CELLS if isinstance(v, float)]
+    blocks, lines = [], ["k,x,tag,y\n"]
+    for m in sizes:
+        x = np.resize(np.array(floats), m)
+        y = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False).view(np.float64)
+        tag = np.resize(np.array([b"a", b"", b"0.5"]), m)
+        k = list(range(m))
+        blocks.append((k, x, tag, y))
+        lines += [f"{a},{b!r},{c.decode()},{d!r}\n" for a, b, c, d in zip(k, x.tolist(), tag, y.tolist())]
+    out = tmp_path / "t.csv"
+    write_csv(out, ["k", "x", "tag", "y"], iter(blocks))
+    assert out.read_bytes() == "".join(lines).encode("utf-8")
+
+
 def test_verify_chain_flags_rates_the_simulation_never_delivered(tmp_path, capsys):
     # In 10 slots no K = 2 generation decodes: every simulated rate is 0 and
     # every rel_delta nan, which the summary must not report as agreement.

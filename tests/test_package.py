@@ -2,6 +2,7 @@
 the names the benchmark harness calls."""
 import ast
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -293,3 +294,11 @@ def test_record_fields_are_read():
     assert fields
     unread = [f for f in fields if f.rsplit(".", 1)[1] not in read and f not in _TEST_ONLY_FIELDS]
     assert unread == []
+
+
+def test_write_csv_takes_the_path_first():
+    # perfbench/tracing.py sizes each written CSV from the bound argument
+    # "path"; under another name that metric would silently break.
+    import ramcast.cli
+
+    assert next(iter(inspect.signature(ramcast.cli.write_csv).parameters)) == "path"
