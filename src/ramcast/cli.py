@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, floatfmt
+from . import __version__
 from .capacity import capacity_sweep
 from .channel import (
     AccessProbabilities,
@@ -73,6 +73,9 @@ def _csv_bytes(header: list[str], blocks):
     runs are laid side by side as fixed-width byte rows and one pass
     drops the NULs, so a NUL in a cell's text is dropped too.
     """
+    # Imported here: a command that writes no CSV does not compile it.
+    from . import floatfmt
+
     yield (",".join(header) + "\n").encode("utf-8")
     for block in blocks:
         separators = [b","] * (len(block) - 1) + [b"\n"]
@@ -144,6 +147,8 @@ def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
 
 
 def cmd_capacity(args, channel) -> list[Path]:
+    from . import floatfmt
+
     grid, r1, r2, frontier = capacity_sweep(channel, args.step)
     on = np.full(r1.shape, b"0")
     on.flat[frontier.index] = b"1"

@@ -13,14 +13,15 @@ which needs only fixed-width integer arithmetic:
 
 - ``10**-k`` is a 126-bit integer ``g = g1 * 2**63 + g0``, tabulated once
   with Python ints;
-- the scaled bounds of the value's rounding interval are the high bits
-  of 64 x 126-bit products, each from four 32-bit partial products;
+- the scaled value and the ends of its rounding interval are the high
+  bits of 64 x 126-bit products, each from four 32-bit partial products;
 - the chosen 17-digit integer is spelled through a 10,000-entry table of
   4-digit strings, one ``uint64`` word each.
 
-A value's text sits in 48 byte slots, ``WORDS`` little-endian ``uint64``
-words, and the slots it does not use hold NUL, so the text is the
-slots' bytes with the NULs dropped.  Slot 0 holds the sign, slots 1-5
+A value's text sits in 48 byte slots, ``WORDS`` ``uint64`` words read
+in little-endian byte order (the host's is assumed to be), and the slots
+it does not use hold NUL, so the text is the slots' bytes with the NULs
+dropped.  Slot 0 holds the sign, slots 1-5
 the ``0.000`` of positional values below 1, and from slot 6 on each of
 the 17 digits is followed by a slot for the decimal point; slots 40-44
 hold the exponent as ``e``, its sign and three digits.  Slot 47 is
@@ -67,6 +68,7 @@ def _flog2pow10(e):
 
 
 def _words(text: bytes) -> np.ndarray:
+    """``text`` NUL-padded to the ``WORDS`` words of one value."""
     return np.frombuffer(text.ljust(8 * WORDS, b"\0"), dtype="<u8")
 
 
@@ -133,7 +135,10 @@ def _tables():
 
     values = (0.0, 5e-324, 1e-323, float("inf"), float("nan"))
     special = np.stack([_words(repr(sign * v).encode()) for v in values for sign in (1, -1)])
-    return g, quad, zeros, exponent, layout, special.T.copy()
+    tables = g, quad, zeros, exponent, layout, special.T.copy()
+    for table in tables:  # shared by every call
+        table.flags.writeable = False
+    return tables
 
 
 def _mulhi(a1, a0, b1, b0):
