@@ -107,7 +107,8 @@ def _tables():
     for p in (10, 100, 1000, 10_000):
         zeros += n % p == 0
     exponent = np.array(
-        [_words(f"e{e:+04d}".encode().ljust(8, b"\xff"))[0] for e in range(_K_MIN, 309)]
+        [int.from_bytes(f"e{e:+04d}".encode().ljust(8, b"\xff"), "little") for e in range(_K_MIN, 309)],
+        dtype=_U,
     )
 
     layout = np.zeros((_CODES, 8 * WORDS), dtype=np.uint8)
@@ -160,7 +161,6 @@ def _shortest(bits):
     double of each of ``bits`` (finite, and 3 or more ulps from 0), the
     nearest of those, the even one of two as near; 10**15 < f <= 10**17
     unless the double is subnormal."""
-    g1, g1h, g1l, g0h, g0l = _tables()[0]
     biased = (bits >> 52) & _U(0x7FF)
     normal = biased != 0
     c = (bits & _U((1 << 52) - 1)) | (normal.astype(_U) << 52)
@@ -172,13 +172,12 @@ def _shortest(bits):
     if uneven.any():  # and 10**k <= 3/4 * 2**q < 10**(k + 1)
         k[uneven] = (q[uneven] * 661_971_961_083 - 274_743_187_321) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(_U)  # 2 to 5, so cp < 2**60
-    row = k - _K_MIN
-    g1, g0h, g0l = g1.take(row), g0h.take(row), g0l.take(row)
+    g1, g1h, g1l, g0h, g0l = (words.take(k - _K_MIN) for words in _tables()[0])
     g0 = (g0h << 32) | g0l
     cp = c << (h + _U(2))
     a1, a0 = cp >> 32, cp & _M32
     x1, x0 = _mulhi(a1, a0, g0h, g0l), g0 * cp
-    y1, y0 = _mulhi(a1, a0, g1h.take(row), g1l.take(row)), g1 * cp
+    y1, y0 = _mulhi(a1, a0, g1h, g1l), g1 * cp
     vb = _round_to_odd(x1, y1, y0)
     # The interval's ends are cp + 2**j and cp - 2**jl: add the products
     # of g with 2**j, carrying out of the low words.
@@ -212,16 +211,14 @@ def _shortest(bits):
     return np.where(upin != wpin, (tens + wpin) * _U(10), s + up), k
 
 
-def render(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def render(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Lay out ``repr`` of each value of the float64 array ``x``.
 
-    Returns the ``(WORDS, len(x))`` little-endian ``uint64`` words (into
-    ``out`` when given, whose rows must each be contiguous): the bytes
-    of column i, NULs dropped, are ``repr(float(x[i]))``.
+    Fills and returns ``out``, ``(WORDS, len(x))`` ``uint64`` words with
+    each row contiguous: the bytes of column i, NULs dropped, are
+    ``repr(float(x[i]))``.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if out is None:
-        out = np.empty((WORDS, x.size), dtype=_U)
     for start in range(0, x.size, CHUNK):
         _render_chunk(x[start : start + CHUNK], out[:, start : start + CHUNK])
     return out
@@ -255,22 +252,21 @@ def _render_chunk(x: np.ndarray, out: np.ndarray) -> None:
     count = 17 - zeros.astype(np.intp)  # significant digits
 
     code = (point + 3) * 17 + count - 1
-    positional = (point > -4) & (point < 17)
+    wide = (point < -3) | (point > 16)  # the exponent form
     exponent = point - 1
-    if not positional.all():
-        wide = ~positional
+    if wide.any():
         code[wide] = _POSITIONAL + (count[wide] - 1) * 2 + (np.abs(exponent[wide]) >= 100)
     for word, template in zip(out, layout):
         template.take(code, out=word, mode="clip")
     out[0] &= (lead << 48) | _LEAD
     out[0] |= (bits >> 63) * _U(ord("-"))
     out[1:5] &= quad.take(groups)
-    if not positional.all():
+    if wide.any():
         out[5] &= exponent_word.take(exponent - _K_MIN, mode="clip")
 
     magnitude = bits & _M63
-    odd_one = (magnitude < _U(3)) | (magnitude >= _INF)
-    if odd_one.any():
-        kind = np.minimum(magnitude[odd_one], _U(3))
-        kind[magnitude[odd_one] > _INF] = 4
-        out[:, odd_one] = special[:, (kind * _U(2) + (bits[odd_one] >> 63)).astype(np.intp)]
+    tabled = (magnitude < _U(3)) | (magnitude >= _INF)
+    if tabled.any():
+        kind = np.minimum(magnitude[tabled], _U(3))
+        kind[magnitude[tabled] > _INF] = 4
+        out[:, tabled] = special[:, (kind * _U(2) + (bits[tabled] >> 63)).astype(np.intp)]

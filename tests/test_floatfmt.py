@@ -11,8 +11,8 @@ from ramcast import floatfmt
 
 def texts(values) -> list[str]:
     """Each value's rendered slots, NULs dropped, as text."""
-    words = floatfmt.render(np.asarray(values, dtype=np.float64))
-    assert words.shape == (floatfmt.WORDS, len(values))
+    words = np.empty((floatfmt.WORDS, len(values)), dtype=np.uint64)
+    floatfmt.render(np.asarray(values, dtype=np.float64), out=words)
     rows = np.ascontiguousarray(words.T).astype("<u8").view(np.uint8)
     return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in rows]
 
@@ -72,5 +72,6 @@ def test_render_fills_the_given_rows():
     table = np.zeros((floatfmt.WORDS + 2, 5), dtype=np.uint64)
     floatfmt.render(values, out=table[1:-1, 1:4])
     assert not table[[0, -1]].any() and not table[:, [0, 4]].any()
+    alone = floatfmt.render(values, np.empty((floatfmt.WORDS, 3), dtype=np.uint64))
+    assert (table[1:-1, 1:4] == alone).all()
     assert texts(values) == reprs(values)
-    assert (table[1:-1, 1:4] == floatfmt.render(values)).all()
