@@ -89,14 +89,16 @@ def _tables():
     each then negated: values Schubfach leaves out, or would spell with
     one digit too many.
     """
-    rows = []
+    whole = []
     for k in range(_K_MIN, 293):
-        e = -k
-        r = (e * 913_124_641_741 >> 38) - 125
-        g = (10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1
-        g1, g0 = g >> 63, g & ((1 << 63) - 1)
-        rows.append([g1, g1 >> 32, g1 & 0xFFFF_FFFF, g0 >> 32, g0 & 0xFFFF_FFFF])
-    g = np.array(rows, dtype=_U).T.copy()
+        r = (-k * 913_124_641_741 >> 38) - 125
+        if k > 0:
+            whole.append((1 << -r) // 10**k + 1)
+        else:
+            whole.append((10**-k << -r if r < 0 else 10**-k >> r) + 1)
+    g1 = np.array([g >> 63 for g in whole], dtype=_U)
+    g0 = np.array([g & (1 << 63) - 1 for g in whole], dtype=_U)
+    g = np.stack([g1, g1 >> 32, g1 & _M32, g0 >> 32, g0 & _M32])
 
     n = np.arange(10_000)
     spelled = np.full((10_000, 8), 0xFF, dtype=np.uint8)
@@ -106,33 +108,34 @@ def _tables():
     zeros = np.zeros(10_000, dtype=np.uint8)
     for p in (10, 100, 1000, 10_000):
         zeros += n % p == 0
-    exponent = np.array(
-        [int.from_bytes(f"e{e:+04d}".encode().ljust(8, b"\xff"), "little") for e in range(_K_MIN, 309)],
-        dtype=_U,
-    )
+    e = np.arange(_K_MIN, 309)
+    spelled = np.full((e.size, 8), 0xFF, dtype=np.uint8)
+    spelled[:, 0] = ord("e")
+    spelled[:, 1] = np.where(e < 0, ord("-"), ord("+"))
+    spelled[:, 2:5] = quad.view(np.uint8).reshape(-1, 8)[np.abs(e), 2::2]  # 3 digits
+    exponent = spelled.view("<u8").ravel()
 
-    layout = np.zeros((_CODES, 8 * WORDS), dtype=np.uint8)
-    digit = np.arange(17) * 2 + 6
-    for code, row in enumerate(layout):
+    layout = bytearray()
+    for code in range(_CODES):
+        row = bytearray(8 * WORDS)
         if code < _POSITIONAL:
             point, count = divmod(code, 17)
             point -= 3
             count += 1
             if point <= 0:  # 0.000ddd
-                row[1:3] = list(b"0.")
-                row[3 : 3 - point] = ord("0")
-                row[digit[:count]] = 0xFF
+                row[1 : 3 - point] = b"0." + b"0" * -point
             else:  # ddd.ddd, at least one digit after the point
-                row[digit[: max(count, point + 1)]] = 0xFF
-                row[digit[point - 1] + 1] = ord(".")
-        else:
+                count = max(count, point + 1)
+                row[2 * point + 5] = ord(".")
+        else:  # d.ddde+XX
             count, big = divmod(code - _POSITIONAL, 2)
-            row[digit[: count + 1]] = 0xFF
-            if count:
-                row[digit[0] + 1] = ord(".")
-            row[40:42] = 0xFF
-            row[43 - big : 45] = 0xFF
-    layout = layout.view("<u8").T.copy()
+            count += 1
+            if count > 1:
+                row[7] = ord(".")
+            row[40:45] = b"\xff\xff\xff\xff\xff" if big else b"\xff\xff\0\xff\xff"
+        row[6 : 6 + 2 * count : 2] = b"\xff" * count
+        layout += row
+    layout = np.frombuffer(layout, dtype="<u8").reshape(_CODES, WORDS).T.copy()
 
     values = (0.0, 5e-324, 1e-323, float("inf"), float("nan"))
     special = np.stack([_words(repr(sign * v).encode()) for v in values for sign in (1, -1)])
