@@ -11,22 +11,23 @@ The digits come from Schubfach (R. Giulietti, "The Schubfach way to
 render doubles", 2020; the algorithm of Java's ``Double.toString``),
 which needs only fixed-width integer arithmetic:
 
-- ``10**-k`` is a 126-bit integer ``g = g1 * 2**63 + g0``, tabulated once
-  with Python ints;
-- the scaled value and the ends of its rounding interval are the high
-  bits of 64 x 126-bit products, each from four 32-bit partial products;
+- ``10**-k``, scaled by a power of two, is a 126-bit integer
+  ``g = g1 * 2**63 + g0``, tabulated once with Python ints;
+- the scaled value is the high bits of a 64 x 126-bit product, each
+  64 x 64-bit high product taken from four 32-bit partial products,
+  and the ends of its rounding interval add g times a power of two;
 - the chosen 17-digit integer is spelled through a 10,000-entry table of
   4-digit strings, one ``uint64`` word each.
 
-A value's text sits in 48 byte slots, ``WORDS`` ``uint64`` words read
-in little-endian byte order (the host's is assumed to be), and the slots
-it does not use hold NUL, so the text is the slots' bytes with the NULs
-dropped.  Slot 0 holds the sign, slots 1-5
-the ``0.000`` of positional values below 1, and from slot 6 on each of
-the 17 digits is followed by a slot for the decimal point; slots 40-44
-hold the exponent as ``e``, its sign and three digits.  Slot 47 is
-always NUL, free for a separator.  The words of a value are a column of
-``render``'s output, so every step works on whole rows of values.
+A value's text sits in 48 byte slots: ``WORDS`` ``uint64`` words, read
+in little-endian byte order, which is assumed to be the host's.  The
+slots it does not use hold NUL, so the text is the slots' bytes with the
+NULs dropped.  Slot 0 holds the sign, slots 1-5 the ``0.000`` of
+positional values below 1, and from slot 6 on each of the 17 digits is
+followed by a slot for the decimal point; slots 40-44 hold the exponent
+as ``e``, its sign and three digits.  Slot 47 is always NUL, free for a
+separator.  The words of a value are a column of ``render``'s output,
+so every step works on whole rows of values.
 """
 from __future__ import annotations
 
