@@ -61,7 +61,7 @@ def _enumerate_full_rank(K: int, j: int) -> Fraction:
     full = 0
     ncols = 1 << K
     for cols in itertools.product(range(ncols), repeat=j):
-        basis: dict[int, int] = {}
+        basis = [0] * (K + 1)
         r = 0
         for v in cols:
             r += basis_insert(basis, v)

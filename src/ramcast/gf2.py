@@ -2,11 +2,13 @@
 linear coding.
 
 Coefficient vectors are bit-packed integers (bit i = packet i of the
-generation, generation size K <= 64 fits one machine word); this module
-draws them (``draw_coefficients``), eliminates them (``basis_insert``)
-and gives their rank law.  A destination decodes once its collected
-coefficient matrix reaches rank K; the number N of received coded
-packets needed has cdf
+generation); this module draws them (``draw_coefficients``), eliminates
+them (``basis_insert``) and gives their rank law.  A basis is a list
+indexed by bit length: slot t holds the basis vector whose leading bit
+is t - 1, or 0, and slot 0 is unused, so a basis for vectors of up to
+w bits is ``[0] * (w + 1)`` and its rank is its count of nonzero slots.
+A destination decodes once its collected coefficient matrix reaches
+rank K; the number N of received coded packets needed has cdf
 
     F_K(j) = prod_{i=0..K-1} (1 - 2^(i-j))   for j >= K, else 0.
 """
@@ -41,18 +43,20 @@ def _check_generation_size(K: int) -> None:
         raise ValueError(f"K must be in [1, {MAX_K}], got {K!r}")
 
 
-def basis_insert(basis: dict[int, int], v: int) -> int:
+def basis_insert(basis: list[int], v: int) -> int:
     """Insert a vector into a triangular GF(2) basis; 1 if rank grew.
 
-    ``basis`` maps the leading bit of each basis vector to the vector.
+    ``basis[t]`` is the basis vector of bit length t, or 0; the list needs
+    a slot for every bit length ``v`` can reach.
     """
     while v:
-        top = v.bit_length() - 1
-        b = basis.get(top)
-        if b is None:
-            basis[top] = v
+        t = v.bit_length()
+        b = basis[t]
+        if b:
+            v ^= b
+        else:
+            basis[t] = v
             return 1
-        v ^= b
     return 0
 
 
@@ -171,20 +175,20 @@ def decode(K: int, columns: Sequence[int], payloads: Sequence[bytes]) -> list[by
         raise ValueError("payloads must have equal length")
 
     # Each equation coeff . s = payload is one vector, coefficients above
-    # the payload bits, so the pivots at or above ``shift`` are those of
-    # the coefficients alone and count their rank.  The K coefficient
-    # pivots are back-substituted in increasing order until pivot i holds
-    # packet i alone.
+    # the payload bits, so the pivots in the K slots above ``shift`` are
+    # those of the coefficients alone and count their rank.  The K
+    # coefficient pivots are back-substituted in increasing order until
+    # pivot i holds packet i alone.
     shift = 8 * length
-    basis: dict[int, int] = {}
+    basis = [0] * (shift + K + 1)
     for coeff, payload in zip(columns, payloads):
         basis_insert(basis, coeff << shift | int.from_bytes(payload, "big"))
-    rank = sum(top >= shift for top in basis)
+    rank = K - basis[shift + 1 :].count(0)
     if rank < K:
         raise ValueError(f"rank {rank} < K={K}: cannot decode")
     rows: list[int] = []
     for i in range(K):
-        v = basis[shift + i]
+        v = basis[shift + i + 1]
         for j in range(i):
             if v >> (shift + j) & 1:
                 v ^= rows[j]

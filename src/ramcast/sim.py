@@ -22,7 +22,10 @@ masks are numpy arrays, and given them each source evolves on its own:
 a service ends where the later of its two destinations reaches rank K.
 Python then loops only over services for K = 1, where next-index arrays
 give each destination's next innovative reception, and only over
-candidate receptions for K > 1, where the GF(2) inserts happen.
+candidate receptions for K > 1, where the GF(2) inserts happen.  Each
+destination keeps a ``gf2`` list basis of K + 1 slots, indexed by bit
+length; a finished service clears it by slice assignment from a zero
+list, and the rank is counted beside it.
 Arrivals mode couples the sources through their queues, so per block it
 runs one event loop over both: Python visits only the candidate slots of
 active sources and the activations, and the queue statistics come from
@@ -185,7 +188,8 @@ class _SaturatedSource:
         self.K = K
         self.rlc = rlc
         self.batch_len = batch_len
-        self.bases: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.zero = [0] * (K + 1)
+        self.bases = (self.zero[:], self.zero[:])
         self.rank = [0, 0]
         self.count = [0, 0]  # receptions counted in the service in progress
         self.dsum = [0, 0]
@@ -195,13 +199,14 @@ class _SaturatedSource:
     def block(self, start: int, cand: list[np.ndarray], coef: np.ndarray | None) -> None:
         """Advance over the block starting at slot ``start``; ``cand`` holds
         each destination's candidate-reception mask."""
-        ends = self._ends_k1(cand, coef) if self.K == 1 else self._ends_walk(cand, coef)
-        if ends:
-            slots = np.array(ends) + start
+        walk = self._ends_k1 if self.K == 1 else self._ends_walk
+        ends = np.asarray(walk(cand, coef), dtype=np.int64)
+        if len(ends):
+            slots = ends + start
             self.batch_dep += self.K * _per_batch(slots, self.batch_len)
             self.last_end = int(slots[-1])
 
-    def _ends_k1(self, cand: list[np.ndarray], coef: np.ndarray | None) -> list[int]:
+    def _ends_k1(self, cand: list[np.ndarray], coef: np.ndarray | None) -> np.ndarray:
         """Completion slots of K = 1 services: T_d is d's next innovative
         candidate, read from a next-index array; Python loops over services.
         Decode counts are prefix-count differences of the candidate masks."""
@@ -223,9 +228,10 @@ class _SaturatedSource:
             while e < n:
                 append(e)
                 e = m[e + 1]
+        out = np.array(ends, dtype=np.int64)
         # Every service begun in the block, the carried one as starting at 0;
         # the last is unfinished.
-        starts = np.array([-1] + ends) + 1
+        starts = np.concatenate(([0], out + 1))
         for d in (0, 1):
             T = nxt[d][starts]
             T[0] = first[d]
@@ -237,7 +243,7 @@ class _SaturatedSource:
                 counts[0] += self.count[d]
                 self.dsum[d] += int(counts[:-1].sum())
                 self.count[d] = int(counts[-1])
-        return ends
+        return out
 
     def _ends_walk(self, cand: list[np.ndarray], coef: np.ndarray) -> list[int]:
         """Completion slots of K > 1 services: walk each destination's
@@ -256,17 +262,17 @@ class _SaturatedSource:
                 r = rank[d]
                 if r == K:
                     continue
-                basis, sd, vd = bases[d], slots[d], vecs[d]
-                i = i0 = ptr[d]
-                while i < len(sd):
+                basis, vd = bases[d], vecs[d]
+                i0, stop = ptr[d], len(vd)
+                for i in range(i0, stop):
                     r += basis_insert(basis, vd[i])
-                    i += 1
                     if r == K:
-                        done[d] = sd[i - 1]
+                        done[d] = slots[d][i]
+                        stop = i + 1
                         break
                 rank[d] = r
-                count[d] += i - i0
-                ptr[d] = i
+                count[d] += stop - i0
+                ptr[d] = stop
             if rank[0] < K or rank[1] < K:
                 return ends
             e = max(done)
@@ -275,7 +281,7 @@ class _SaturatedSource:
                 ptr[d] = bisect_right(slots[d], e, ptr[d])
                 self.dsum[d] += count[d]
                 count[d] = rank[d] = 0
-                bases[d].clear()
+                bases[d][:] = self.zero
 
     def result(self, slots: int) -> SourceResult:
         return _source_result(
@@ -333,7 +339,8 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
     qmax = [0, 0]
     svc_sum = [0, 0]
     svc_start = [0, 0]  # read only while active
-    bases: list[list[dict[int, int]]] = [[{}, {}], [{}, {}]]
+    zero = [0] * (K + 1)
+    bases = [[zero[:], zero[:]], [zero[:], zero[:]]]
     rank = [[0, 0], [0, 0]]
     nrecv = [[0, 0], [0, 0]]
     dsum = [[0, 0], [0, 0]]
@@ -422,7 +429,7 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
                 for d in (0, 1):
                     dsum[n][d] += nrecv[n][d]
                     nrecv[n][d] = 0
-                    bases[n][d].clear()
+                    bases[n][d][:] = zero
             base[n] -= K
             if base[n] + A[n][s] >= K:
                 svc_start[n] = t + 1

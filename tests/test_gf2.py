@@ -8,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ramcast.gf2 import (
+    MAX_K,
     _survival,
     basis_insert,
     decode,
+    draw_coefficients,
     encode,
     expected_decode_count,
     rank_cdf,
@@ -20,15 +22,20 @@ from ramcast.gf2 import (
 
 
 def _rank(columns) -> int:
-    basis: dict[int, int] = {}
+    basis = [0] * (MAX_K + 1)
     return sum(basis_insert(basis, col) for col in columns)
+
+
+def _filled(basis: list[int]) -> int:
+    """Rank of a list basis: its count of nonzero slots."""
+    return len(basis) - basis.count(0)
 
 
 def test_rank_identity_and_zero():
     assert _rank([1 << r for r in range(5)]) == 5
-    basis: dict[int, int] = {}
+    basis = [0] * 6
     assert [basis_insert(basis, 0) for _ in range(5)] == [0] * 5
-    assert basis == {}
+    assert basis == [0] * 6
 
 
 def test_rank_hand_example():
@@ -38,13 +45,83 @@ def test_rank_hand_example():
 
 def test_is_innovative_basics():
     # basis_insert reports whether the column was innovative.
-    empty: dict[int, int] = {}
+    empty = [0] * 5
     assert not basis_insert(empty, 0)
     assert basis_insert(empty, 0b1010)
-    basis = {0: 0b001}
+    basis = [0, 0b001, 0, 0]
     assert not basis_insert(basis, 0b001)
     assert basis_insert(basis, 0b010)
-    assert len(basis) == 2
+    assert _filled(basis) == 2
+
+
+def _span_innovations(vectors) -> list[int]:
+    """1 for each vector outside the span of those before it, the span
+    enumerated member by member."""
+    span = {0}
+    flags = []
+    for v in vectors:
+        flags.append(int(v not in span))
+        if flags[-1]:
+            span |= {u ^ v for u in span}
+    return flags
+
+
+def _low_pivot_innovations(vectors) -> list[int]:
+    """1 for each vector that an elimination pivoting on the lowest set
+    bit, instead of the leading one, finds innovative."""
+    pivots: dict[int, int] = {}
+    flags = []
+    for v in vectors:
+        while v and v & -v in pivots:
+            v ^= pivots[v & -v]
+        if v:
+            pivots[v & -v] = v
+        flags.append(int(v != 0))
+    return flags
+
+
+def _assert_triangular(basis: list[int]) -> None:
+    assert basis[0] == 0
+    assert all(b.bit_length() == t for t, b in enumerate(basis) if b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda K: st.tuples(st.just(K), st.lists(st.integers(0, (1 << K) - 1), max_size=3 * K + 4))
+    )
+)
+def test_basis_insert_flags_match_span_enumeration(case):
+    K, vectors = case
+    basis = [0] * (K + 1)
+    assert [basis_insert(basis, v) for v in vectors] == _span_innovations(vectors)
+    _assert_triangular(basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([63, 64]), st.integers(1, 72), st.integers(0, 2**32 - 1))
+@example(64, 72, 0)
+@example(63, 5, 1)
+def test_basis_insert_flags_match_low_pivot_elimination(K, r, seed):
+    # r generators, the first with bit K - 1 set (bit 63 fills slot 64 at
+    # K = 64), then random combinations of them: the stream has rank at
+    # most min(r, K), so its late vectors are mostly dependent.
+    rng = np.random.default_rng(seed)
+    gens = [int(g) for g in draw_coefficients(rng, r, K)]
+    gens[0] |= 1 << (K - 1)
+    vectors = list(gens)
+    for mask in rng.integers(0, 2, size=(2 * r + 8, r)).tolist():
+        v = 0
+        for g, bit in zip(gens, mask):
+            if bit:
+                v ^= g
+        vectors.append(v)
+    basis = [0] * (K + 1)
+    flags = [basis_insert(basis, v) for v in vectors]
+    assert flags == _low_pivot_innovations(vectors)
+    assert _filled(basis) == sum(flags) <= min(r, K)
+    assert basis[K] >> (K - 1) == 1
+    _assert_triangular(basis)
 
 
 def test_is_innovative_rejects_wide_columns():
@@ -112,9 +189,9 @@ def test_expected_decode_count_monte_carlo():
     trials = 100_000
     total = 0
     for _ in range(trials):
-        basis: dict[int, int] = {}
+        basis = [0] * (K + 1)
         n = 0
-        while len(basis) < K:
+        while _filled(basis) < K:
             n += 1
             basis_insert(basis, int(rng.integers(0, 1 << K)))
         total += n
@@ -161,9 +238,9 @@ def test_decode_count_histogram_matches_pmf(K):
     trials = 60_000
     counts: dict[int, int] = {}
     for _ in range(trials):
-        basis: dict[int, int] = {}
+        basis = [0] * (K + 1)
         n = 0
-        while len(basis) < K:
+        while _filled(basis) < K:
             n += 1
             basis_insert(basis, int(rng.integers(0, 1 << K)))
         counts[n] = counts.get(n, 0) + 1
@@ -249,7 +326,7 @@ def test_decode_rejects(K, columns, payloads, match):
 def test_encode_decode_roundtrip_exactly_at_rank_k(K, seed):
     rng = np.random.default_rng(seed)
     generation = [bytes(rng.integers(0, 256, size=6, dtype=np.uint8)) for _ in range(K)]
-    basis: dict[int, int] = {}
+    basis = [0] * (K + 1)
     columns = []
     payloads = []
     for _ in range(1000):
@@ -257,10 +334,10 @@ def test_encode_decode_roundtrip_exactly_at_rank_k(K, seed):
         basis_insert(basis, coeffs)
         columns.append(coeffs)
         payloads.append(payload)
-        if len(basis) < K:
+        if _filled(basis) < K:
             with pytest.raises(ValueError):
                 decode(K, columns, payloads)
         else:
             break
-    assert len(basis) == K
+    assert _filled(basis) == K
     assert decode(K, columns, payloads) == generation

@@ -93,6 +93,25 @@ def test_one_chain_solver():
     assert walkers == ["_visit_counts"]
 
 
+def test_one_gf2_elimination_loop():
+    # gf2.basis_insert is the only GF(2) elimination: the simulator's two
+    # modes, decode and the checks all call it.  Any other code that reads a
+    # vector's bit length would be the start of a second elimination loop.
+    readers = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so inner ones win
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((id(node), fn.name) for node in ast.walk(fn))
+        readers += [
+            (path.name, owner.get(id(node), "<module>"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "bit_length"
+        ]
+    assert readers == [("gf2.py", "basis_insert")]
+
+
 def test_cli_import_pulls_in_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PKG.parent), env.get("PYTHONPATH")]))
