@@ -29,7 +29,6 @@ from .rlc_markov import (
 from .regions import (
     RegionFrontier,
     ServiceRates,
-    frontier_contains,
     pareto_frontier,
     stability_region_at,
     stable_equals_throughput_frontier,

@@ -1,4 +1,4 @@
-"""Region geometry: Pareto frontiers, closures over (p1, p2), containment.
+"""Region geometry: Pareto frontiers, closures over (p1, p2), stability.
 
 The achievable-rate regions produced elsewhere in the package are all
 "closures over the access-probability square": sweep (p1, p2) over a
@@ -11,8 +11,9 @@ and owns the sweep over them (``sweep``), a single point's backlogged
 and empty rates through the same path (``service_rates``), the Pareto
 reduction, the per-point stability region (union of the two
 dominant-system constraint sets) and how far points lie outside a
-frontier (``frontier_excess``), which the containment test and the
-stability closure both measure.
+frontier (``frontier_excess``), which the stability closure measures.
+Containment of one region in another needs no frontier: it holds when
+g_inner <= g_outer on the access axis for both sources.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ __all__ = [
     "service_rates",
     "frontier_value",
     "frontier_excess",
-    "frontier_contains",
     "stability_region_at",
     "stable_equals_throughput_frontier",
 ]
@@ -222,15 +222,6 @@ def frontier_excess(frontier: RegionFrontier, x, y) -> np.ndarray:
     right of its last point; 0 or less inside."""
     top = frontier.x[-1]
     return np.maximum(x - top, y - frontier_value(frontier, np.minimum(x, top)))
-
-
-def frontier_contains(
-    outer: RegionFrontier, inner: RegionFrontier, tol: float
-) -> bool:
-    """True iff every inner point is dominated by the outer polyline within tol."""
-    if outer.x.size == 0 or inner.x.size == 0:
-        raise ValueError("frontiers must be nonempty")
-    return bool(np.all(frontier_excess(outer, inner.x, inner.y) <= tol))
 
 
 @dataclass

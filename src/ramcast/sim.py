@@ -248,40 +248,35 @@ class _SaturatedSource:
     def _ends_walk(self, cand: list[np.ndarray], coef: np.ndarray) -> list[int]:
         """Completion slots of K > 1 services: walk each destination's
         candidates through GF(2) inserts until rank K, then skip the ones
-        up to the service's end."""
-        K = self.K
-        where = [np.flatnonzero(c) for c in cand]
-        slots = [w.tolist() for w in where]
-        vecs = [coef[w].tolist() for w in where]
-        ptr = [0, 0]
-        done = [-1, -1]  # slot where d reached rank K; -1 if before this block
-        rank, count, bases = self.rank, self.count, self.bases
+        up to the service's end.  Destination d's state is held in locals
+        suffixed d; i0 and i1 point at the next candidate."""
+        K, zero = self.K, self.zero
+        w0, w1 = (np.flatnonzero(c) for c in cand)
+        s0, s1, v0, v1 = w0.tolist(), w1.tolist(), coef[w0].tolist(), coef[w1].tolist()
+        n0, n1 = len(s0), len(s1)
+        b0, b1 = self.bases
+        (r0, r1), (c0, c1), (t0, t1) = self.rank, self.count, self.dsum
+        i0 = i1 = 0
         ends: list[int] = []
         while True:
-            for d in (0, 1):
-                r = rank[d]
-                if r == K:
-                    continue
-                basis, vd = bases[d], vecs[d]
-                i0, stop = ptr[d], len(vd)
-                for i in range(i0, stop):
-                    r += basis_insert(basis, vd[i])
-                    if r == K:
-                        done[d] = slots[d][i]
-                        stop = i + 1
-                        break
-                rank[d] = r
-                count[d] += stop - i0
-                ptr[d] = stop
-            if rank[0] < K or rank[1] < K:
+            j0, j1 = i0, i1
+            while r0 < K and i0 < n0:
+                r0 += basis_insert(b0, v0[i0])
+                i0 += 1
+            while r1 < K and i1 < n1:
+                r1 += basis_insert(b1, v1[i1])
+                i1 += 1
+            c0, c1 = c0 + i0 - j0, c1 + i1 - j1
+            if r0 < K or r1 < K:
+                self.rank[:], self.count[:], self.dsum[:] = (r0, r1), (c0, c1), (t0, t1)
                 return ends
-            e = max(done)
+            # Rank K came with d's last insert, or before this block (i_d = 0).
+            e = max(s0[i0 - 1] if i0 else -1, s1[i1 - 1] if i1 else -1)
             ends.append(e)
-            for d in (0, 1):
-                ptr[d] = bisect_right(slots[d], e, ptr[d])
-                self.dsum[d] += count[d]
-                count[d] = rank[d] = 0
-                bases[d][:] = self.zero
+            i0, i1 = bisect_right(s0, e, i0), bisect_right(s1, e, i1)
+            t0, t1 = t0 + c0, t1 + c1
+            c0 = c1 = r0 = r1 = 0
+            b0[:] = b1[:] = zero
 
     def result(self, slots: int) -> SourceResult:
         return _source_result(

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from ramcast import regions
 from ramcast.capacity import capacity_sweep, rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel, load_channel
-from ramcast.checks import _closure_overshoot, check_stability_closure
+from ramcast.checks import _closure_overshoot, check_figure_structure, check_stability_closure
 from ramcast.cli import main
 from ramcast.gf2 import expected_decode_count
 from ramcast.regions import (
     RegionFrontier,
     ServiceRates,
     StabilityRegion,
-    frontier_contains,
     frontier_excess,
     frontier_value,
     p_grid,
@@ -32,7 +31,7 @@ from ramcast.retrans import service_rates_grid as retrans_grid
 from ramcast.rlc_markov import rlc_service_rates
 from ramcast.rlc_markov import service_rates_grid as rlc_grid
 
-from conftest import rate_caps
+from conftest import access_probs, channel_models, rate_caps
 
 
 def test_p_grid_endpoints():
@@ -236,10 +235,9 @@ def test_dead_points_rate_exactly_zero(strong, K):
 
 def test_frontier_contains_reflexive(strong):
     f = capacity_sweep(strong, 0.05)[3]
-    assert frontier_contains(f, f, tol=0.0)
     # The frontier's own points lie on it; a point right of its end lies
     # its horizontal distance outside.
-    assert np.all(frontier_excess(f, f.x, f.y) <= 0.0)
+    assert frontier_excess(f, f.x, f.y).max() <= 0.0
     assert float(frontier_excess(f, f.x[-1] + 0.25, 0.0)) == pytest.approx(0.25, abs=1e-15)
 
 
@@ -248,14 +246,14 @@ def test_capacity_contains_retrans_but_not_conversely(strong, weak):
         cap = capacity_sweep(ch, 0.05)[3]
         ret = stable_equals_throughput_frontier("retrans", ch, 0.05)
         tol = 2 * 0.05 * 1.0
-        assert frontier_contains(cap, ret, tol)
-        assert not frontier_contains(ret, cap, tol=1e-6)
+        assert frontier_excess(cap, ret.x, ret.y).max() <= tol
+        assert frontier_excess(ret, cap.x, cap.y).max() > 1e-6
 
 
 def test_rlc_frontier_grows_with_k(strong):
     f1 = stable_equals_throughput_frontier("rlc", strong, 0.1, K=1)
     f8 = stable_equals_throughput_frontier("rlc", strong, 0.1, K=8)
-    assert frontier_contains(f8, f1, tol=2 * 0.1)
+    assert frontier_excess(f8, f1.x, f1.y).max() <= 2 * 0.1
     # pointwise at matched abscissae, within grid tolerance
     bound = frontier_value(f8, np.minimum(f1.x, f8.x[-1]))
     assert np.all(f1.y <= bound + 1e-9)
@@ -365,6 +363,43 @@ def test_stability_closure_measures_both_edges():
     assert _closure_overshoot(asym, "retrans", None, 0.05) >= 5.0e-3
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    channel_models(),
+    access_probs(),
+    st.sampled_from([("retrans", None), ("rlc", 1), ("rlc", 2), ("rlc", 4)]),
+)
+def test_stability_union_lies_inside_capacity(channel, access, cell):
+    # The proof is in check_stability_closure's docstring: a point of set 1's
+    # edge at lambda2 = s * mu_2b is dominated by the capacity rates at
+    # (p1, s * p2), and a point of set 2's edge at lambda1 = s * mu_1b by
+    # those at (s * p1, p2).
+    kind, K = cell
+    region = stability_region_at(service_rates(kind, channel, access, K))
+    for s in np.linspace(0.0, 1.0, 9):
+        r1, r2 = rate_caps(channel, access.p1, s * access.p2)
+        assert (1 - s) * region.mu_1e + s * region.mu_1b <= r1 + 1e-12
+        assert s * region.mu_2b <= r2 + 1e-12
+        r1, r2 = rate_caps(channel, s * access.p1, access.p2)
+        assert s * region.mu_1b <= r1 + 1e-12
+        assert (1 - s) * region.mu_2e + s * region.mu_2b <= r2 + 1e-12
+
+
+@pytest.mark.parametrize("step", [0.05, 0.1])
+@pytest.mark.parametrize("fault_K, factor", [(50, 1.05), (10, 0.85)])
+def test_figure_structure_fails_on_scaled_rlc_rates(monkeypatch, fault_K, factor, step):
+    # K = 50 rates 5% high leave capacity by 7.9e-3 on the axis, and K = 10
+    # rates 15% low fall 2.0e-3 below K = 5: both far inside the 2 * step that
+    # a comparison of sampled frontiers forgives.
+    def scaled(channel, p1, p2, K, variant="paper"):
+        mu1, mu2 = rlc_grid(channel, p1, p2, K, variant)
+        return (mu1 * factor, mu2 * factor) if K == fault_K else (mu1, mu2)
+
+    monkeypatch.setattr("ramcast.rlc_markov.service_rates_grid", scaled)
+    result = check_figure_structure(step=step)
+    assert not result.passed, result.detail
+
+
 def test_theorem2_vertices_exactly_dominated(strong):
     # The corner (mu_1b, mu_2b) of every per-point region is itself a swept
     # rate pair, so frontier domination is exact there.
@@ -395,14 +430,11 @@ def test_collision_capacity_frontier_contains_corners():
     assert frontier.y[0] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_frontier_contains_requires_nonempty(strong):
-    f = capacity_sweep(strong, 0.1)[3]
+def test_frontier_value_requires_nonempty():
     none = np.empty(0)
     empty = RegionFrontier("capacity", none, none, none, none, none.astype(int))
-    with pytest.raises(ValueError):
-        frontier_contains(f, empty, 0.0)
-    with pytest.raises(ValueError):
-        frontier_contains(empty, f, 0.0)
+    with pytest.raises(ValueError, match="empty frontier"):
+        frontier_value(empty, 0.5)
 
 
 def test_frontier_value_extends_flat_left():
