@@ -326,14 +326,15 @@ def check_figure_gap(
 
     Measured on the strong channel as the relative shortfall 1 - g/c of
     the rlc rate against the capacity bound on the axis (p_own cancels).
-    It decomposes into the decode-count overhead E[N]/K - 1 (3.21% at
-    K=50) plus the expected-max coupling penalty across the two
-    destinations, which decays only like 1/sqrt(K) and contributes about
-    5% at K=50 where the two destination rates coincide, so the true gap
-    is near 8% and the 5% threshold is unattainable at K=50 (the smallest
-    K that meets it is 102, with the exact chain at step 0.05).  The
-    simulator confirms the chain value, leaving the threshold itself as
-    the defect; the check reports the measured gap.
+    The shortfall decomposes into the decode-count
+    overhead E[N]/K - 1 (3.21% at K=50) plus the expected-max
+    coupling penalty across the two destinations, which decays only like
+    1/sqrt(K) and contributes about 5% at K=50 where the two
+    destination rates coincide, so the true gap is near 8% and the 5%
+    threshold is unattainable at K=50 (the smallest K that meets it is
+    102, with the exact chain at step 0.05).
+    The simulator confirms the chain value, leaving the threshold itself
+    as the defect; the check reports the measured gap.
     """
     c = _axis("capacity", strong_mpr(), step)[0]
     g = _axis("rlc", strong_mpr(), step, K, variant)[0]
