@@ -27,7 +27,7 @@ from .regions import (
     sweep,
 )
 from .retrans import retrans_service_rates
-from .rlc_markov import build_chain, rlc_service_rates
+from .rlc_markov import build_chain, service_rate
 from .sim import SimConfig, run as sim_run, stability_probe
 
 __all__ = ["CheckResult", "chain_vs_sim", "run_checks"]
@@ -143,8 +143,8 @@ def chain_vs_sim(
     it), the simulated departure rate ``sim`` and its ``stderr``, the
     signed relative error ``rel`` = (mu - sim) / sim (NaN where sim is
     0), the ``z`` score |mu - sim| / stderr (inf where stderr is 0), and
-    ``resid``, the largest row-sum residual of the chain built at the
-    actual (p1, p2).
+    ``resid``, the largest row-sum residual of the chain ``mu`` comes
+    from.
     """
     res = sim_run(
         SimConfig(
@@ -159,11 +159,10 @@ def chain_vs_sim(
     )
     records = []
     for variant in ("paper", "exact"):
-        rates = rlc_service_rates(channel, access, K, variant)
         for source in (1, 2):
             chain = build_chain(channel, access, source, True, K, variant)
             src = res.sources[source - 1]
-            mu, sim = rates.backlogged[source - 1], src.departure_rate
+            mu, sim = service_rate(chain), src.departure_rate
             records.append(
                 {
                     "variant": variant,
@@ -270,15 +269,16 @@ def check_figure_structure(
 ) -> CheckResult:
     """Criterion 5: structural reproduction of the region figures.
 
-    On both presets, the containment chain (capacity over retransmission
-    and over each listed rlc K, rlc K inside the next K) is decided on the
-    axis by ``_axis_gaps``; the detail gives each channel's smallest
-    margin.  The clauses that are not pointwise compare the frontiers
-    ``figure`` writes: the strict capacity gap at the largest K, and the
-    small-K crossover where retransmissions beat rlc on the strong channel.
+    On both presets and the collision channel, the containment chain
+    (capacity over retransmission and over each listed rlc K, rlc K inside
+    the next K) is decided on the axis by ``_axis_gaps``; the detail gives
+    each channel's smallest margin.  The clauses that are not pointwise
+    compare the frontiers ``figure`` writes: the strict capacity gap at
+    the largest K, and the small-K crossover where retransmissions beat
+    rlc on the strong channel.
     """
     details = []
-    for cname, cfun in _CHANNELS:
+    for cname, cfun in _CHANNELS + (("collision", collision_channel),):
         channel = cfun()
         capacity, cap_front = _axis("capacity", channel, step)
         retrans, retrans_front = _axis("retrans", channel, step)
@@ -315,7 +315,7 @@ def check_figure_structure(
         "figure-structure",
         True,
         "containment chain and K-monotonicity hold on the access axis within 1e-12 "
-        f"on both channels; {'; '.join(details)}; {crossover}",
+        f"on every channel; {'; '.join(details)}; {crossover}",
     )
 
 

@@ -36,11 +36,13 @@ probability.
   intersections can grow by 2 in a slot, and (K, K, K) is the single
   completion state.
 
-The service rate is K packets per expected service time.  Every
-transition raises i + j + k, so the expected visits to each state in one
-renewal cycle follow from a single level-ordered forward pass
+The chain is that of a source transmitting in every slot (p_own = 1),
+whose service rate g_n(p_other) is K packets per expected service time.
+Every transition raises i + j + k, so the expected visits to each state
+in one renewal cycle follow from a single level-ordered forward pass
 (``_visit_counts``), which solves every row of a chain at once; their
-sum is the expected service time.
+sum is the expected service time.  The own access probability enters
+once, as the factor of the rate: mu_n = p_own * g_n (``service_rate``).
 """
 from __future__ import annotations
 
@@ -265,26 +267,21 @@ def _reception_weights(channel: ChannelModel, source: int, p_other) -> np.ndarra
     )
 
 
-def _self_loops(space: _StateSpace, p, w, s0: int, s1: int) -> np.ndarray:
-    """Self-loop probabilities of the states s0:s1, per chain row.
-
-    ``p`` is the own access probability and ``w`` the reception weights,
-    with one trailing axis each (of length 1 and ``len(_WEIGHTS)``).
-    """
+def _self_loops(space: _StateSpace, w, s0: int, s1: int) -> np.ndarray:
+    """Self-loop probabilities of the states s0:s1 at p_own = 1, per chain
+    row of reception weights ``w`` (last axis ``_WEIGHTS``); a completion
+    state's renewal transition replaces its row."""
     f = space.loop_f[:, s0:s1]
     w1, w2, wb, wn = (w[..., n, None] for n in range(4))
     loop = wn + w1 * f[0] + w2 * f[1] + wb * f[2]
-    # A slot moves the p_own = 1 chain with probability p_own and otherwise
-    # leaves the state as it is; a completion state's renewal transition
-    # replaces its row.
-    return np.where(space.completes[s0:s1], 0.0, (1 - p) + p * loop)
+    return np.where(space.completes[s0:s1], 0.0, loop)
 
 
-def _edge_probs(space: _StateSpace, p, w, e0: int, e1: int) -> np.ndarray:
-    """Probabilities of the edges e0:e1, per chain row (``p`` and ``w`` as
-    in ``_self_loops``)."""
+def _edge_probs(space: _StateSpace, w, e0: int, e1: int) -> np.ndarray:
+    """Probabilities of the edges e0:e1 at p_own = 1, per chain row (``w``
+    as in ``_self_loops``)."""
     terms = np.take(w, space.e_w[:, e0:e1], axis=-1) * space.e_f[:, e0:e1]
-    return p * (terms[..., 0, :] + terms[..., 1, :])
+    return terms[..., 0, :] + terms[..., 1, :]
 
 
 @dataclass
@@ -293,9 +290,11 @@ class ChainModel:
     probabilities, the own access probability and the reception weights.
 
     ``p_own`` has the shape of the access values (``()`` at one point) and
-    ``weights`` that shape plus an axis of ``_WEIGHTS``.  ``self_p``,
-    ``e_prob`` and ``row_sums`` spell the chain out with that shape plus
-    an axis of states or edges.
+    ``weights`` that shape plus an axis of ``_WEIGHTS``.  The transitions
+    are those of the source transmitting in every slot, the chain of g_n:
+    ``self_p``, ``e_prob`` and ``row_sums`` spell it out with that shape
+    plus an axis of states or edges, and only ``service_rate`` reads
+    ``p_own``.
     """
 
     space: _StateSpace = field(repr=False)
@@ -309,13 +308,12 @@ class ChainModel:
     @property
     def self_p(self) -> np.ndarray:
         """Per-state self-loop probabilities (0 at the completion states)."""
-        return _self_loops(self.space, self.p_own[..., None], self.weights, 0, self.space.I.size)
+        return _self_loops(self.space, self.weights, 0, self.space.I.size)
 
     @property
     def e_prob(self) -> np.ndarray:
         """Edge probabilities, aligned with ``space.e_src``/``e_dst``."""
-        edges = self.space.e_src.size
-        return _edge_probs(self.space, self.p_own[..., None], self.weights, 0, edges)
+        return _edge_probs(self.space, self.weights, 0, self.space.e_src.size)
 
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
@@ -357,29 +355,28 @@ def build_chain(
 
 
 def _visit_counts(chain: ChainModel) -> np.ndarray:
-    """Expected visits per renewal cycle for transient states (0 for the
-    completion states), per chain row: the shape of ``chain.p_own`` plus
-    an axis of states.
+    """Expected visits per renewal cycle of the chain of g_n for transient
+    states (0 for the completion states), per chain row: the shape of
+    ``chain.weights`` with its last axis replaced by one of states.
 
     A row whose service never completes (a dead parameter point) has an
     infinite expected cycle: all its visit counts are inf.
     """
     space = chain.space
     n = space.I.size
-    p = chain.p_own.reshape(-1, 1)
     w = chain.weights.reshape(-1, len(_WEIGHTS))
     # Each state's inflow becomes its visit count in place, once every
     # level below it has been passed.
-    visits = np.zeros((p.shape[0], n))
+    visits = np.zeros((w.shape[0], n))
     visits[:, 0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
     flat = visits.reshape(-1)
     row_start = np.arange(0, visits.size, n)[:, None]
-    dead = np.zeros(p.shape[0], dtype=bool)
+    dead = np.zeros(w.shape[0], dtype=bool)
     # A completion state has no out-edges and a zero self-loop, so the pass
     # solves it like any other state (denominator 1, never dead) and only
     # zeroes its visits at the end.
     for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
-        denom = 1.0 - _self_loops(space, p, w, s0, s1)
+        denom = 1.0 - _self_loops(space, w, s0, s1)
         level = visits[:, s0:s1]
         tiny = denom <= 1e-15
         if tiny.any():
@@ -396,25 +393,30 @@ def _visit_counts(chain: ChainModel) -> np.ndarray:
         np.add.at(
             flat,
             (row_start + space.e_dst[e0:e1]).ravel(),
-            (visits[:, space.e_src[e0:e1]] * _edge_probs(space, p, w, e0, e1)).ravel(),
+            (visits[:, space.e_src[e0:e1]] * _edge_probs(space, w, e0, e1)).ravel(),
         )
     visits[:, space.absorbing] = 0.0
     visits[dead] = np.inf
-    return visits.reshape(chain.p_own.shape + (n,))
+    return visits.reshape(chain.weights.shape[:-1] + (n,))
 
 
 def service_rate(chain: ChainModel):
     """K / E[slots to complete one generation] in packets/slot, per chain
     row (a float for a chain at one point); 0 where the service never
-    completes."""
-    p = chain.p_own.reshape(-1)
+    completes.
+
+    The chain is solved at p_own = 1, where its rate is g_n(p_other).  A
+    smaller p_own only holds each state for 1 / p_own times as many slots
+    on average, so the expected service time is T(1, q) / p_own and the
+    rate is p_own * g_n(q), the same product ``factored_rates`` takes.
+    """
     w = chain.weights.reshape(-1, len(_WEIGHTS))
     rows = max(1, _PASS_ELEMENTS // chain.space.I.size)
-    slots = np.empty(p.size)
-    for r in range(0, p.size, rows):
-        part = ChainModel(space=chain.space, p_own=p[r : r + rows], weights=w[r : r + rows])
+    slots = np.empty(w.shape[0])
+    for r in range(0, w.shape[0], rows):
+        part = ChainModel(space=chain.space, p_own=chain.p_own, weights=w[r : r + rows])
         slots[r : r + rows] = _visit_counts(part).sum(axis=-1)
-    rate = (chain.K / slots).reshape(chain.p_own.shape)
+    rate = chain.p_own * (chain.K / slots).reshape(chain.p_own.shape)
     return float(rate) if rate.ndim == 0 else rate
 
 
@@ -432,12 +434,7 @@ def _rates_at_full_access(
     channel: ChannelModel, source: int, q: np.ndarray, K: int, variant: str
 ) -> np.ndarray:
     """g_n(q) = mu_nb(p_own=1, p_other=q) for every value of q, from one
-    chain with a row per value.
-
-    A smaller p_own only holds each state for 1 / p_own times as many
-    slots on average, so the expected service time is T(1, q) / p_own
-    and mu_nb(p_own, q) = p_own * g_n(q).
-    """
+    chain with a row per value."""
     access = AccessProbabilities(*((1.0, q) if source == 1 else (q, 1.0)))
     return service_rate(build_chain(channel, access, source, True, K, variant))
 

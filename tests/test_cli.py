@@ -273,8 +273,8 @@ def test_verify_chain_command(tmp_path):
 
 
 def test_verify_chain_mu_b_is_p_own_times_g(tmp_path):
-    # At p1 = 1e-14 a chain solved at the actual p_own loses 0.7% to the
-    # cancellation in 1 - self_p; the printed rate is p_own * g_n.
+    # The printed rate is p_own * g_n, the bits of the point rates, also at
+    # p1 = 1e-14.
     from ramcast.channel import AccessProbabilities, strong_mpr
     from ramcast.rlc_markov import rlc_service_rates
 

@@ -165,9 +165,10 @@ def test_steady_state_methods_agree_at_k16(strong):
 @pytest.mark.parametrize("variant", ["paper", "exact"])
 @pytest.mark.parametrize("K", [1, 2, 4, 8])
 def test_flux_formula_equals_renewal_rate(strong, K, variant):
+    # The chain is that of g_n (p_own = 1); its rate scales by p_own.
     chain = build_chain(strong, ACCESS, K=K, variant=variant)
     pi = dense_stationary(chain)
-    assert flux_rate(chain, pi) == pytest.approx(
+    assert chain.p_own * flux_rate(chain, pi) == pytest.approx(
         service_rate(chain), abs=1e-10
     )
 
@@ -292,8 +293,8 @@ def test_build_chain_validates_parameters(strong):
 @settings(max_examples=25, deadline=None)
 @given(channel_models(), st.floats(0.05, 1.0, allow_nan=False))
 def test_rate_factors_out_own_access(ch, p_own):
-    # mu_nb(p_own, p_other) = p_own * mu_nb(1, p_other): every edge of the
-    # chain carries p_own and every self-loop is (1 - p_own) + p_own * (...).
+    # mu_nb(p_own, p_other) = p_own * mu_nb(1, p_other), and a destination
+    # that never receives makes the rate 0 at every p_own.
     for variant in ("paper", "exact"):
         for K in (1, 4, 10):
             for p_other in (0.0, 0.3, 0.7, 1.0):
@@ -313,9 +314,21 @@ def test_rate_factors_out_own_access(ch, p_own):
                         assert rate(p_own) == pytest.approx(
                             p_own * rate(1.0), rel=1e-12, abs=0
                         )
-                    # Below that, the direct evaluation at p_own itself loses
-                    # about eps / (p_own * q_min) per level to the cancellation
-                    # in 1 - self_p, so it is no reference at 1e-12.
+
+
+@pytest.mark.parametrize("p_own", [1e-300, 1e-16, 1e-14, 0.3, 1.0])
+@pytest.mark.parametrize("K", [1, 2, 4])
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+@pytest.mark.parametrize("preset", ["strong_mpr", "weak_mpr"])
+def test_point_chain_rate_is_the_sweep_rate(preset, variant, K, p_own):
+    # The public point solve gives the very bits of the point rates, which
+    # are p_own * g_n, down to the smallest p_own.
+    channel = PRESETS[preset]()
+    for source in (1, 2):
+        access = AccessProbabilities(*((p_own, 0.5) if source == 1 else (0.5, p_own)))
+        chain = build_chain(channel, access, source, True, K, variant)
+        want = rlc_service_rates(channel, access, K, variant).backlogged[source - 1]
+        assert service_rate(chain) == want, source
 
 
 @pytest.mark.parametrize("variant", ["paper", "exact"])
