@@ -38,11 +38,16 @@ probability.
 
 The chain is that of a source transmitting in every slot (p_own = 1),
 whose service rate g_n(p_other) is K packets per expected service time.
-Every transition raises i + j + k, so the expected visits to each state
-in one renewal cycle follow from a single level-ordered forward pass
-(``_visit_counts``), which solves every row of a chain at once; their
-sum is the expected service time.  The own access probability enters
-once, as the factor of the rate: mu_n = p_own * g_n (``service_rate``).
+Every transition raises the level i + j + k, so the expected visits to
+each state in one renewal cycle follow from a single level-ordered
+forward pass (``_level_pass``), which solves the rows of a chain
+together.  A transition raises the level by at most 3 (paper) or 4
+(exact), so the pass holds only the levels that can still receive
+inflow: a window of about 2,650 of the 45,526 states at K = 50 (paper),
+a row per state and a column per chain row, shifted forward as the
+levels finish.  The expected service time is the sum of the per-level
+sums of the visits.  The own access probability enters once, as the
+factor of the rate: mu_n = p_own * g_n (``service_rate``).
 """
 from __future__ import annotations
 
@@ -70,9 +75,10 @@ __all__ = [
 # sigma = w2 + wb.
 _WEIGHTS = ("w1", "w2", "wb", "wn", "phi", "sigma")
 
-# At most this many visit counts (rows x states) in one level pass:
-# ``service_rate`` takes a chain's rows in chunks of this size, so its
-# memory does not grow with the number of access values.
+# At most this many floats in one level pass: its window of levels plus
+# one level's edge temporaries, per row.  The pass takes a chain's rows
+# in chunks of this size, so its memory does not grow with the number of
+# access values.
 _PASS_ELEMENTS = 1 << 18
 
 
@@ -106,6 +112,8 @@ class _StateSpace:
     e_f: np.ndarray                  # and (2, edges) fraction per term
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
+    window: int                      # most states that hold inflow at once
+    level_edges: int                 # most edges that leave one level
 
 
 # The states a family leaves from, by which destinations still collect.
@@ -193,8 +201,13 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     bounds = np.arange(int(level[-1]) + 2)
     order = np.argsort(level[e_src], kind="stable")
     e_src, e_dst, e_fam = e_src[order], e_dst[order], e_fam[order]
-    level_state_slices = _slices(np.searchsorted(level, bounds))
-    level_edge_slices = _slices(np.searchsorted(level[e_src], bounds))
+    state_bounds = np.searchsorted(level, bounds)
+    edge_bounds = np.searchsorted(level[e_src], bounds)
+    # While a level is passed, inflow can sit in it and in the levels its
+    # edges reach, at most ``step`` above it.
+    step = int((level[e_dst] - level[e_src]).max())
+    reach = np.minimum(bounds[:-1] + step + 1, bounds[-1])
+    window = int((state_bounds[reach] - state_bounds[:-1]).max())
     del order, level
 
     # Per state, the chance 2^(d - K) that a uniform coefficient vector
@@ -239,8 +252,10 @@ def _state_space(K: int, variant: str) -> _StateSpace:
         e_fam=e_fam,
         e_w=e_w,
         e_f=e_f,
-        level_state_slices=level_state_slices,
-        level_edge_slices=level_edge_slices,
+        level_state_slices=_slices(state_bounds),
+        level_edge_slices=_slices(edge_bounds),
+        window=window,
+        level_edges=int(np.diff(edge_bounds).max()),
     )
 
 
@@ -267,21 +282,24 @@ def _reception_weights(channel: ChannelModel, source: int, p_other) -> np.ndarra
     )
 
 
-def _self_loops(space: _StateSpace, w, s0: int, s1: int) -> np.ndarray:
-    """Self-loop probabilities of the states s0:s1 at p_own = 1, per chain
-    row of reception weights ``w`` (last axis ``_WEIGHTS``); a completion
-    state's renewal transition replaces its row."""
-    f = space.loop_f[:, s0:s1]
-    w1, w2, wb, wn = (w[..., n, None] for n in range(4))
+def _self_loops(space: _StateSpace, w: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """Self-loop probabilities of the states s0:s1 at p_own = 1, a row per
+    state and a column per chain row.  ``w`` holds the reception weights,
+    ``_WEIGHTS`` on its first axis and a column per chain row.  A
+    completion state's renewal transition replaces its self-loop."""
+    f = space.loop_f[:, s0:s1, None]
+    w1, w2, wb, wn = w[:4]
     loop = wn + w1 * f[0] + w2 * f[1] + wb * f[2]
-    return np.where(space.completes[s0:s1], 0.0, loop)
+    return np.where(space.completes[s0:s1, None], 0.0, loop)
 
 
-def _edge_probs(space: _StateSpace, w, e0: int, e1: int) -> np.ndarray:
-    """Probabilities of the edges e0:e1 at p_own = 1, per chain row (``w``
-    as in ``_self_loops``)."""
-    terms = np.take(w, space.e_w[:, e0:e1], axis=-1) * space.e_f[:, e0:e1]
-    return terms[..., 0, :] + terms[..., 1, :]
+def _edge_probs(space: _StateSpace, w: np.ndarray, e0: int, e1: int) -> np.ndarray:
+    """Probabilities of the edges e0:e1 at p_own = 1, a row per edge and a
+    column per chain row (``w`` as in ``_self_loops``)."""
+    terms = np.take(w, space.e_w[:, e0:e1], axis=0)
+    terms *= space.e_f[:, e0:e1, None]
+    terms[0] += terms[1]
+    return terms[0]
 
 
 @dataclass
@@ -305,15 +323,24 @@ class ChainModel:
     def K(self) -> int:
         return self.space.K
 
+    def _rows(self) -> np.ndarray:
+        """The reception weights with ``_WEIGHTS`` first, one column per row."""
+        return self.weights.reshape(-1, len(_WEIGHTS)).T
+
+    def _shaped(self, per_row: np.ndarray) -> np.ndarray:
+        """A state- or edge-major array (one column per row) in the chain's
+        shape plus an axis of states or edges."""
+        return per_row.T.reshape(self.weights.shape[:-1] + per_row.shape[:1])
+
     @property
     def self_p(self) -> np.ndarray:
         """Per-state self-loop probabilities (0 at the completion states)."""
-        return _self_loops(self.space, self.weights, 0, self.space.I.size)
+        return self._shaped(_self_loops(self.space, self._rows(), 0, self.space.I.size))
 
     @property
     def e_prob(self) -> np.ndarray:
         """Edge probabilities, aligned with ``space.e_src``/``e_dst``."""
-        return _edge_probs(self.space, self.weights, 0, self.space.e_src.size)
+        return self._shaped(_edge_probs(self.space, self._rows(), 0, self.space.e_src.size))
 
     def row_sums(self) -> np.ndarray:
         """Per-state outgoing probability mass (renewal rows count as 1)."""
@@ -354,6 +381,78 @@ def build_chain(
     )
 
 
+def _chunk_rows(space: _StateSpace) -> int:
+    """Rows per chunk of ``_level_pass``: per row, its buffer of twice the
+    window and one level's edge temporaries (probabilities, their second
+    terms and the gathered visits)."""
+    return max(1, _PASS_ELEMENTS // (2 * space.window + 3 * space.level_edges))
+
+
+def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = None) -> np.ndarray:
+    """Expected slots per renewal cycle of the chain of g_n, per chain row
+    (``w`` as in ``_self_loops``): the sum of the expected visits to its
+    transient states.  A row whose service never completes (a dead
+    parameter point) has an infinite cycle.  With ``visits`` (states,
+    rows), each state's visit count is also stored there (0 for the
+    completion states).
+
+    The pass walks the levels once per chunk of rows.  Every edge raises
+    the level by at most a few, so only ``space.window`` states can hold
+    inflow at once; the pass keeps them state-major, one column per row,
+    in a buffer of twice that many states, which it shifts forward as the
+    levels finish.  Each level's inflow becomes its visit counts in place,
+    and its edges then add their share of those visits to the states they
+    reach, in edge order: edges of one family reach distinct states, and
+    a run of rising targets is added in one step.
+    """
+    cap = 2 * space.window
+    chunk = _chunk_rows(space)
+    slots = np.zeros(w.shape[1])
+    for r0 in range(0, slots.size, chunk):
+        rows = slice(r0, r0 + chunk)
+        wt = w[:, rows]
+        total = slots[rows]
+        win = np.zeros((cap, total.size))
+        win[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
+        base = 0  # the state in the buffer's first row
+        # A completion state has no out-edges and a zero self-loop, so the
+        # pass solves it like any other state (denominator 1, never dead)
+        # and then zeroes its visits.
+        for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
+            if s0 - base + space.window > cap:
+                live = cap - (s0 - base)
+                win[:live] = win[s0 - base :]
+                win[live:] = 0.0
+                base = s0
+            level = win[s0 - base : s1 - base]
+            denom = 1.0 - _self_loops(space, wt, s0, s1)
+            tiny = denom <= 1e-15
+            if tiny.any():
+                # Such a state is never left: its row is dead if it has
+                # inflow, and otherwise it gets no visits.
+                stuck = np.any(tiny & (level > 0), axis=0)
+                total[stuck] = np.inf
+                win[:, stuck] = 0.0  # so nothing flows on from a dead row
+                np.divide(level, denom, out=level, where=~tiny)
+            else:
+                level /= denom
+            level[space.completes[s0:s1]] = 0.0
+            # Each row sums its level as one contiguous run, however many
+            # rows share the pass (numpy sums a wide state-major level
+            # column by column, but a one-row level pairwise).
+            total += np.ascontiguousarray(level.T).sum(axis=1)
+            if visits is not None:
+                visits[s0:s1, rows] = level
+            flow = _edge_probs(space, wt, e0, e1)
+            flow *= np.take(win, space.e_src[e0:e1] - base, axis=0)
+            dst = space.e_dst[e0:e1] - base
+            cuts = [0, *(np.flatnonzero(dst[1:] <= dst[:-1]) + 1).tolist(), dst.size]
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                win[dst[a:b]] += flow[a:b]
+            del flow  # before the next level's temporaries
+    return slots
+
+
 def _visit_counts(chain: ChainModel) -> np.ndarray:
     """Expected visits per renewal cycle of the chain of g_n for transient
     states (0 for the completion states), per chain row: the shape of
@@ -362,42 +461,10 @@ def _visit_counts(chain: ChainModel) -> np.ndarray:
     A row whose service never completes (a dead parameter point) has an
     infinite expected cycle: all its visit counts are inf.
     """
-    space = chain.space
-    n = space.I.size
-    w = chain.weights.reshape(-1, len(_WEIGHTS))
-    # Each state's inflow becomes its visit count in place, once every
-    # level below it has been passed.
-    visits = np.zeros((w.shape[0], n))
-    visits[:, 0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
-    flat = visits.reshape(-1)
-    row_start = np.arange(0, visits.size, n)[:, None]
-    dead = np.zeros(w.shape[0], dtype=bool)
-    # A completion state has no out-edges and a zero self-loop, so the pass
-    # solves it like any other state (denominator 1, never dead) and only
-    # zeroes its visits at the end.
-    for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
-        denom = 1.0 - _self_loops(space, w, s0, s1)
-        level = visits[:, s0:s1]
-        tiny = denom <= 1e-15
-        if tiny.any():
-            # Such a state is never left: its row is dead if it has inflow,
-            # and otherwise it gets no visits.
-            stuck = np.any(tiny & (level > 0), axis=1)
-            dead |= stuck
-            visits[stuck] = 0.0  # so nothing flows on from a dead row
-            np.divide(level, denom, out=level, where=~tiny)
-        else:
-            level /= denom
-        # One flat add.at over all rows: each destination still sums its
-        # inflow in edge order.
-        np.add.at(
-            flat,
-            (row_start + space.e_dst[e0:e1]).ravel(),
-            (visits[:, space.e_src[e0:e1]] * _edge_probs(space, w, e0, e1)).ravel(),
-        )
-    visits[:, space.absorbing] = 0.0
-    visits[dead] = np.inf
-    return visits.reshape(chain.weights.shape[:-1] + (n,))
+    w = chain._rows()
+    visits = np.empty((chain.space.I.size, w.shape[1]))
+    visits[:, np.isinf(_level_pass(chain.space, w, visits))] = np.inf
+    return chain._shaped(visits)
 
 
 def service_rate(chain: ChainModel):
@@ -410,12 +477,7 @@ def service_rate(chain: ChainModel):
     on average, so the expected service time is T(1, q) / p_own and the
     rate is p_own * g_n(q), the same product ``factored_rates`` takes.
     """
-    w = chain.weights.reshape(-1, len(_WEIGHTS))
-    rows = max(1, _PASS_ELEMENTS // chain.space.I.size)
-    slots = np.empty(w.shape[0])
-    for r in range(0, w.shape[0], rows):
-        part = ChainModel(space=chain.space, p_own=chain.p_own, weights=w[r : r + rows])
-        slots[r : r + rows] = _visit_counts(part).sum(axis=-1)
+    slots = _level_pass(chain.space, chain._rows())
     rate = chain.p_own * (chain.K / slots).reshape(chain.p_own.shape)
     return float(rate) if rate.ndim == 0 else rate
 

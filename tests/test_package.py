@@ -75,7 +75,7 @@ def test_grid_is_laid_out_in_regions():
 
 
 def test_one_chain_solver():
-    # rlc_markov._visit_counts solves every chain, one row per access value,
+    # rlc_markov._level_pass solves every chain, one row per access value,
     # in one level pass; a second function that walks the levels would be a
     # second solver.
     tree = ast.parse((PKG / "rlc_markov.py").read_text(encoding="utf-8"))
@@ -90,7 +90,7 @@ def test_one_chain_solver():
             for node in ast.walk(fn)
         )
     ]
-    assert walkers == ["_visit_counts"]
+    assert walkers == ["_level_pass"]
 
 
 def test_one_gf2_elimination_loop():

@@ -13,6 +13,7 @@ from ramcast.gf2 import expected_decode_count
 from ramcast.rlc_markov import (
     _EXACT_FAMS,
     _PAPER_FAMS,
+    _chunk_rows,
     _state_space,
     _visit_counts,
     build_chain,
@@ -370,6 +371,26 @@ def test_grid_is_the_pointwise_chain_bit_for_bit(K, variant):
                     assert g[n].item() == service_rate(chain), (source, q)
         if channel == PRESETS["collision"]():
             assert m1[-1, -1] == m2[-1, -1] == 0.0
+
+
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+@pytest.mark.parametrize("preset", ["collision", "strong_mpr"])
+def test_rows_do_not_depend_on_the_rows_beside_them(preset, variant):
+    # A row's arithmetic is that of its one-row chain, whichever chunk of
+    # the level pass holds it and however many rows share that chunk: a
+    # level summed column by column for many rows but pairwise for one
+    # moves most strong_mpr rows by an ulp.  The grid spans two chunks at
+    # K = 50, and collision's last row (p_other = 1) is dead, so its chunk
+    # takes the pass's masked division; only that row reads 0.
+    channel = PRESETS[preset]()
+    q = np.linspace(0.0, 1.0, 31)
+    assert q.size > _chunk_rows(_state_space(50, variant))
+    rows = service_rate(build_chain(channel, _full_access(1, q), 1, True, 50, variant))
+    for n, value in enumerate(q.tolist()):
+        chain = build_chain(channel, _full_access(1, value), 1, True, 50, variant)
+        assert rows[n] == service_rate(chain), value
+    dead = (q == 1.0) & (preset == "collision")
+    np.testing.assert_array_equal(rows == 0.0, dead)
 
 
 def test_chain_grid_memory_does_not_grow_with_the_axis(strong):
