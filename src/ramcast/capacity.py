@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelModel
-from .regions import RegionFrontier, factored_rates, sweep
+from .regions import RegionFrontier, sweep
 
 __all__ = [
     "rate_bounds_grid",
@@ -27,28 +27,27 @@ __all__ = [
 ]
 
 
-def rate_bounds_grid(
-    channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Min-over-destinations rate caps (r1, r2) in packets/slot over two
-    access axes, as (len(p1), len(p2)) tables (the capacity integrand).
+def rate_bounds_grid(channel: ChannelModel, q: np.ndarray) -> np.ndarray:
+    """Min-over-destinations success probabilities c_n(q) of one
+    transmission of each source, at the other source's access values q,
+    as a (2, len(q)) array: the rate caps are p_own * c_n(p_other) in
+    packets/slot (the capacity integrand).
 
     They also bound every policy's backlogged service rate (Jensen): the
     service time is the max of the per-destination delivery times, and
     E[max] >= the max of the expectations, so mu_nb never exceeds the
     min-over-destinations success rate, which is exactly this cap.
     """
-    return factored_rates(
-        lambda source, q: np.minimum(*channel.reception(source, q)[:2]), p1, p2
-    )
+    return np.stack([np.minimum(*channel.reception(source, q)[:2]) for source in (1, 2)])
 
 
 def capacity_sweep(
     channel: ChannelModel, grid_step: float = 0.01
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, RegionFrontier]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, RegionFrontier]:
     """Evaluate the rate caps over the (p1, p2) grid and reduce to a frontier.
 
-    Returns (grid, r1, r2, frontier) as ``regions.sweep`` lays them out:
-    ``r[i, j]`` is the cap at (p1, p2) = (grid[i], grid[j]).
+    Returns (grid, c, r1, r2, frontier) as ``regions.sweep`` lays them
+    out: ``c`` is c_n on the grid and ``r[i, j]`` the cap at
+    (p1, p2) = (grid[i], grid[j]).
     """
     return sweep("capacity", channel, grid_step)

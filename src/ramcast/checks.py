@@ -219,14 +219,6 @@ def check_rlc_oracle(
     return CheckResult("rlc-chain-oracle", exact_ok, detail, rows)
 
 
-def _axis(kind: str, channel, step: float, K: int | None = None, variant: str = _VARIANT):
-    """(g, frontier) of a region kind: g[n - 1] is g_n(q) = mu_n(1, q) on the
-    sweep's grid, which ends at 1.0, so g_1 is mu1's last row and g_2 mu2's
-    last column (every rate is p_own * g_n(p_other), ``factored_rates``)."""
-    _, mu1, mu2, frontier = sweep(kind, channel, step, K, variant)
-    return np.stack((mu1[-1], mu2[:, -1])), frontier
-
-
 def _axis_gaps(outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, bool]:
     """g_outer - g_inner, and whether the outer region contains the inner:
     exactly when g_inner <= g_outer for both sources (up to rounding), as
@@ -244,9 +236,9 @@ def check_jensen_dominance(
     cells = [("retrans", "retrans", None)] + [(f"rlc(K={K})", "rlc", K) for K in Ks]
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        c = _axis("capacity", channel, step)[0]
+        c = sweep("capacity", channel, step)[1]
         for label, kind, K in cells:
-            gaps, inside = _axis_gaps(c, _axis(kind, channel, step, K)[0])
+            gaps, inside = _axis_gaps(c, sweep(kind, channel, step, K, _VARIANT)[1])
             if not inside:
                 return CheckResult(
                     "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
@@ -280,11 +272,11 @@ def check_figure_structure(
     details = []
     for cname, cfun in _CHANNELS + (("collision", collision_channel),):
         channel = cfun()
-        capacity, cap_front = _axis("capacity", channel, step)
-        retrans, retrans_front = _axis("retrans", channel, step)
+        _, capacity, *_, cap_front = sweep("capacity", channel, step)
+        _, retrans, *_, retrans_front = sweep("retrans", channel, step)
         rlc, rlc_front = {}, {}
         for k in K_list:
-            rlc[k], rlc_front[k] = _axis("rlc", channel, step, k)
+            _, rlc[k], *_, rlc_front[k] = sweep("rlc", channel, step, k, _VARIANT)
         ks = sorted(rlc)
         # The containment chain, each link as (outer, inner, name).
         chain = [(capacity, retrans, "capacity over retrans")]
@@ -336,8 +328,8 @@ def check_figure_gap(
     The simulator confirms the chain value, leaving the threshold itself
     as the defect; the check reports the measured gap.
     """
-    c = _axis("capacity", strong_mpr(), step)[0]
-    g = _axis("rlc", strong_mpr(), step, K, variant)[0]
+    c = sweep("capacity", strong_mpr(), step)[1]
+    g = sweep("rlc", strong_mpr(), step, K, variant)[1]
     live = c > 1e-9
     rel_gap = float(np.max((c[live] - g[live]) / c[live]))
     passed = rel_gap <= threshold
@@ -420,7 +412,7 @@ def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> floa
     which the grid starts with, so mu_1e(p1) is the sweep's first column
     and mu_2e(p2) its first row.
     """
-    _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
+    _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
     region = StabilityRegion(mu_1b=mu1b, mu_2b=mu2b, mu_1e=mu1b[:, :1], mu_2e=mu2b[:1, :])
     t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None, None]
     xs, ys = [], []

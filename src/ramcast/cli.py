@@ -149,7 +149,7 @@ def _emit_table(args, header: list[str], rows: list[list]) -> list[Path]:
 def cmd_capacity(args, channel) -> list[Path]:
     from . import floatfmt
 
-    grid, r1, r2, frontier = capacity_sweep(channel, args.step)
+    grid, _, r1, r2, frontier = capacity_sweep(channel, args.step)
     on = np.full(r1.shape, b"0")
     on.flat[frontier.index] = b"1"
     out = _resolve_out(args.out)
@@ -194,7 +194,7 @@ def _write_frontier(path: Path, frontier) -> None:
 
 def _compute_frontier(kind: str, channel, step: float, K: int, variant: str):
     if kind == "capacity":
-        return capacity_sweep(channel, step)[3]
+        return capacity_sweep(channel, step)[-1]
     return stable_equals_throughput_frontier(kind, channel, step, K, variant)
 
 
@@ -209,9 +209,9 @@ def cmd_region(args, channel) -> list[Path]:
 def cmd_rankdist(args, channel) -> list[Path]:
     if args.max_j < 0:
         raise ValueError(f"--max-j must be >= 0, got {args.max_j}")
-    out = _resolve_out(args.out)
     js = range(args.max_j + 1)
     columns = (js, [rank_cdf(args.K, j) for j in js], [rank_pmf(args.K, j) for j in js])
+    out = _resolve_out(args.out)
     write_csv(out, ["j", "cdf", "pmf"], [columns])
     print(f"wrote {out}")
     return [out]
@@ -347,12 +347,17 @@ print("wrote", os.path.join(here, "figure.png"))
 
 
 def cmd_figure(args, channel) -> list[Path]:
-    out_dir = _resolve_out(Path(args.out) / "x").parent
-    outputs = []
     runs = [("capacity", None, "capacity.csv"), ("retrans", None, "retrans.csv")]
     runs += [("rlc", k, f"rlc_K{k}.csv") for k in args.K_list]
-    for kind, k, name in runs:
-        frontier = _compute_frontier(kind, channel, args.step, k, args.variant)
+    # Every frontier is computed before the directory is made, so a run
+    # that fails leaves nothing behind.
+    frontiers = [
+        (name, _compute_frontier(kind, channel, args.step, k, args.variant))
+        for kind, k, name in runs
+    ]
+    out_dir = _resolve_out(Path(args.out) / "x").parent
+    outputs = []
+    for name, frontier in frontiers:
         path = out_dir / name
         _write_frontier(path, frontier)
         outputs.append(path)

@@ -3,21 +3,20 @@
 The achievable-rate regions produced elsewhere in the package are all
 "closures over the access-probability square": sweep (p1, p2) over a
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
-pairs.  Each rate factors as p_own * g(p_other), so a rate is a table
-over two access axes with g evaluated once per axis value and source
-(``factored_rates``), not once per point.  This module maps a region
-kind ("capacity", "retrans" or "rlc") to its rates (``region_rates``)
-and owns the sweep over them (``sweep``), a single point's backlogged
-and empty rates through the same path (``service_rates``), the Pareto
-reduction, the per-point stability region (union of the two
-dominant-system constraint sets) and how far points lie outside a
-frontier (``frontier_excess``), which the stability closure measures.
-Containment of one region in another needs no frontier: it holds when
-g_inner <= g_outer on the access axis for both sources.
+pairs.  Each rate factors as p_own * g_n(p_other), so a region kind
+("capacity", "retrans" or "rlc") provides only g_n on one access axis,
+and ``region_rates`` chooses it.  This module forms the rate tables
+p_own * g_n(p_other) from g, once per sweep (``sweep``), and owns a
+single point's backlogged and empty rates from g on the axis
+(p1, p2, 0) (``service_rates``), the Pareto reduction, the per-point
+stability region (union of the two dominant-system constraint sets) and
+how far points lie outside a frontier (``frontier_excess``), which the
+stability closure measures.  Containment of one region in another needs
+no frontier: it holds when g_inner <= g_outer on the access axis for
+both sources.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,6 @@ __all__ = [
     "StabilityRegion",
     "p_grid",
     "pareto_frontier",
-    "factored_rates",
     "region_rates",
     "sweep",
     "service_rates",
@@ -127,46 +125,37 @@ def pareto_frontier(points) -> np.ndarray:
     return rows[order[ys > best_before]][::-1]
 
 
-def factored_rates(g, p1, p2) -> tuple[np.ndarray, np.ndarray]:
-    """Rate tables ``mu1[i, j] = p1[i] * g(1, p2[j])`` and
-    ``mu2[i, j] = p2[j] * g(2, p1[i])`` over the access axes p1 and p2.
+def region_rates(
+    kind: str, channel, q, K: int | None = None, variant: str = "paper"
+) -> np.ndarray:
+    """g_n(q) = mu_n(p_own=1, p_other=q) of one region kind for both
+    sources on the access axis q, as a (2, len(q)) array.
 
-    Every rate here carries the own access probability as a factor:
-    mu_n(p_own, p_other) = p_own * g_n(p_other) with g_n(q) = mu_n(1, q).
-    ``g(source, q)`` maps an array of p_other values to g_n, and is
-    called once per source on the other source's axis, so each axis
-    value costs one evaluation however many points share it.
-    """
-    p1 = np.asarray(p1, dtype=float)
-    p2 = np.asarray(p2, dtype=float)
-    return np.multiply.outer(p1, g(1, p2)), np.multiply.outer(g(2, p1), p2)
-
-
-def region_rates(kind: str, channel, K: int | None = None, variant: str = "paper"):
-    """The ``rates_grid(p1, p2)`` of one region kind over two access axes.
-
-    It returns the (len(p1), len(p2)) tables of ``factored_rates``:
-    "capacity" gives the rate caps, "retrans" the closed-form backlogged
-    rates and "rlc" the chain's backlogged rates at generation size K
-    (``K`` and ``variant`` are read only there; the chain checks K).
+    Every rate of the kind is p_own * g_n(p_other).  "capacity" gives the
+    rate caps, "retrans" the closed-form backlogged rates and "rlc" the
+    chain's backlogged rates at generation size K (``K`` and ``variant``
+    are read only there; the chain checks K).
     """
     # Imported here: these modules import this one.
     from . import capacity, retrans, rlc_markov
 
+    q = np.asarray(q, dtype=float)
     if kind == "capacity":
-        return functools.partial(capacity.rate_bounds_grid, channel)
+        return capacity.rate_bounds_grid(channel, q)
     if kind == "retrans":
-        return functools.partial(retrans.service_rates_grid, channel)
+        return retrans.service_rates_grid(channel, q)
     if kind == "rlc":
-        return functools.partial(rlc_markov.service_rates_grid, channel, K=K, variant=variant)
+        return rlc_markov.service_rates_grid(channel, q, K, variant)
     raise ValueError(f"unknown region kind {kind!r}")
 
 
 def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: str = "paper"):
     """Evaluate a region kind over the (p1, p2) grid and reduce it to a frontier.
 
-    Returns (grid, mu1, mu2, frontier): the 1-D grid and two (n, n) rate
-    tables, ``mu[i, j]`` being the rate at (p1, p2) = (grid[i], grid[j]).
+    Returns (grid, g, mu1, mu2, frontier): the 1-D grid, g_n on it (as
+    ``region_rates`` gives it) and two (n, n) rate tables, ``mu[i, j]``
+    being the rate at (p1, p2) = (grid[i], grid[j]):
+    ``mu1[i, j] = grid[i] * g[0, j]`` and ``mu2[i, j] = g[1, i] * grid[j]``.
     So ``mu1[:, 0]`` and ``mu2[0, :]`` are the rates against an empty
     competitor, and ``frontier.index`` counts the cells row by row.
     """
@@ -176,7 +165,8 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
     # once with MemoryError.
     np.empty((n, n))
     grid = p_grid(grid_step)
-    mu1, mu2 = region_rates(kind, channel, K, variant)(grid, grid)
+    g = region_rates(kind, channel, grid, K, variant)
+    mu1, mu2 = np.multiply.outer(grid, g[0]), np.multiply.outer(g[1], grid)
     x, y = mu1.ravel(), mu2.ravel()
     # Row by row, the cells come in (p1, p2) order, so the rate pairs alone
     # keep the smallest-witness tie rule.
@@ -190,7 +180,7 @@ def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: s
         index=at,
         K=K if kind == "rlc" else None,
     )
-    return grid, mu1, mu2, frontier
+    return grid, g, mu1, mu2, frontier
 
 
 def service_rates(
@@ -198,14 +188,13 @@ def service_rates(
 ) -> ServiceRates:
     """Backlogged and empty rates of a region kind at one (p1, p2).
 
-    An empty competitor has access probability 0, so the empty rates are
-    the kind's rates at (p1, 0) and (0, p2): cells of its tables over the
-    axes (p1, 0) and (p2, 0), the same p_own * g_n(p_other) as a sweep.
+    They are p_own * g_n(p_other), as in a sweep, with g_n read on the
+    axis (p1, p2, 0): an empty competitor has access probability 0.
     """
-    mu1, mu2 = region_rates(kind, channel, K, variant)([access.p1, 0.0], [access.p2, 0.0])
+    g = region_rates(kind, channel, [access.p1, access.p2, 0.0], K, variant)
     return ServiceRates(
-        backlogged=(float(mu1[0, 0]), float(mu2[0, 0])),
-        empty=(float(mu1[0, 1]), float(mu2[1, 0])),
+        backlogged=(float(access.p1 * g[0, 1]), float(access.p2 * g[1, 0])),
+        empty=(float(access.p1 * g[0, 2]), float(access.p2 * g[1, 2])),
         generation_size=K if kind == "rlc" else 1,
     )
 
@@ -292,5 +281,5 @@ def stable_equals_throughput_frontier(
     it, 1.58e-3 on strong_mpr and 5.19e-3 on weak_mpr for retransmission
     at step 0.05, and about 3e-16 on the collision channel.
     """
-    return sweep(policy, channel, grid_step, K, variant)[3]
+    return sweep(policy, channel, grid_step, K, variant)[-1]
 

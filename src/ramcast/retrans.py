@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
-from .regions import ServiceRates, factored_rates, service_rates
+from .regions import ServiceRates, service_rates
 
 __all__ = [
     "retrans_service_rates",
@@ -45,10 +45,7 @@ def retrans_service_rates(
     return service_rates("retrans", channel, access)
 
 
-def service_rates_grid(
-    channel: ChannelModel, p1: np.ndarray, p2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backlogged rates (mu_1b, mu_2b) as tables over two access axes."""
-    return factored_rates(
-        lambda source, q: _rate_formula(*channel.reception(source, q)), p1, p2
-    )
+def service_rates_grid(channel: ChannelModel, q: np.ndarray) -> np.ndarray:
+    """g_n(q) = mu_nb / p_own of each source at the other source's access
+    values q, as a (2, len(q)) array."""
+    return np.stack([_rate_formula(*channel.reception(source, q)) for source in (1, 2)])

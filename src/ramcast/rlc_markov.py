@@ -59,7 +59,7 @@ import numpy as np
 
 from .channel import AccessProbabilities, ChannelModel
 from .gf2 import _check_generation_size
-from .regions import ServiceRates, factored_rates, service_rates
+from .regions import ServiceRates, service_rates
 
 __all__ = [
     "ChainModel",
@@ -475,7 +475,7 @@ def service_rate(chain: ChainModel):
     The chain is solved at p_own = 1, where its rate is g_n(p_other).  A
     smaller p_own only holds each state for 1 / p_own times as many slots
     on average, so the expected service time is T(1, q) / p_own and the
-    rate is p_own * g_n(q), the same product ``factored_rates`` takes.
+    rate is p_own * g_n(q), the same product a region sweep forms.
     """
     slots = _level_pass(chain.space, chain._rows())
     rate = chain.p_own * (chain.K / slots).reshape(chain.p_own.shape)
@@ -492,27 +492,16 @@ def rlc_service_rates(
     return service_rates("rlc", channel, access, K, variant)
 
 
-def _rates_at_full_access(
-    channel: ChannelModel, source: int, q: np.ndarray, K: int, variant: str
-) -> np.ndarray:
-    """g_n(q) = mu_nb(p_own=1, p_other=q) for every value of q, from one
-    chain with a row per value."""
-    access = AccessProbabilities(*((1.0, q) if source == 1 else (q, 1.0)))
-    return service_rate(build_chain(channel, access, source, True, K, variant))
-
-
 def service_rates_grid(
-    channel: ChannelModel,
-    p1: np.ndarray,
-    p2: np.ndarray,
-    K: int,
-    variant: str = "paper",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backlogged rates (mu_1b, mu_2b) as tables over two access axes.
+    channel: ChannelModel, q: np.ndarray, K: int, variant: str = "paper"
+) -> np.ndarray:
+    """g_n(q) = mu_nb(p_own=1, p_other=q) of each source at the other
+    source's access values q, as a (2, len(q)) array.
 
-    Solves one chain per source, with a row per axis value of p2 (for
-    source 1) and of p1 (for source 2), not one per point.
+    Solves one chain per source, with a row per value of q, not one per
+    point.
     """
-    return factored_rates(
-        lambda source, q: _rates_at_full_access(channel, source, q, K, variant), p1, p2
-    )
+    rates = []
+    for source, access in ((1, AccessProbabilities(1.0, q)), (2, AccessProbabilities(q, 1.0))):
+        rates.append(service_rate(build_chain(channel, access, source, True, K, variant)))
+    return np.stack(rates)

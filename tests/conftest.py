@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ramcast.capacity import rate_bounds_grid
 from ramcast.channel import AccessProbabilities, ChannelModel, strong_mpr, weak_mpr
+from ramcast.regions import region_rates
 
 
 @pytest.fixture
@@ -49,9 +49,23 @@ def access_probs(draw) -> AccessProbabilities:
 
 
 def rate_caps(channel: ChannelModel, p1: float, p2: float) -> tuple[float, float]:
-    """The capacity caps (r1, r2) at one (p1, p2), from ``rate_bounds_grid``."""
-    r1, r2 = rate_bounds_grid(channel, [p1], [p2])
-    return float(r1[0, 0]), float(r2[0, 0])
+    """The capacity caps (r1, r2) at one (p1, p2): p_own * c_n(p_other),
+    with c_n from ``region_rates``."""
+    c = region_rates("capacity", channel, [p2, p1])
+    return float(p1 * c[0, 0]), float(p2 * c[1, 1])
+
+
+def rate_tables(axis_rates, channel, p1, p2, *args) -> tuple[np.ndarray, np.ndarray]:
+    """Rate tables ``mu1[i, j] = p1[i] * g_1(p2[j])`` and
+    ``mu2[i, j] = g_2(p1[i]) * p2[j]`` over two access axes, from a region
+    kind's axis function ``axis_rates(channel, q, *args)``, which gives
+    g_n(q) as a (2, len(q)) array: the tables ``regions.sweep`` forms on
+    its grid."""
+    p1, p2 = np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)
+    return (
+        np.multiply.outer(p1, axis_rates(channel, p2, *args)[0]),
+        np.multiply.outer(axis_rates(channel, p1, *args)[1], p2),
+    )
 
 
 def chain_states(chain) -> list[tuple[int, int, int]]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from ramcast.capacity import capacity_sweep, rate_bounds_grid
+from ramcast.capacity import capacity_sweep
 from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
 from ramcast.regions import frontier_excess
 
@@ -221,19 +221,19 @@ def test_mutual_info_enumeration_oracle(strong, u):
 
 
 def test_capacity_frontier_collision_corners():
-    frontier = capacity_sweep(collision_channel(), grid_step=0.01)[3]
+    frontier = capacity_sweep(collision_channel(), grid_step=0.01)[-1]
     assert frontier.x.max() >= 0.99
     assert frontier.y.max() >= 0.99
 
 
 def test_capacity_frontier_strong_symmetric_point(strong):
-    frontier = capacity_sweep(strong, grid_step=0.01)[3]
+    frontier = capacity_sweep(strong, grid_step=0.01)[-1]
     best = np.minimum(frontier.x, frontier.y).max()
     assert best == pytest.approx(0.6, abs=1e-12)
 
 
 def test_capacity_frontier_is_pareto_sorted(strong):
-    frontier = capacity_sweep(strong, grid_step=0.05)[3]
+    frontier = capacity_sweep(strong, grid_step=0.05)[-1]
     assert np.all(np.diff(frontier.x) > 0)
     assert np.all(np.diff(frontier.y) < 0)
 
@@ -262,18 +262,15 @@ def test_channel_monotonicity_grows_frontier():
             for n in (0, 1)
         )
         big = ChannelModel(q_solo=big_solo, q_joint=big_joint)
-        grid = np.linspace(0, 1, 11)
-        rs1, rs2 = rate_bounds_grid(small, grid, grid)
-        rb1, rb2 = rate_bounds_grid(big, grid, grid)
+        *_, rs1, rs2, f_small = capacity_sweep(small, 0.1)
+        *_, rb1, rb2, f_big = capacity_sweep(big, 0.1)
         assert np.all(rb1 >= rs1 - 1e-15)
         assert np.all(rb2 >= rs2 - 1e-15)
-        f_small = capacity_sweep(small, 0.1)[3]
-        f_big = capacity_sweep(big, 0.1)[3]
         assert frontier_excess(f_big, f_small.x, f_small.y).max() <= 1e-12
 
 
 def test_capacity_sweep_marks_frontier(strong):
-    grid, r1, r2, frontier = capacity_sweep(strong, 0.1)
+    grid, _, r1, r2, frontier = capacity_sweep(strong, 0.1)
     assert grid.shape == (11,) and r1.shape == r2.shape == (11, 11)
     p1s, p2s = np.repeat(grid, 11), np.tile(grid, 11)
     at = frontier.index

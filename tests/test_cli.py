@@ -35,7 +35,7 @@ def test_capacity_csv_roundtrip_lossless(tmp_path):
     from ramcast.capacity import capacity_sweep
     from ramcast.channel import weak_mpr
 
-    grid, r1, r2, _ = capacity_sweep(weak_mpr(), 0.1)
+    grid, _, r1, r2, _ = capacity_sweep(weak_mpr(), 0.1)
     _, rows = read_csv(out)
     cells = [(a, b) for a in grid for b in grid]
     assert len(rows) == len(cells) == r1.size
@@ -51,7 +51,7 @@ def test_capacity_flags_exactly_the_frontier_rows(tmp_path, channel):
 
     out = tmp_path / "cap.csv"
     run_cli("capacity", "--channel", channel, "--step", "0.05", "--out", out)
-    frontier = capacity_sweep(load_channel(channel), 0.05)[3]
+    frontier = capacity_sweep(load_channel(channel), 0.05)[-1]
     _, rows = read_csv(out)
     flagged = [n for n, row in enumerate(rows) if row[4] == "1"]
     assert all(row[4] in ("0", "1") for row in rows)
@@ -84,7 +84,7 @@ def test_capacity_csv_is_the_flat_sweep_cell_by_cell(tmp_path, channel):
         channel.write_text(json.dumps(_ASYMMETRIC))
     out = tmp_path / "cap.csv"
     assert run_cli("capacity", "--channel", channel, "--step", "0.03", "--out", out) == 0
-    grid, r1, r2, frontier = capacity_sweep(load_channel(channel), 0.03)
+    grid, _, r1, r2, frontier = capacity_sweep(load_channel(channel), 0.03)
     assert r1.shape == (34, 34) and str(grid[11]) == "0.33333333333333337"
     on = set(frontier.index.tolist())
     p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
@@ -376,6 +376,24 @@ def test_figure_k_list_out_of_range_writes_nothing(tmp_path, capsys, k_list):
               "--out", str(out)])
     assert exc.value.code == 2
     assert "--K-list: K must be in [1, 64]" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["figure", "--channel", "strong_mpr", "--step", "0.5", "--out", "new/fig"],
+         "grid step must be in (0, 0.1]"),
+        (["rankdist", "--K", "0", "--max-j", "3", "--out", "new/r/x.csv"],
+         "K must be in [1, 64]"),
+    ],
+)
+def test_failing_command_writes_nothing(tmp_path, monkeypatch, capsys, argv, message):
+    # The command fails before it resolves --out, so no directory is made.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RAMCAST_OUT_DIR", raising=False)
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -22,6 +22,8 @@ and ``verify-chain`` were re-recorded when the chain's expected cycle
 length became a sum of per-level sums: each state's visits kept their
 bits, every rate moved by at most 3.4e-16 relative and no zero moved
 (``verify-chain``'s ``rel_delta``, a difference of two rates, by 1.5e-14).
+``check-quick`` pins the verdicts and details of ``check --quick`` (Jensen
+gaps, smallest margins, overshoots); it writes no file of its own.
 """
 import hashlib
 import json
@@ -31,6 +33,7 @@ import pytest
 from ramcast.cli import main
 
 CASES = {
+    "check-quick": ["check", "--quick"],
     "capacity": ["capacity", "--channel", "strong_mpr", "--step", "0.1", "--out", "OUT/cap.csv"],
     "capacity-fine": [
         "capacity", "--channel", "weak_mpr", "--step", "0.01", "--out", "OUT/cap.csv",
@@ -89,6 +92,11 @@ CASES = {
 }
 
 GOLDEN = {
+    "check-quick": {
+        "rc": 0,
+        "stdout": "4c832527aa1c502d328b2e0d5f3f22fc51726a554e760e433b73386b3bd2e92c",
+        "stderr": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    },
     "capacity": {
         "rc": 0,
         "stdout": "52a6f44d07f91d7d6c13148d7488d8a502ca8f93f875729ba18567e2976c8a4c",

@@ -29,7 +29,7 @@ def test_generation_size_limit_is_shared(strong, K):
     with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
         build_chain(strong, access, K=K)
     with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
-        service_rates_grid(strong, np.array([0.5]), np.array([0.5]), K)
+        service_rates_grid(strong, np.array([0.5]), K)
     for law in (rank_cdf, rank_pmf):
         with pytest.raises(ValueError, match=f"K must be in \\[1, {MAX_K}\\]"):
             law(K, 3)
@@ -140,23 +140,44 @@ def test_coefficient_draws_live_in_gf2():
 
 
 def test_region_rates_are_chosen_in_regions():
-    # A region kind maps to its rate grid in one place, regions.region_rates,
-    # and only regions.sweep and regions.service_rates call that: elsewhere
-    # the package reaches the grids through them.
+    # A region kind provides only g_n on an access axis, and maps to it in
+    # one place, regions.region_rates: each per-kind g function is named
+    # only by its own module and there.  Only regions.sweep and
+    # regions.service_rates call region_rates, and only regions forms the
+    # rate tables p_own * g_n(p_other), with an outer product.
     owners = {
         "rate_bounds_grid": {"capacity.py"},
         "service_rates_grid": {"retrans.py", "rlc_markov.py"},
         "region_rates": {"regions.py"},
     }
-    namers = set()
-    for path in PKG.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            name = getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def names(tree):
+        for node in ast.walk(tree):
             if isinstance(node, ast.alias):
-                name = node.name
+                yield node.name
+            else:
+                yield getattr(node, "id", None) or getattr(node, "attr", None)
+
+    namers, outer = set(), set()
+    for path in PKG.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "regions.py":
+            (dispatch,) = (
+                node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "region_rates"
+            )
+            assert {"rate_bounds_grid", "service_rates_grid"} <= set(names(dispatch))
+            tree.body.remove(dispatch)
+        for name in names(tree):
             if name in owners and path.name not in owners[name]:
                 namers.add(path.name)
-    assert namers == {"regions.py"}
+        outer |= {
+            path.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "outer"
+        }
+    assert namers == set()
+    assert outer == {"regions.py"}
 
 
 def test_simulator_imports_no_chain_code():

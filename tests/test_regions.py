@@ -31,7 +31,7 @@ from ramcast.retrans import service_rates_grid as retrans_grid
 from ramcast.rlc_markov import rlc_service_rates
 from ramcast.rlc_markov import service_rates_grid as rlc_grid
 
-from conftest import access_probs, channel_models, rate_caps
+from conftest import access_probs, channel_models, rate_caps, rate_tables
 
 
 def test_p_grid_endpoints():
@@ -145,7 +145,7 @@ def test_sweep_memory_is_the_rate_tables_and_the_pareto_input():
 @pytest.mark.parametrize("kind", ["capacity", "retrans"])
 @pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
 def test_pareto_frontier_rows_match_full_lexsort_on_presets(kind, channel):
-    grid, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
+    grid, _, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
     p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
     ref = _full_lexsort_frontier(np.column_stack((mu1.ravel(), mu2.ravel(), p1s, p2s)))
     assert frontier.index.tolist() == ref.tolist()
@@ -158,10 +158,12 @@ _ASYMMETRIC = ChannelModel(q_solo=((0.9, 0.55), (0.7, 0.85)), q_joint=((0.45, 0.
 
 @pytest.mark.parametrize("kind, K", [("capacity", None), ("retrans", None), ("rlc", 2)])
 def test_sweep_tables_are_indexed_by_the_grid(kind, K):
-    grid, mu1, mu2, frontier = sweep(kind, _ASYMMETRIC, 0.1, K)
+    grid, g, mu1, mu2, frontier = sweep(kind, _ASYMMETRIC, 0.1, K)
     n = grid.size
     assert grid[0] == 0.0 and grid[-1] == 1.0
-    assert mu1.shape == mu2.shape == (n, n)
+    assert mu1.shape == mu2.shape == (n, n) and g.shape == (2, n)
+    assert np.array_equal(mu1, np.multiply.outer(grid, g[0]))
+    assert np.array_equal(mu2, np.multiply.outer(g[1], grid))
     assert np.array_equal(frontier.p1, grid[frontier.index // n])
     assert np.array_equal(frontier.p2, grid[frontier.index % n])
     assert np.array_equal(frontier.x, mu1.ravel()[frontier.index])
@@ -170,13 +172,13 @@ def test_sweep_tables_are_indexed_by_the_grid(kind, K):
     for i, j in [(0, 0), (0, 3), (7, 0), (0, n - 1), (n - 1, 0), (2, 9), (8, 5), (n - 1, n - 1)]:
         rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(grid[i], grid[j]), K)
         assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
-    # The kind's grid function takes any two axes, of any lengths.
+    # The kind's axis function takes any axis, of any length.
     p1, p2 = [0.0, 0.35, 1.0], [0.0, 0.2, 0.45, 0.9, 1.0]
-    mu1, mu2 = region_rates(kind, _ASYMMETRIC, K)(p1, p2)
-    assert mu1.shape == mu2.shape == (3, 5)
+    g = region_rates(kind, _ASYMMETRIC, p1 + p2, K)
+    assert g.shape == (2, 8)
     for i, j in np.ndindex(3, 5):
         rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(p1[i], p2[j]), K)
-        assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
+        assert (p1[i] * g[0, 3 + j], g[1, i] * p2[j]) == rates.backlogged, (i, j)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +193,7 @@ def test_collision_frontier_is_the_aloha_curve(kind, K, variant):
     # two-user ALOHA region sqrt(x) + sqrt(y) <= sqrt(c), and the grid
     # points with p1 + p2 = 1 lie on its boundary.
     c = K / expected_decode_count(K) if kind == "rlc" else 1.0
-    frontier = sweep(kind, collision_channel(), 0.05, K, variant)[3]
+    frontier = sweep(kind, collision_channel(), 0.05, K, variant)[-1]
     radius = np.sqrt(frontier.x) + np.sqrt(frontier.y)
     assert radius.max() == pytest.approx(math.sqrt(c), abs=1e-12)
     assert np.all(radius <= math.sqrt(c) + 1e-12)
@@ -213,10 +215,10 @@ def test_dead_points_rate_exactly_zero(strong, K):
         for rates_grid in (
             rate_bounds_grid,
             retrans_grid,
-            lambda c, a, b: rlc_grid(c, a, b, K),
-            lambda c, a, b: rlc_grid(c, a, b, K, variant="exact"),
+            lambda c, q: rlc_grid(c, q, K),
+            lambda c, q: rlc_grid(c, q, K, variant="exact"),
         ):
-            mu1, mu2 = rates_grid(ch, grid, grid)
+            mu1, mu2 = rate_tables(rates_grid, ch, grid, grid)
             dead1 = p1s == 0.0
             dead2 = p2s == 0.0
             if ch.joint(1, 1) == 0.0:
@@ -234,7 +236,7 @@ def test_dead_points_rate_exactly_zero(strong, K):
 
 
 def test_frontier_contains_reflexive(strong):
-    f = capacity_sweep(strong, 0.05)[3]
+    f = capacity_sweep(strong, 0.05)[-1]
     # The frontier's own points lie on it; a point right of its end lies
     # its horizontal distance outside.
     assert frontier_excess(f, f.x, f.y).max() <= 0.0
@@ -243,7 +245,7 @@ def test_frontier_contains_reflexive(strong):
 
 def test_capacity_contains_retrans_but_not_conversely(strong, weak):
     for ch in (strong, weak):
-        cap = capacity_sweep(ch, 0.05)[3]
+        cap = capacity_sweep(ch, 0.05)[-1]
         ret = stable_equals_throughput_frontier("retrans", ch, 0.05)
         tol = 2 * 0.05 * 1.0
         assert frontier_excess(cap, ret.x, ret.y).max() <= tol
@@ -391,9 +393,9 @@ def test_figure_structure_fails_on_scaled_rlc_rates(monkeypatch, fault_K, factor
     # K = 50 rates 5% high leave capacity by 7.9e-3 on the axis, and K = 10
     # rates 15% low fall 2.0e-3 below K = 5: both far inside the 2 * step that
     # a comparison of sampled frontiers forgives.
-    def scaled(channel, p1, p2, K, variant="paper"):
-        mu1, mu2 = rlc_grid(channel, p1, p2, K, variant)
-        return (mu1 * factor, mu2 * factor) if K == fault_K else (mu1, mu2)
+    def scaled(channel, q, K, variant="paper"):
+        g = rlc_grid(channel, q, K, variant)
+        return g * factor if K == fault_K else g
 
     monkeypatch.setattr("ramcast.rlc_markov.service_rates_grid", scaled)
     result = check_figure_structure(step=step)
@@ -425,7 +427,7 @@ def test_sweep_rejects_unknown_kind(strong):
 
 
 def test_collision_capacity_frontier_contains_corners():
-    frontier = capacity_sweep(collision_channel(), 0.05)[3]
+    frontier = capacity_sweep(collision_channel(), 0.05)[-1]
     assert frontier.x[-1] == pytest.approx(1.0, abs=1e-12)
     assert frontier.y[0] == pytest.approx(1.0, abs=1e-12)
 

@@ -7,7 +7,7 @@ from ramcast.channel import AccessProbabilities, ChannelModel, collision_channel
 from ramcast.regions import ServiceRates
 from ramcast.retrans import retrans_service_rates, service_rates_grid
 
-from conftest import access_probs, channel_models, random_channel, rate_caps
+from conftest import access_probs, channel_models, random_channel, rate_caps, rate_tables
 
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((1.0, 1.0), (1.0, 1.0)))
 
@@ -91,8 +91,8 @@ def test_jensen_dominance_bulk_random():
         ch = random_channel(rng)
         p1 = rng.uniform(0, 1, 100)
         p2 = rng.uniform(0, 1, 100)
-        b1, b2 = rate_bounds_grid(ch, p1, p2)
-        m1, m2 = service_rates_grid(ch, p1, p2)
+        b1, b2 = rate_tables(rate_bounds_grid, ch, p1, p2)
+        m1, m2 = rate_tables(service_rates_grid, ch, p1, p2)
         assert np.all(m1 <= b1 + 1e-12)
         assert np.all(m2 <= b2 + 1e-12)
 

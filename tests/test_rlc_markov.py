@@ -29,6 +29,7 @@ from conftest import (
     flux_rate,
     random_channel,
     rate_caps,
+    rate_tables,
     subspace_pair_visits,
 )
 
@@ -184,9 +185,9 @@ def test_rlc_service_rates_structure(strong):
 def test_rate_dominated_by_capacity_bound(strong, weak):
     for ch in (strong, weak):
         grid = np.linspace(0, 1, 6)
-        r1, r2 = rate_bounds_grid(ch, grid, grid)
+        r1, r2 = rate_tables(rate_bounds_grid, ch, grid, grid)
         for K in (1, 3):
-            m1, m2 = service_rates_grid(ch, grid, grid, K)
+            m1, m2 = rate_tables(service_rates_grid, ch, grid, grid, K)
             assert np.all(m1 <= r1 + 1e-12)
             assert np.all(m2 <= r2 + 1e-12)
 
@@ -337,7 +338,7 @@ def test_grid_matches_pointwise_chain(strong, weak, variant):
     grid = np.linspace(0, 1, 6)
     for ch in (strong, weak):
         for K in (1, 3):
-            m1, m2 = service_rates_grid(ch, grid, grid, K, variant)
+            m1, m2 = rate_tables(service_rates_grid, ch, grid, grid, K, variant)
             for i, j in np.ndindex(m1.shape):
                 access = AccessProbabilities(grid[i].item(), grid[j].item())
                 want1 = service_rate(build_chain(ch, access, 1, True, K, variant))
@@ -362,15 +363,14 @@ def test_grid_is_the_pointwise_chain_bit_for_bit(K, variant):
     for channel in [*(make() for make in PRESETS.values()), ASYMMETRIC]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            m1, m2 = service_rates_grid(channel, grid, grid, K, variant)
-            # grid[-1] = 1, so m1[-1] and m2[:, -1] are g_1 and g_2 on the axis.
-            for source, g in ((1, m1[-1]), (2, m2[:, -1])):
+            g1, g2 = service_rates_grid(channel, grid, K, variant)
+            for source, g in ((1, g1), (2, g2)):
                 for n in points:
                     q = grid[n].item()
                     chain = build_chain(channel, _full_access(source, q), source, True, K, variant)
                     assert g[n].item() == service_rate(chain), (source, q)
         if channel == PRESETS["collision"]():
-            assert m1[-1, -1] == m2[-1, -1] == 0.0
+            assert g1[-1] == g2[-1] == 0.0
 
 
 @pytest.mark.parametrize("variant", ["paper", "exact"])
@@ -402,7 +402,7 @@ def test_chain_grid_memory_does_not_grow_with_the_axis(strong):
     grid = np.linspace(0.0, 1.0, 101)
     tracemalloc.start()
     try:
-        service_rates_grid(strong, grid, grid, 50, "paper")
+        service_rates_grid(strong, grid, 50, "paper")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
