@@ -10,7 +10,8 @@ config seed via ``numpy.random.SeedSequence(seed).spawn(10)`` in the
 fixed order (arrivals 1, arrivals 2, transmit 1, transmit 2, reception
 1->1, 1->2, 2->1, 2->2, coefficients 1, coefficients 2).  Each stream is
 drawn in blocks of ``_BLOCK`` slots, so identical configs give
-bit-identical results.
+bit-identical results.  ``_block_draws`` is the one place where streams
+2-9 are drawn, for both modes.
 
 Retransmission is simulated as a K = 1 generation whose receptions are
 always innovative, so both policies share one service rule; only RLC
@@ -119,14 +120,24 @@ def run(config: SimConfig) -> SimResult:
     p = (config.access.p1, config.access.p2)
     rlc = config.policy == "rlc"
     K = config.K if rlc else 1
-    solo = ((ch.solo(1, 1), ch.solo(1, 2)), (ch.solo(2, 1), ch.solo(2, 2)))
-    joint = ((ch.joint(1, 1), ch.joint(1, 2)), (ch.joint(2, 1), ch.joint(2, 2)))
     streams = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(10)]
     batch_len = max(1, config.slots // _RATE_BATCHES)
     if config.mode == "saturated":
-        return _run_saturated(config.slots, p, rlc, K, solo, joint, streams, batch_len)
+        return _run_saturated(config.slots, p, rlc, K, ch.q_solo, ch.q_joint, streams, batch_len)
     lam = (config.arrivals.lambda1, config.arrivals.lambda2)
-    return _run_arrivals(config.slots, p, lam, rlc, K, solo, joint, streams, batch_len)
+    return _run_arrivals(config.slots, p, lam, rlc, K, ch.q_solo, ch.q_joint, streams, batch_len)
+
+
+def _block_draws(slots, p, rlc, K, streams):
+    """Per block: its start and length, and source n's transmit mask,
+    reception uniforms at destination d and, for RLC, coefficient vectors
+    (streams 2 + n, 4 + 2n + d and 8 + n)."""
+    for start in range(0, slots, _BLOCK):
+        nblk = min(_BLOCK, slots - start)
+        tx = [streams[2 + n].random(nblk) < p[n] for n in (0, 1)]
+        ur = [[streams[4 + 2 * n + d].random(nblk) for d in (0, 1)] for n in (0, 1)]
+        coef = [draw_coefficients(streams[8 + n], nblk, K) if rlc else None for n in (0, 1)]
+        yield start, nblk, tx, ur, coef
 
 
 def _source_result(
@@ -296,18 +307,7 @@ class _SaturatedSource:
 def _run_saturated(slots, p, rlc, K, solo, joint, streams, batch_len) -> SimResult:
     """Both sources always active: per-block numpy masks, one kernel per source."""
     sources = (_SaturatedSource(K, rlc, batch_len), _SaturatedSource(K, rlc, batch_len))
-    for block_start in range(0, slots, _BLOCK):
-        nblk = min(_BLOCK, slots - block_start)
-        ut = (streams[2].random(nblk), streams[3].random(nblk))
-        ur = (
-            (streams[4].random(nblk), streams[5].random(nblk)),
-            (streams[6].random(nblk), streams[7].random(nblk)),
-        )
-        coef = (
-            draw_coefficients(streams[8], nblk, K) if rlc else None,
-            draw_coefficients(streams[9], nblk, K) if rlc else None,
-        )
-        tx = (ut[0] < p[0], ut[1] < p[1])
+    for block_start, _, tx, ur, coef in _block_draws(slots, p, rlc, K, streams):
         both = tx[0] & tx[1]
         for n in (0, 1):
             cand = [tx[n] & (ur[n][d] < np.where(both, joint[n][d], solo[n][d])) for d in (0, 1)]
@@ -346,18 +346,8 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
     drift_end = drift_half + _DRIFT_BATCHES * drift_len
     drift_sums = [np.zeros(_DRIFT_BATCHES) for _ in range(2)]
 
-    for block_start in range(0, slots, _BLOCK):
-        nblk = min(_BLOCK, slots - block_start)
+    for block_start, nblk, tx, ur, coef in _block_draws(slots, p, rlc, K, streams):
         cum = [np.cumsum(streams[n].random(nblk) < lam[n]) for n in (0, 1)]
-        tx = (streams[2].random(nblk) < p[0], streams[3].random(nblk) < p[1])
-        ur = (
-            (streams[4].random(nblk), streams[5].random(nblk)),
-            (streams[6].random(nblk), streams[7].random(nblk)),
-        )
-        coef = (
-            draw_coefficients(streams[8], nblk, K) if rlc else None,
-            draw_coefficients(streams[9], nblk, K) if rlc else None,
-        )
         # Per source: candidate slots (then nblk as a sentinel), a code per
         # candidate (bits 0-1 solo successes at destinations 1-2, bits 2-3
         # joint successes, bit 4 the other source transmits), and vectors.

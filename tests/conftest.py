@@ -20,10 +20,20 @@ def weak():
     return weak_mpr()
 
 
-def random_channel(rng: np.random.Generator) -> ChannelModel:
-    """A random valid channel: q_joint strictly below q_solo on every link."""
-    solo = rng.uniform(0.05, 1.0, size=4)
-    joint = solo * rng.uniform(0.0, 0.98, size=4)
+# Hand-written, with source 1's links unlike source 2's mirrored ones, so
+# swapping p1 and p2 or rows and columns changes the rates, and with
+# q_joint[n][1] != q_joint[n][2], so does swapping a source's destinations.
+ASYMMETRIC = ChannelModel(q_solo=((0.9, 0.55), (0.7, 0.85)), q_joint=((0.45, 0.2), (0.3, 0.6)))
+
+
+def random_channel(
+    rng: np.random.Generator, solo_low: float = 0.05, joint_frac: float = 0.98
+) -> ChannelModel:
+    """A random valid channel: q_solo ~ U(solo_low, 1) and q_joint ~
+    U(0, joint_frac) * q_solo on each link, so q_joint is strictly below
+    q_solo."""
+    solo = rng.uniform(solo_low, 1.0, size=4)
+    joint = solo * rng.uniform(0.0, joint_frac, size=4)
     return ChannelModel(
         q_solo=((solo[0], solo[1]), (solo[2], solo[3])),
         q_joint=((joint[0], joint[1]), (joint[2], joint[3])),

@@ -139,6 +139,27 @@ def test_coefficient_draws_live_in_gf2():
     assert callers == {"gf2.py"}
 
 
+def test_simulator_draws_each_block_in_one_place():
+    # sim._block_draws draws the transmit, reception and coefficient streams
+    # of both modes; only _run_arrivals draws its arrival streams itself.
+    # The channel's matrices are read as stored, not entry by entry.
+    tree = ast.parse((PKG / "sim.py").read_text(encoding="utf-8"))
+    draws, entries = [], []
+    for fn in tree.body:
+        owner = getattr(fn, "name", "<module>")
+        for node in ast.walk(fn):
+            if not isinstance(node, ast.Call):
+                continue
+            callee = getattr(node.func, "attr", None) or getattr(node.func, "id", None)
+            if callee in ("draw_coefficients", "random"):
+                draws.append((owner, callee))
+            elif isinstance(node.func, ast.Attribute) and callee in ("solo", "joint"):
+                entries.append(owner)
+    assert {owner for owner, callee in draws if callee == "draw_coefficients"} == {"_block_draws"}
+    assert [d for d in draws if d[0] != "_block_draws"] == [("_run_arrivals", "random")]
+    assert entries == []
+
+
 def test_region_rates_are_chosen_in_regions():
     # A region kind provides only g_n on an access axis, and maps to it in
     # one place, regions.region_rates: each per-kind g function is named

@@ -31,7 +31,7 @@ from ramcast.retrans import service_rates_grid as retrans_grid
 from ramcast.rlc_markov import rlc_service_rates
 from ramcast.rlc_markov import service_rates_grid as rlc_grid
 
-from conftest import access_probs, channel_models, rate_caps, rate_tables
+from conftest import ASYMMETRIC, access_probs, channel_models, rate_caps, rate_tables
 
 
 def test_p_grid_endpoints():
@@ -151,14 +151,9 @@ def test_pareto_frontier_rows_match_full_lexsort_on_presets(kind, channel):
     assert frontier.index.tolist() == ref.tolist()
 
 
-# Hand-written, with source 1's links unlike source 2's mirrored ones, so
-# swapping p1 and p2 or rows and columns changes the rates.
-_ASYMMETRIC = ChannelModel(q_solo=((0.9, 0.55), (0.7, 0.85)), q_joint=((0.45, 0.2), (0.3, 0.6)))
-
-
 @pytest.mark.parametrize("kind, K", [("capacity", None), ("retrans", None), ("rlc", 2)])
 def test_sweep_tables_are_indexed_by_the_grid(kind, K):
-    grid, g, mu1, mu2, frontier = sweep(kind, _ASYMMETRIC, 0.1, K)
+    grid, g, mu1, mu2, frontier = sweep(kind, ASYMMETRIC, 0.1, K)
     n = grid.size
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert mu1.shape == mu2.shape == (n, n) and g.shape == (2, n)
@@ -170,14 +165,14 @@ def test_sweep_tables_are_indexed_by_the_grid(kind, K):
     assert np.array_equal(frontier.y, mu2.ravel()[frontier.index])
     # Row 0 and column 0 are the rates against an empty competitor.
     for i, j in [(0, 0), (0, 3), (7, 0), (0, n - 1), (n - 1, 0), (2, 9), (8, 5), (n - 1, n - 1)]:
-        rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(grid[i], grid[j]), K)
+        rates = service_rates(kind, ASYMMETRIC, AccessProbabilities(grid[i], grid[j]), K)
         assert (mu1[i, j], mu2[i, j]) == rates.backlogged, (i, j)
     # The kind's axis function takes any axis, of any length.
     p1, p2 = [0.0, 0.35, 1.0], [0.0, 0.2, 0.45, 0.9, 1.0]
-    g = region_rates(kind, _ASYMMETRIC, p1 + p2, K)
+    g = region_rates(kind, ASYMMETRIC, p1 + p2, K)
     assert g.shape == (2, 8)
     for i, j in np.ndindex(3, 5):
-        rates = service_rates(kind, _ASYMMETRIC, AccessProbabilities(p1[i], p2[j]), K)
+        rates = service_rates(kind, ASYMMETRIC, AccessProbabilities(p1[i], p2[j]), K)
         assert (p1[i] * g[0, 3 + j], g[1, i] * p2[j]) == rates.backlogged, (i, j)
 
 

@@ -1,14 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
 from ramcast.channel import PRESETS, AccessProbabilities, ArrivalRates, ChannelModel
 from ramcast.gf2 import expected_decode_count, rank_pmf
+from ramcast.regions import service_rates, stability_region_at
 from ramcast.retrans import retrans_service_rates
 from ramcast.rlc_markov import build_chain, service_rate
 from ramcast.sim import SimConfig, run, stability_probe
 
-from conftest import subspace_pair_visits
+from conftest import ASYMMETRIC, random_channel, subspace_pair_visits
 
 ACCESS = AccessProbabilities(0.5, 0.5)
 PERFECT = ChannelModel(q_solo=((1.0, 1.0), (1.0, 1.0)), q_joint=((0.0, 0.0), (0.0, 0.0)))
@@ -178,6 +180,8 @@ def test_config_validation(strong):
         ("retrans", "collision", (0.6, 0.4)),
         ("rlc", "weak_mpr", (0.05, 0.9)),
         ("rlc", "strong_mpr", (1.0, 1.0)),
+        ("retrans", "asymmetric", (0.6, 0.4)),
+        ("rlc", "asymmetric", (0.6, 0.4)),
     ],
 )
 def test_k1_saturated_matches_always_busy_arrivals(policy, preset, p):
@@ -185,8 +189,10 @@ def test_k1_saturated_matches_always_busy_arrivals(policy, preset, p):
     # mode both queues are busy from slot 0 on and never idle: arrivals
     # mode then serves exactly as saturated mode does, from the same
     # transmit, reception and coefficient streams.  70,001 slots cross two
-    # block boundaries.
-    base = dict(channel=PRESETS[preset](), access=AccessProbabilities(*p), policy=policy,
+    # block boundaries.  On the presets q_joint[n][1] = q_joint[n][2], so
+    # only the asymmetric channel tells a source's two destinations apart.
+    channel = ASYMMETRIC if preset == "asymmetric" else PRESETS[preset]()
+    base = dict(channel=channel, access=AccessProbabilities(*p), policy=policy,
                 K=1, slots=70_001, seed=13)
     sat = run(SimConfig(mode="saturated", **base))
     busy = run(SimConfig(mode="arrivals", arrivals=ArrivalRates(1.0, 1.0), **base))
@@ -221,3 +227,47 @@ def test_no_arrivals_no_activity(strong):
         assert src.mean_queue == 0.0
         assert math.isnan(src.mean_service_time)
         assert src.drift_batch_means == [0.0] * len(src.drift_batch_means)
+
+
+# On every preset q_joint[n][1] = q_joint[n][2], so a simulator that reads
+# one destination's probability for the other passes there; on these
+# channels it does not.  The two tests below make m = 28 comparisons (24
+# saturated, 4 at the boundary).  Each batch-means z follows Student's t
+# with 31 degrees of freedom (32 rate batches), so at a family-wise
+# false-alarm rate alpha = 0.01 each |z| may reach the t_31 quantile at
+# 1 - alpha / (2m), which is 4.008.
+_rng = np.random.default_rng(5)
+RANDOM_CHANNELS = [random_channel(_rng, solo_low=0.3, joint_frac=1.0) for _ in range(4)]
+RANDOM_ACCESS = AccessProbabilities(0.6, 0.7)
+Z_GATE = 4.008
+
+
+@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 2), ("rlc", 4)])
+@pytest.mark.parametrize("c", range(len(RANDOM_CHANNELS)))
+def test_saturated_rates_match_analysis_on_random_channels(c, policy, K):
+    channel = RANDOM_CHANNELS[c]
+    mu = service_rates(policy, channel, RANDOM_ACCESS, K, "exact")
+    res = run(SimConfig(channel=channel, access=RANDOM_ACCESS, policy=policy, K=K,
+                        slots=200_000, seed=11, mode="saturated"))
+    for src, rate in zip(res.sources, mu.backlogged):
+        assert abs(src.departure_rate - rate) <= Z_GATE * src.stderr, (src, rate)
+
+
+@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 2)])
+@pytest.mark.parametrize("c", [0, 1])
+def test_boundary_departures_match_analysis_on_random_channels(c, policy, K):
+    # Arrivals mode reads the reception probabilities in code of its own.
+    # With lambda1 = 1 source 1 never empties, and lambda2 = 0.8 mu_2b keeps
+    # source 2 stable; by the dominant-system argument source 1 then departs
+    # at the stability boundary's lambda1 at that lambda2.  (On a channel
+    # with q_joint near 0 towards destination 2 the departures have read
+    # 3-4% above that bound, an open question about the bound.)
+    channel = RANDOM_CHANNELS[c]
+    mu = service_rates(policy, channel, RANDOM_ACCESS, K, "exact")
+    lam2 = 0.8 * mu.backlogged[1]
+    res = run(SimConfig(channel=channel, access=RANDOM_ACCESS, policy=policy, K=K,
+                        slots=200_000, seed=11, mode="arrivals",
+                        arrivals=ArrivalRates(1.0, lam2)))
+    src = res.sources[0]
+    bound = stability_region_at(mu).lambda1_bound(lam2)
+    assert abs(src.departure_rate - bound) <= Z_GATE * src.stderr, (src, bound)
