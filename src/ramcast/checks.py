@@ -23,6 +23,7 @@ from .regions import (
     StabilityRegion,
     frontier_excess,
     frontier_value,
+    grid_rates,
     stability_region_at,
     sweep,
 )
@@ -236,9 +237,9 @@ def check_jensen_dominance(
     cells = [("retrans", "retrans", None)] + [(f"rlc(K={K})", "rlc", K) for K in Ks]
     for cname, cfun in _CHANNELS:
         channel = cfun()
-        c = sweep("capacity", channel, step)[1]
+        c = grid_rates("capacity", channel, step)[1]
         for label, kind, K in cells:
-            gaps, inside = _axis_gaps(c, sweep(kind, channel, step, K, _VARIANT)[1])
+            gaps, inside = _axis_gaps(c, grid_rates(kind, channel, step, K, _VARIANT)[1])
             if not inside:
                 return CheckResult(
                     "jensen-dominance", False, f"{label} exceeds capacity bound on {cname}"
@@ -328,8 +329,8 @@ def check_figure_gap(
     The simulator confirms the chain value, leaving the threshold itself
     as the defect; the check reports the measured gap.
     """
-    c = sweep("capacity", strong_mpr(), step)[1]
-    g = sweep("rlc", strong_mpr(), step, K, variant)[1]
+    c = grid_rates("capacity", strong_mpr(), step)[1]
+    g = grid_rates("rlc", strong_mpr(), step, K, variant)[1]
     live = c > 1e-9
     rel_gap = float(np.max((c[live] - g[live]) / c[live]))
     passed = rel_gap <= threshold

@@ -154,12 +154,14 @@ def cmd_capacity(args, channel) -> list[Path]:
     on.flat[frontier.index] = b"1"
     out = _resolve_out(args.out)
     # Each grid value is spelled once.  A block of a few p1 rows fits in
-    # one floatfmt chunk, so memory stays flat.
-    text = np.array([str(p).encode() for p in grid.tolist()])
+    # one floatfmt chunk, so memory stays flat.  Its p1 column is as wide
+    # as its own values' texts, often one word where the grid needs three.
+    spelled = [str(p).encode() for p in grid.tolist()]
+    text = np.array(spelled)
     n = grid.size
     step = max(1, floatfmt.CHUNK // n)
     blocks = (
-        (np.repeat(text[i : i + step], n), np.tile(text, min(step, n - i)),
+        (np.repeat(np.array(spelled[i : i + step]), n), np.tile(text, min(step, n - i)),
          *(table[i : i + step].ravel() for table in (r1, r2, on)))
         for i in range(0, n, step)
     )

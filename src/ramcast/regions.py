@@ -5,15 +5,19 @@ The achievable-rate regions produced elsewhere in the package are all
 grid, evaluate a rate pair at each point, and keep the Pareto-maximal
 pairs.  Each rate factors as p_own * g_n(p_other), so a region kind
 ("capacity", "retrans" or "rlc") provides only g_n on one access axis,
-and ``region_rates`` chooses it.  This module forms the rate tables
-p_own * g_n(p_other) from g, once per sweep (``sweep``), and owns a
-single point's backlogged and empty rates from g on the axis
-(p1, p2, 0) (``service_rates``), the Pareto reduction, the per-point
-stability region (union of the two dominant-system constraint sets) and
-how far points lie outside a frontier (``frontier_excess``), which the
-stability closure measures.  Containment of one region in another needs
-no frontier: it holds when g_inner <= g_outer on the access axis for
-both sources.
+and ``region_rates`` chooses it.  This module lays out the grid and g on
+it (``grid_rates``), forms the rate pairs p_own * g_n(p_other) from g
+once per sweep, as the two planes of one array that are both the rate
+tables and the Pareto reduction's input (``sweep``), and owns a single
+point's backlogged and empty rates from g on the axis (p1, p2, 0)
+(``service_rates``), the Pareto reduction (which, on a large input,
+first drops the records that a strided sample's frontier beats), the
+per-point stability region (union of the two dominant-system constraint
+sets) and how far points lie outside a frontier (``frontier_excess``),
+which the stability closure measures.  Containment of one region in
+another needs no frontier: it holds when g_inner <= g_outer on the
+access axis for both sources, which ``grid_rates`` gives without
+forming the tables.
 """
 from __future__ import annotations
 
@@ -28,6 +32,7 @@ __all__ = [
     "p_grid",
     "pareto_frontier",
     "region_rates",
+    "grid_rates",
     "sweep",
     "service_rates",
     "frontier_value",
@@ -38,8 +43,12 @@ __all__ = [
 
 _TOL = 1e-12
 
-# Rows per chunk of the Pareto prefilter, which bounds its scratch memory.
+# Rows per chunk of the Pareto prefilters, bounding their scratch memory.
 _PARETO_ROWS = 1 << 16
+# pareto_frontier samples inputs of more records than this, and reads the
+# sample's frontier off this many buckets of x (``_sample_survivors``).
+_SAMPLE_ABOVE = 1 << 14
+_BUCKETS = 1 << 12
 
 
 @dataclass
@@ -100,11 +109,62 @@ def pareto_frontier(points) -> np.ndarray:
     lexicographically smallest, and then the first row, so that repeated
     sweeps are reproducible.  A sweep's rows are in witness order, so it
     passes the rate pairs alone.
+
+    Above ``_SAMPLE_ABOVE`` records, a strided sample's frontier first
+    drops records that one of its records strictly dominates
+    (``_sample_survivors``), so the exact reduction sorts only the few
+    left and keeps the same rows.
     """
     points = np.asarray(points, dtype=float)
     if points.size == 0:
         return np.empty(0, dtype=np.intp)
-    x, y, *witness = np.atleast_2d(points).T
+    columns = np.atleast_2d(points).T
+    rows = _sample_survivors(*columns[:2]) if columns.shape[1] > _SAMPLE_ABOVE else None
+    if rows is None:
+        return _exact_frontier(columns)
+    return rows[_exact_frontier(columns[:, rows])]
+
+
+def _sample_survivors(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """Rows, ascending, of the records that no record of a strided
+    sample's frontier beats from a bucket strictly right of theirs.
+
+    A record's bucket is (x - min x) * scale, truncated, with
+    ``_BUCKETS`` buckets across the range of x; it never falls as x
+    grows.  So a sample-frontier record in a bucket right of a record's
+    own, with a y at least as large, strictly dominates it.  None when x
+    is not finite or spans too little for a finite scale (constant x
+    included).
+    """
+    lo, hi = x.min(), x.max()
+    if not _BUCKETS / np.finfo(float).max < hi - lo < np.inf:
+        return None
+    scale = _BUCKETS / (hi - lo)  # x = hi lands in bucket _BUCKETS
+    stride = x.size // _SAMPLE_ABOVE
+    xs, ys = x[::stride], y[::stride]
+    at = _exact_frontier(np.stack((xs, ys)))
+    best = np.full(_BUCKETS + 1, -np.inf)
+    np.maximum.at(best, ((xs[at] - lo) * scale).astype(np.intp), ys[at])
+    # The best sample y in any bucket strictly right of each bucket.
+    right = np.append(np.maximum.accumulate(best[::-1])[::-1][1:], -np.inf)
+    # Every chunk of rows reuses the same two buffers, so a large input
+    # costs no fresh memory per chunk.
+    t = np.empty(min(x.size, _PARETO_ROWS))
+    bucket = np.empty(t.size, dtype=np.intp)
+    rows = []
+    for r in range(0, x.size, t.size):
+        m = min(t.size, x.size - r)
+        np.subtract(x[r : r + m], lo, out=t[:m])
+        t[:m] *= scale
+        bucket[:m] = t[:m]
+        rows.append(r + np.flatnonzero(y[r : r + m] > right.take(bucket[:m], out=t[:m])))
+    return np.concatenate(rows)
+
+
+def _exact_frontier(columns: np.ndarray) -> np.ndarray:
+    """``pareto_frontier`` of the records whose (x, y, *witness) are the
+    rows of ``columns``, without the sample."""
+    x, y, *witness = columns
     # A record with a smaller y than one at equal or larger x is dominated:
     # in each chunk of rows, one argsort of x and a running max of y drop
     # those that the chunk itself dominates.  The few left stay in row
@@ -149,28 +209,40 @@ def region_rates(
     raise ValueError(f"unknown region kind {kind!r}")
 
 
+def grid_rates(
+    kind: str, channel, grid_step: float, K: int | None = None, variant: str = "paper"
+):
+    """The 1-D grid of a sweep and g_n on it: (grid, g), g as
+    ``region_rates`` gives it.  Containment of regions needs only this."""
+    grid = p_grid(grid_step)
+    return grid, region_rates(kind, channel, grid, K, variant)
+
+
 def sweep(kind: str, channel, grid_step: float, K: int | None = None, variant: str = "paper"):
     """Evaluate a region kind over the (p1, p2) grid and reduce it to a frontier.
 
-    Returns (grid, g, mu1, mu2, frontier): the 1-D grid, g_n on it (as
-    ``region_rates`` gives it) and two (n, n) rate tables, ``mu[i, j]``
-    being the rate at (p1, p2) = (grid[i], grid[j]):
+    Returns (grid, g, mu1, mu2, frontier): ``grid_rates``'s grid and g,
+    and two (n, n) rate tables, ``mu[i, j]`` being the rate at
+    (p1, p2) = (grid[i], grid[j]):
     ``mu1[i, j] = grid[i] * g[0, j]`` and ``mu2[i, j] = g[1, i] * grid[j]``.
     So ``mu1[:, 0]`` and ``mu2[0, :]`` are the rates against an empty
-    competitor, and ``frontier.index`` counts the cells row by row.
+    competitor, and ``frontier.index`` counts the cells row by row.  The
+    tables are the two planes of one (2, n, n) array; transposed, it is
+    ``pareto_frontier``'s (n * n, 2) input of rate pairs, with no copy.
     """
     n = _grid_size(grid_step)
-    # Each table holds n * n rates.  Asking for that much memory before
-    # the 1-D grid is written makes a grid too large for memory fail at
-    # once with MemoryError.
-    np.empty((n, n))
-    grid = p_grid(grid_step)
-    g = region_rates(kind, channel, grid, K, variant)
-    mu1, mu2 = np.multiply.outer(grid, g[0]), np.multiply.outer(g[1], grid)
-    x, y = mu1.ravel(), mu2.ravel()
+    # Asking for the rate tables before the 1-D grid is written makes a
+    # grid too large for memory fail at once: MemoryError, or ValueError
+    # past what an array can address.
+    planes = np.empty((2, n, n))
+    grid, g = grid_rates(kind, channel, grid_step, K, variant)
+    mu1, mu2 = planes
+    np.multiply.outer(grid, g[0], out=mu1)
+    np.multiply.outer(g[1], grid, out=mu2)
     # Row by row, the cells come in (p1, p2) order, so the rate pairs alone
     # keep the smallest-witness tie rule.
-    at = pareto_frontier(np.column_stack((x, y)))
+    x, y = flat = planes.reshape(2, -1)
+    at = pareto_frontier(flat.T)
     frontier = RegionFrontier(
         kind=kind,
         x=x[at],

@@ -17,10 +17,12 @@ families, one row per family: its name, its step (di, dj, dk), the
 states it leaves from and its (weight, fraction) terms.  Both tables use
 the same weights and the same self-loop,
 wn + w1 * 2^(i-K) + w2 * 2^(j-K) + wb * (fraction of the overlap).
-The fractions depend only on (K, variant), so they are computed once per
-edge and state, with the cached state space; a chain holds only its
+The edge fractions depend only on (K, variant), so they are computed
+once per edge, with the cached state space; a chain holds only its
 reception weights, one row per value of the other source's access
-probability.
+probability.  A self-loop's fractions are 2^(t-K) for three small
+integers t per state, so its three terms are tabled per t and row, once
+per pass, and each state reads them at its exponents.
 
 * ``variant="paper"`` -- the published transition table, where k counts
   packets that advanced both destinations simultaneously and the
@@ -45,9 +47,11 @@ together.  A transition raises the level by at most 3 (paper) or 4
 (exact), so the pass holds only the levels that can still receive
 inflow: a window of about 2,650 of the 45,526 states at K = 50 (paper),
 a row per state and a column per chain row, shifted forward as the
-levels finish.  The expected service time is the sum of the per-level
-sums of the visits.  The own access probability enters once, as the
-factor of the rate: mu_n = p_own * g_n (``service_rate``).
+levels finish; each level's edges add their flow in a few runs of
+rising targets, cached with the state space.  The expected service time
+is the sum of the per-level sums of the visits.  The own access
+probability enters once, as the factor of the rate: mu_n = p_own * g_n
+(``service_rate``).
 """
 from __future__ import annotations
 
@@ -75,10 +79,10 @@ __all__ = [
 # sigma = w2 + wb.
 _WEIGHTS = ("w1", "w2", "wb", "wn", "phi", "sigma")
 
-# At most this many floats in one level pass: its window of levels plus
-# one level's edge temporaries, per row.  The pass takes a chain's rows
-# in chunks of this size, so its memory does not grow with the number of
-# access values.
+# At most this many floats in one level pass: its window of levels, its
+# self-loop tables and one level's edge temporaries, per row.  The pass
+# takes a chain's rows in chunks of this size, so its memory does not
+# grow with the number of access values.
 _PASS_ELEMENTS = 1 << 18
 
 
@@ -95,7 +99,10 @@ class _StateSpace:
     At p_own = 1, for a row w of reception weights, an edge's
     probability is ``w[e_w[0]] * e_f[0] + w[e_w[1]] * e_f[1]`` (a one-term
     family's second fraction is 0) and a state's self-loop is
-    ``wn + w1 * loop_f[0] + w2 * loop_f[1] + wb * loop_f[2]``.
+    ``wn + w1 * 2^(a - K) + w2 * 2^(b - K) + wb * 2^(c - K)`` with
+    (a, b, c) its column of ``loop_at`` (see ``_self_loops``).
+    ``level_cuts`` splits each level's edges into runs of rising targets,
+    by offsets from the level's first edge.
     """
 
     K: int
@@ -104,7 +111,7 @@ class _StateSpace:
     C: np.ndarray
     absorbing: np.ndarray            # state indices with i == j == K
     completes: np.ndarray            # the same states, as a mask
-    loop_f: np.ndarray               # (3, states) self-loop fractions
+    loop_at: np.ndarray              # (3, states) self-loop exponents
     e_src: np.ndarray                # edges, level-ordered: source state,
     e_dst: np.ndarray                # target state,
     e_fam: np.ndarray                # family row,
@@ -112,6 +119,7 @@ class _StateSpace:
     e_f: np.ndarray                  # and (2, edges) fraction per term
     level_state_slices: tuple[tuple[int, int], ...]
     level_edge_slices: tuple[tuple[int, int], ...]
+    level_cuts: tuple[tuple[int, ...], ...]
     window: int                      # most states that hold inflow at once
     level_edges: int                 # most edges that leave one level
 
@@ -209,6 +217,12 @@ def _state_space(K: int, variant: str) -> _StateSpace:
     reach = np.minimum(bounds[:-1] + step + 1, bounds[-1])
     window = int((state_bounds[reach] - state_bounds[:-1]).max())
     del order, level
+    # Edges of one family reach distinct states in rising order, so each
+    # level's edges fall into a few runs of rising targets.
+    level_cuts = tuple(
+        (0, *(np.flatnonzero(np.diff(e_dst[e0:e1]) <= 0) + 1).tolist(), e1 - e0)
+        for e0, e1 in _slices(edge_bounds)
+    )
 
     # Per state, the chance 2^(d - K) that a uniform coefficient vector
     # lies in a span of dimension d: i, j and k for those coordinates, s
@@ -221,12 +235,12 @@ def _state_space(K: int, variant: str) -> _StateSpace:
         s=np.ldexp(1.0, I + J - C - K),
         fresh=(K - C) * float(np.ldexp(1.0, -K)),
     )
-    # A packet that reaches both destinations changes no rank iff it lies
-    # in the overlap of their spans: once one destination is full, the
-    # other's span; otherwise the span of dimension k.  In the exact
-    # variant J == K forces k = i and I == K forces k = j, so there the
-    # overlap is always the span of dimension k.
-    overlap = np.where(J == K, f.i, np.where(I == K, f.j, f.k))
+    # The self-loop's exponents: i, j and the dimension of the overlap of
+    # the two spans, where a packet that reaches both destinations changes
+    # no rank.  Once one destination is full, that is the other's span;
+    # otherwise the span of dimension k.  In the exact variant J == K
+    # forces k = i and I == K forces k = j, so there it is always k.
+    loop_at = np.stack((I, J, np.where(J == K, I, np.where(I == K, J, C))))
 
     # Each edge's (weight, fraction) terms, in its family's order; a
     # one-term family's second term is ``_NO_TERM``.
@@ -246,7 +260,7 @@ def _state_space(K: int, variant: str) -> _StateSpace:
         C=C,
         absorbing=np.flatnonzero(completes),
         completes=completes,
-        loop_f=np.stack((f.i, f.j, overlap)),
+        loop_at=loop_at.astype(np.min_scalar_type(K)),
         e_src=e_src,
         e_dst=e_dst,
         e_fam=e_fam,
@@ -254,6 +268,7 @@ def _state_space(K: int, variant: str) -> _StateSpace:
         e_f=e_f,
         level_state_slices=_slices(state_bounds),
         level_edge_slices=_slices(edge_bounds),
+        level_cuts=level_cuts,
         window=window,
         level_edges=int(np.diff(edge_bounds).max()),
     )
@@ -282,20 +297,34 @@ def _reception_weights(channel: ChannelModel, source: int, p_other) -> np.ndarra
     )
 
 
-def _self_loops(space: _StateSpace, w: np.ndarray, s0: int, s1: int) -> np.ndarray:
-    """Self-loop probabilities of the states s0:s1 at p_own = 1, a row per
-    state and a column per chain row.  ``w`` holds the reception weights,
-    ``_WEIGHTS`` on its first axis and a column per chain row.  A
-    completion state's renewal transition replaces its self-loop."""
-    f = space.loop_f[:, s0:s1, None]
+def _loop_tables(K: int, w: np.ndarray) -> np.ndarray:
+    """The self-loop's three terms at each exponent t = 0..K, as (3, K + 1,
+    rows): wn + w1 * 2^(t-K), w2 * 2^(t-K) and wb * 2^(t-K).  ``w``
+    holds the reception weights, ``_WEIGHTS`` on its first axis and a
+    column per chain row."""
     w1, w2, wb, wn = w[:4]
-    loop = wn + w1 * f[0] + w2 * f[1] + wb * f[2]
-    return np.where(space.completes[s0:s1, None], 0.0, loop)
+    f = np.ldexp(1.0, np.arange(-K, 1))[:, None]
+    return np.stack((wn + w1 * f, w2 * f, wb * f))
+
+
+def _self_loops(space: _StateSpace, tables: np.ndarray, s0: int, s1: int) -> np.ndarray:
+    """Self-loop probabilities of the states s0:s1 at p_own = 1, a row per
+    state and a column per chain row, from the ``_loop_tables`` of the
+    rows: wn + w1 * 2^(i-K) + w2 * 2^(j-K) + wb * (fraction of the
+    overlap), summed in this order.  A completion state's renewal
+    transition replaces its self-loop."""
+    at = space.loop_at[:, s0:s1]
+    loop = tables[0][at[0]]
+    loop += tables[1][at[1]]
+    loop += tables[2][at[2]]
+    if s1 > space.absorbing[0]:
+        loop[space.completes[s0:s1]] = 0.0
+    return loop
 
 
 def _edge_probs(space: _StateSpace, w: np.ndarray, e0: int, e1: int) -> np.ndarray:
     """Probabilities of the edges e0:e1 at p_own = 1, a row per edge and a
-    column per chain row (``w`` as in ``_self_loops``)."""
+    column per chain row (``w`` as in ``_loop_tables``)."""
     terms = np.take(w, space.e_w[:, e0:e1], axis=0)
     terms *= space.e_f[:, e0:e1, None]
     terms[0] += terms[1]
@@ -335,7 +364,8 @@ class ChainModel:
     @property
     def self_p(self) -> np.ndarray:
         """Per-state self-loop probabilities (0 at the completion states)."""
-        return self._shaped(_self_loops(self.space, self._rows(), 0, self.space.I.size))
+        tables = _loop_tables(self.K, self._rows())
+        return self._shaped(_self_loops(self.space, tables, 0, self.space.I.size))
 
     @property
     def e_prob(self) -> np.ndarray:
@@ -383,14 +413,15 @@ def build_chain(
 
 def _chunk_rows(space: _StateSpace) -> int:
     """Rows per chunk of ``_level_pass``: per row, its buffer of twice the
-    window and one level's edge temporaries (probabilities, their second
-    terms and the gathered visits)."""
-    return max(1, _PASS_ELEMENTS // (2 * space.window + 3 * space.level_edges))
+    window, its self-loop tables and one level's edge temporaries
+    (probabilities, their second terms and the gathered visits)."""
+    per_row = 2 * space.window + 3 * (space.K + 1) + 3 * space.level_edges
+    return max(1, _PASS_ELEMENTS // per_row)
 
 
 def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = None) -> np.ndarray:
     """Expected slots per renewal cycle of the chain of g_n, per chain row
-    (``w`` as in ``_self_loops``): the sum of the expected visits to its
+    (``w`` as in ``_loop_tables``): the sum of the expected visits to its
     transient states.  A row whose service never completes (a dead
     parameter point) has an infinite cycle.  With ``visits`` (states,
     rows), each state's visit count is also stored there (0 for the
@@ -411,6 +442,7 @@ def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = N
     for r0 in range(0, slots.size, chunk):
         rows = slice(r0, r0 + chunk)
         wt = w[:, rows]
+        tables = _loop_tables(space.K, wt)
         total = slots[rows]
         win = np.zeros((cap, total.size))
         win[0] = 1.0  # a generation starts in (0, 0, 0), the only level-0 state
@@ -418,14 +450,15 @@ def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = N
         # A completion state has no out-edges and a zero self-loop, so the
         # pass solves it like any other state (denominator 1, never dead)
         # and then zeroes its visits.
-        for (s0, s1), (e0, e1) in zip(space.level_state_slices, space.level_edge_slices):
+        levels = zip(space.level_state_slices, space.level_edge_slices, space.level_cuts)
+        for (s0, s1), (e0, e1), cuts in levels:
             if s0 - base + space.window > cap:
                 live = cap - (s0 - base)
                 win[:live] = win[s0 - base :]
                 win[live:] = 0.0
                 base = s0
             level = win[s0 - base : s1 - base]
-            denom = 1.0 - _self_loops(space, wt, s0, s1)
+            denom = 1.0 - _self_loops(space, tables, s0, s1)
             tiny = denom <= 1e-15
             if tiny.any():
                 # Such a state is never left: its row is dead if it has
@@ -436,7 +469,8 @@ def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = N
                 np.divide(level, denom, out=level, where=~tiny)
             else:
                 level /= denom
-            level[space.completes[s0:s1]] = 0.0
+            if s1 > space.absorbing[0]:
+                level[space.completes[s0:s1]] = 0.0
             # Each row sums its level as one contiguous run, however many
             # rows share the pass (numpy sums a wide state-major level
             # column by column, but a one-row level pairwise).
@@ -446,7 +480,6 @@ def _level_pass(space: _StateSpace, w: np.ndarray, visits: np.ndarray | None = N
             flow = _edge_probs(space, wt, e0, e1)
             flow *= np.take(win, space.e_src[e0:e1] - base, axis=0)
             dst = space.e_dst[e0:e1] - base
-            cuts = [0, *(np.flatnonzero(dst[1:] <= dst[:-1]) + 1).tolist(), dst.size]
             for a, b in zip(cuts[:-1], cuts[1:]):
                 win[dst[a:b]] += flow[a:b]
             del flow  # before the next level's temporaries

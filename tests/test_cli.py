@@ -112,14 +112,16 @@ def test_capacity_csv_is_streamed(tmp_path):
 
 
 def test_grid_too_large_for_memory_is_a_clean_error(tmp_path, capsys):
-    # Step 1e-9 makes regions.sweep ask first for one (n, n) rate table of
-    # 6.94 EiB, which numpy refuses at once, before anything is written.
+    # regions.sweep asks first for its (2, n, n) rate tables, which numpy
+    # refuses at once, before anything is written: 142 PiB at step 1e-8,
+    # and at step 1e-9 more bytes than an array can address.
     out = tmp_path / "cap.csv"
-    assert run_cli("capacity", "--channel", "strong_mpr", "--step", "1e-9", "--out", out) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("ramcast: error: Unable to allocate 6.94 EiB")
-    assert "Traceback" not in err
-    assert list(tmp_path.iterdir()) == []
+    for step, message in (("1e-8", "Unable to allocate 142. PiB"), ("1e-9", "array is too big")):
+        assert run_cli("capacity", "--channel", "strong_mpr", "--step", step, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ramcast: error: {message}")
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 _CELLS = ["a", "", 7, -3, 0.0, -0.0, 1e-05, 1e16, float("nan"), float("inf"),

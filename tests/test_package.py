@@ -60,8 +60,9 @@ def test_generation_size_is_checked_in_gf2():
 
 
 def test_grid_is_laid_out_in_regions():
-    # regions.sweep builds the grid and lays out its (n, n) rate tables;
-    # other modules read the grid and the tables it returns.
+    # regions.grid_rates builds the grid and regions.sweep lays out its
+    # (n, n) rate tables; other modules read the grid and the tables they
+    # return.
     grid_names = {"p_grid", "_grid_size"}
     namers = {
         path.name
@@ -163,9 +164,10 @@ def test_simulator_draws_each_block_in_one_place():
 def test_region_rates_are_chosen_in_regions():
     # A region kind provides only g_n on an access axis, and maps to it in
     # one place, regions.region_rates: each per-kind g function is named
-    # only by its own module and there.  Only regions.sweep and
-    # regions.service_rates call region_rates, and only regions forms the
-    # rate tables p_own * g_n(p_other), with an outer product.
+    # only by its own module and there.  Only regions.grid_rates (which
+    # regions.sweep calls) and regions.service_rates call region_rates, and
+    # only regions forms the rate tables p_own * g_n(p_other), with an
+    # outer product.
     owners = {
         "rate_bounds_grid": {"capacity.py"},
         "service_rates_grid": {"retrans.py", "rlc_markov.py"},

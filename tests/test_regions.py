@@ -129,26 +129,63 @@ def test_pareto_frontier_of_pairs_in_witness_order(pts, chunk):
         assert pareto_frontier([(x, y) for x, y, *_ in pts]).tolist() == ref
 
 
+_EIGHTHS = st.integers(0, 8).map(lambda v: v / 8)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(
+        st.tuples(_EIGHTHS, _EIGHTHS, *(st.sampled_from([0.0, 0.5, 1.0]) for _ in range(2))),
+        min_size=1,
+        max_size=60,
+    ),
+    st.integers(1, 12),
+    st.integers(1, 16),
+    st.integers(1, 8),
+    st.sampled_from([1.0, 0.0, 5e-324]),
+)
+def test_sampled_prefilter_keeps_the_frontier_rows(pts, sample_above, buckets, chunk, x_scale):
+    # With the thresholds small, the sampled prefilter runs on a few dozen
+    # records: coarse values give tied and fully duplicated records.  With
+    # x constant, or spread over less than a finite bucket scale allows,
+    # the prefilter stands aside.
+    pts = [(x * x_scale, y, p1, p2) for x, y, p1, p2 in pts]
+    ref = _full_lexsort_frontier(pts).tolist()
+    in_order = sorted(pts, key=lambda r: (r[2], r[3]))
+    ref_in_order = _full_lexsort_frontier(in_order).tolist()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(regions, "_SAMPLE_ABOVE", sample_above)
+        mp.setattr(regions, "_BUCKETS", buckets)
+        mp.setattr(regions, "_PARETO_ROWS", chunk)
+        assert pareto_frontier(pts).tolist() == ref
+        assert pareto_frontier([(x, y) for x, y, *_ in in_order]).tolist() == ref_in_order
+
+
 def test_sweep_memory_is_the_rate_tables_and_the_pareto_input():
-    # At step 0.001 the two (n, n) tables take 16 MB and the (n * n, 2)
-    # rate pairs handed to pareto_frontier 16 MB more.  Flat witness
-    # columns and a 4-column copy took the peak to 89 MB.
+    # At step 0.001 the (2, n, n) rate tables take 16 MB; transposed, they
+    # are pareto_frontier's input, and its sampled prefilter leaves the
+    # exact reduction a few rows: the peak is 17.7 MB.
+    # Separate tables copied into (n * n, 2) pairs took it to 34.3 MB, and
+    # flat witness columns with a 4-column copy to 89 MB.
     tracemalloc.start()
     try:
         sweep("capacity", load_channel("strong_mpr"), 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 24e6
 
 
 @pytest.mark.parametrize("kind", ["capacity", "retrans"])
 @pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
 def test_pareto_frontier_rows_match_full_lexsort_on_presets(kind, channel):
-    grid, _, mu1, mu2, frontier = sweep(kind, load_channel(channel), 0.01)
-    p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
-    ref = _full_lexsort_frontier(np.column_stack((mu1.ravel(), mu2.ravel(), p1s, p2s)))
-    assert frontier.index.tolist() == ref.tolist()
+    # Step 0.002 has 251,001 cells, enough for the sampled prefilter; the
+    # collision channel has the most tied rate pairs.
+    for step in (0.01, 0.002):
+        grid, _, mu1, mu2, frontier = sweep(kind, load_channel(channel), step)
+        p1s, p2s = np.repeat(grid, grid.size), np.tile(grid, grid.size)
+        ref = _full_lexsort_frontier(np.column_stack((mu1.ravel(), mu2.ravel(), p1s, p2s)))
+        assert frontier.index.tolist() == ref.tolist()
 
 
 @pytest.mark.parametrize("kind, K", [("capacity", None), ("retrans", None), ("rlc", 2)])

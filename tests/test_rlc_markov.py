@@ -535,3 +535,44 @@ def test_state_space_matches_loop_oracle(K, variant):
     src_level = (space.I + space.J + space.C)[space.e_src]
     for lv, (e0, e1) in enumerate(space.level_edge_slices):
         assert np.all(src_level[e0:e1] == lv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    channel_models(),
+    st.integers(1, 12),
+    st.sampled_from(["paper", "exact"]),
+    st.sampled_from([1, 2]),
+    st.lists(st.floats(0.0, 1.0, allow_nan=False), min_size=1, max_size=5),
+)
+def test_self_loops_are_the_closed_form(ch, K, variant, source, p_other):
+    # The pass reads each self-loop off per-exponent tables; the closed form
+    # wn + w1 2^(i-K) + w2 2^(j-K) + wb * overlap, summed in that order,
+    # must come out bit for bit, with 0 at the completion states.
+    chain = build_chain(ch, _full_access(source, np.array(p_other)), source, True, K, variant)
+    space = chain.space
+    w1, w2, wb, wn = (chain.weights[:, n, None] for n in range(4))
+
+    def frac(d):
+        return np.ldexp(1.0, d - K)
+
+    I, J, C = space.I, space.J, space.C
+    overlap = np.where(J == K, frac(I), np.where(I == K, frac(J), frac(C)))
+    closed = wn + w1 * frac(I) + w2 * frac(J) + wb * overlap
+    closed[:, space.completes] = 0.0
+    assert chain.self_p.shape == closed.shape
+    assert np.array_equal(chain.self_p, closed)
+
+
+@pytest.mark.parametrize("variant", ["paper", "exact"])
+@pytest.mark.parametrize("K", [1, 2, 3, 7, 12, 50])
+def test_cached_runs_are_the_runs_of_each_level(K, variant):
+    # The pass scatters each level's flow run by run; the runs are cached
+    # per state space and must be those read off the level's targets.
+    space = _state_space(K, variant)
+    assert len(space.level_cuts) == len(space.level_edge_slices)
+    for (e0, e1), cuts in zip(space.level_edge_slices, space.level_cuts):
+        dst = space.e_dst[e0:e1]
+        assert list(cuts) == [0, *(np.flatnonzero(dst[1:] <= dst[:-1]) + 1).tolist(), dst.size]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            assert np.all(np.diff(dst[a:b]) > 0)
