@@ -390,11 +390,42 @@ def test_theorem2_union_within_throughput_frontier():
     assert "strong_mpr" in result.detail and "collision" in result.detail
 
 
+def _edge_overshoots(channel, policy, K, step):
+    """Each per-point stability edge's worst excess over the frontier,
+    sampled at 9 points per edge apart from the other edge: set 2's edge
+    from (0, mu_2e) to the corner (mu_1b, mu_2b) where mu_1b > 0, then
+    set 1's from (mu_1e, 0) where mu_2b > 0."""
+    _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, "paper")
+    mu1e, mu2e = mu1b[:, :1], mu2b[:1, :]
+    t = np.linspace(0.0, 1.0, 9)[:, None, None]
+    edges = (
+        (t * mu1b, mu2e + t * (mu2b - mu2e), mu1b > 0),
+        (mu1e + t * (mu1b - mu1e), t * mu2b, mu2b > 0),
+    )
+    return [
+        float(frontier_excess(frontier, x[:, on].ravel(), y[:, on].ravel()).max(initial=0.0))
+        for x, y, on in edges
+    ]
+
+
+@pytest.mark.parametrize("cell", [("retrans", None), ("rlc", 1), ("rlc", 4), ("rlc", 10)])
+@pytest.mark.parametrize("channel", ["strong_mpr", "weak_mpr", "collision"])
+def test_closure_overshoot_is_the_larger_edge(channel, cell):
+    # The check's overshoot is exactly the worse of its two edges, each
+    # sampled on its own; the check-quick golden covers step 0.1 only.
+    policy, K = cell
+    ch = load_channel(channel)
+    assert _closure_overshoot(ch, policy, K, 0.05) == max(_edge_overshoots(ch, policy, K, 0.05))
+
+
 def test_stability_closure_measures_both_edges():
-    # On this channel the worst overshoot of retransmission lies on the
-    # edge (0, mu_2e) -> (mu_1b, mu_2b); the other edge reaches 4.65e-3.
+    # On this channel the worst overshoot of retransmission lies on set 2's
+    # edge (0, mu_2e) -> (mu_1b, mu_2b), and set 1's edge reaches nearly as far.
     asym = ChannelModel(q_solo=((0.9, 0.5), (0.6, 0.7)), q_joint=((0.5, 0.2), (0.3, 0.4)))
-    assert _closure_overshoot(asym, "retrans", None, 0.05) >= 5.0e-3
+    set2, set1 = _edge_overshoots(asym, "retrans", None, 0.05)
+    assert set2 == pytest.approx(5.0147e-3, rel=1e-4)
+    assert set1 == pytest.approx(4.6532e-3, rel=1e-4)
+    assert _closure_overshoot(asym, "retrans", None, 0.05) == set2
 
 
 @settings(max_examples=60, deadline=None)
