@@ -20,7 +20,6 @@ import numpy as np
 from .channel import AccessProbabilities, collision_channel, strong_mpr, weak_mpr
 from .gf2 import basis_insert, expected_decode_count, rank_cdf_fraction
 from .regions import (
-    StabilityRegion,
     frontier_excess,
     frontier_value,
     grid_rates,
@@ -406,22 +405,22 @@ def check_stability_boundary(slots: int = 1_000_000) -> CheckResult:
 def _closure_overshoot(channel, policy: str, K: int | None, step: float) -> float:
     """Worst distance by which a per-point stability region leaves the frontier.
 
-    One ``StabilityRegion`` holds every grid point's region; each of its
-    ``edges`` is sampled where present and measured against the policy's
-    swept frontier polyline by ``frontier_excess``.  The empty rates come
-    from the same sweep: an empty competitor has access probability 0,
-    which the grid starts with, so mu_1e(p1) is the sweep's first column
-    and mu_2e(p2) its first row.
+    Both edges of every grid point's region end at the corner
+    (mu_1b, mu_2b): set 2's starts at (0, mu_2e) and holds stable pairs
+    only where mu_1b > 0, set 1's starts at (mu_1e, 0) and holds them only
+    where mu_2b > 0.  Each is sampled where present and measured against
+    the policy's swept frontier polyline by ``frontier_excess``.  The
+    empty rates come from the same sweep: an empty competitor has access
+    probability 0, which the grid starts with, so mu_1e(p1) is the
+    sweep's first column and mu_2e(p2) its first row.
     """
     _, _, mu1b, mu2b, frontier = sweep(policy, channel, step, K, _VARIANT)
-    region = StabilityRegion(mu_1b=mu1b, mu_2b=mu2b, mu_1e=mu1b[:, :1], mu_2e=mu2b[:1, :])
+    mu1e, mu2e = mu1b[:, :1], mu2b[:1, :]
     t = np.linspace(0.0, 1.0, _SAMPLES_PER_EDGE)[:, None, None]
-    xs, ys = [], []
-    for (x0, y0), (x1, y1), present in region.edges():
-        xs.append((x0 + t * (x1 - x0))[:, present].ravel())
-        ys.append((y0 + t * (y1 - y0))[:, present].ravel())
-    over = frontier_excess(frontier, np.concatenate(xs), np.concatenate(ys))
-    return float(over.max(initial=0.0))
+    set2, set1 = mu1b > 0, mu2b > 0
+    x = np.concatenate(((t * mu1b)[:, set2], (mu1e + t * (mu1b - mu1e))[:, set1]), axis=None)
+    y = np.concatenate(((mu2e + t * (mu2b - mu2e))[:, set2], (t * mu2b)[:, set1]), axis=None)
+    return float(frontier_excess(frontier, x, y).max(initial=0.0))
 
 
 def check_stability_closure(step: float = 0.05) -> CheckResult:

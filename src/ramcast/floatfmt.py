@@ -38,9 +38,10 @@ import numpy as np
 __all__ = ["CHUNK", "WORDS", "render"]
 
 WORDS = 6
-# Values per pass.  Per value, numpy's per-call cost falls until about
-# 8,192 values and the time is flat from there to 32,768 (CHANGES.md has
-# the measurement); 8,192 keeps each temporary at 64 KiB.
+# Values per ``render`` call of the CSV writer.  Per value, numpy's
+# per-call cost falls until about 8,192 values and the time is flat from
+# there to 32,768 (CHANGES.md has the measurement); 8,192 keeps each
+# temporary at 64 KiB.
 CHUNK = 8192
 
 _U = np.uint64
@@ -220,15 +221,11 @@ def render(x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
     Fills and returns ``out``, ``(WORDS, len(x))`` ``uint64`` words with
     each row contiguous: the bytes of column i, NULs dropped, are
-    ``repr(float(x[i]))``.
+    ``repr(float(x[i]))``.  Each step works on all of ``x`` at once, so
+    its temporaries grow with ``x``: the CSV writer passes ``CHUNK``
+    values at most.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
-    for start in range(0, x.size, CHUNK):
-        _render_chunk(x[start : start + CHUNK], out[:, start : start + CHUNK])
-    return out
-
-
-def _render_chunk(x: np.ndarray, out: np.ndarray) -> None:
     _, quad, zeros_of, exponent_word, layout, special = _tables()
     bits = x.view(_U)
     f, k = _shortest(bits)
@@ -274,3 +271,4 @@ def _render_chunk(x: np.ndarray, out: np.ndarray) -> None:
         kind = np.minimum(magnitude[tabled], _U(3))
         kind[magnitude[tabled] > _INF] = 4
         out[:, tabled] = special[:, (kind * _U(2) + (bits[tabled] >> 63)).astype(np.intp)]
+    return out

@@ -43,7 +43,8 @@ __all__ = [
 
 _TOL = 1e-12
 
-# Rows per chunk of the Pareto prefilters, bounding their scratch memory.
+# Rows per chunk of the sampled prefilter's scan, bounding its scratch
+# memory (``_sample_survivors``).
 _PARETO_ROWS = 1 << 16
 # pareto_frontier samples inputs of more records than this, and reads the
 # sample's frontier off this many buckets of x (``_sample_survivors``).
@@ -166,16 +167,12 @@ def _exact_frontier(columns: np.ndarray) -> np.ndarray:
     rows of ``columns``, without the sample."""
     x, y, *witness = columns
     # A record with a smaller y than one at equal or larger x is dominated:
-    # in each chunk of rows, one argsort of x and a running max of y drop
-    # those that the chunk itself dominates.  The few left stay in row
-    # order, so the stable sort below still puts the first of identical
-    # records first.
-    kept = []
-    for r in range(0, x.size, _PARETO_ROWS):
-        by_x = np.argsort(-x[r : r + _PARETO_ROWS])
-        y_by_x = y[r : r + _PARETO_ROWS][by_x]
-        kept.append(r + np.sort(by_x[y_by_x >= np.maximum.accumulate(y_by_x)]))
-    rows = np.concatenate(kept)
+    # one argsort of x and a running max of y drop those.  The few left
+    # stay in row order, so the stable sort below still puts the first of
+    # identical records first.
+    by_x = np.argsort(-x)
+    y_by_x = y[by_x]
+    rows = np.sort(by_x[y_by_x >= np.maximum.accumulate(y_by_x)])
     x, y = x[rows], y[rows]
     # x descending, then y descending, then the smallest witness first:
     # a record survives iff its y beats every record sorted before it.
@@ -281,6 +278,8 @@ def frontier_value(frontier: RegionFrontier, x: float | np.ndarray) -> np.ndarra
 def frontier_excess(frontier: RegionFrontier, x, y) -> np.ndarray:
     """How far each (x, y) lies outside the frontier polyline: above it, or
     right of its last point; 0 or less inside."""
+    if frontier.x.size == 0:
+        raise ValueError("empty frontier")
     top = frontier.x[-1]
     return np.maximum(x - top, y - frontier_value(frontier, np.minimum(x, top)))
 
@@ -292,27 +291,13 @@ class StabilityRegion:
 
     Set 1 caps lambda2 by the backlogged rate of source 2 and lets
     lambda1 interpolate between the empty and backlogged rates of
-    source 1; set 2 is the mirror image.  The fields may also be arrays,
-    one region per grid point, for ``edges``.
+    source 1; set 2 is the mirror image.
     """
 
     mu_1b: float
     mu_2b: float
     mu_1e: float
     mu_2e: float
-
-    def edges(self):
-        """The boundary as (start, end, present) per edge.
-
-        Both edges end at the corner (mu_1b, mu_2b): set 2's starts at
-        (0, mu_2e) and holds stable pairs only where mu_1b > 0, set 1's
-        starts at (mu_1e, 0) and holds them only where mu_2b > 0.
-        """
-        corner = (self.mu_1b, self.mu_2b)
-        return (
-            ((0.0, self.mu_2e), corner, self.mu_1b > 0),
-            ((self.mu_1e, 0.0), corner, self.mu_2b > 0),
-        )
 
     def lambda1_bound(self, lambda2: float) -> float:
         """Supremum of stable lambda1 at the given lambda2 >= 0 (0 if none):

@@ -61,6 +61,8 @@ def test_render_powers_of_ten_and_their_neighbours():
 )
 def test_render_across_chunk_boundaries(size):
     # Random bit patterns: every exponent, subnormals, nans and infinities.
+    # render makes one pass at any size; CHUNK is the most the CSV writer
+    # passes in one call.
     bits = np.random.default_rng(size).integers(0, 2**64, size, dtype=np.uint64, endpoint=False)
     values = bits.view(np.float64)
     assert texts(values) == reprs(values)

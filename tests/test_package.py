@@ -140,6 +140,23 @@ def test_coefficient_draws_live_in_gf2():
     assert callers == {"gf2.py"}
 
 
+def test_float_rendering_is_called_only_by_the_csv_writer():
+    # floatfmt.render works on all of its input at once, so its temporaries
+    # grow with it: cli._csv_bytes, which passes floatfmt.CHUNK values at
+    # most, is the one function in the package that names it.
+    users = []
+    for path in sorted(PKG.glob("*.py")):
+        for fn in ast.parse(path.read_text(encoding="utf-8")).body:
+            users += [
+                (path.name, getattr(fn, "name", "<module>"))
+                for node in ast.walk(fn)
+                if (isinstance(node, ast.Attribute) and node.attr == "render")
+                or (isinstance(node, ast.Name) and node.id == "render")
+                or (isinstance(node, ast.alias) and "render" in (node.name, node.asname))
+            ]
+    assert users == [("cli.py", "_csv_bytes")]
+
+
 def test_simulator_draws_each_block_in_one_place():
     # sim._block_draws draws the transmit, reception and coefficient streams
     # of both modes; only _run_arrivals draws its arrival streams itself.

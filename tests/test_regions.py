@@ -115,18 +115,14 @@ def test_pareto_frontier_matches_brute_force(pts):
         st.tuples(*(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) for _ in range(4))),
         max_size=30,
     ),
-    st.integers(1, 8),
 )
-def test_pareto_frontier_of_pairs_in_witness_order(pts, chunk):
+def test_pareto_frontier_of_pairs_in_witness_order(pts):
     # Rows in witness order need no witness columns: the first row of a
-    # tie is its smallest witness.  Prefiltering in chunks of rows keeps
-    # the same rows, whatever the chunk size.
+    # tie is its smallest witness.
     pts = sorted(pts, key=lambda r: (r[2], r[3]))
     ref = _full_lexsort_frontier(pts).tolist()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(regions, "_PARETO_ROWS", chunk)
-        assert pareto_frontier(pts).tolist() == ref
-        assert pareto_frontier([(x, y) for x, y, *_ in pts]).tolist() == ref
+    assert pareto_frontier(pts).tolist() == ref
+    assert pareto_frontier([(x, y) for x, y, *_ in pts]).tolist() == ref
 
 
 _EIGHTHS = st.integers(0, 8).map(lambda v: v / 8)
@@ -164,16 +160,22 @@ def test_sampled_prefilter_keeps_the_frontier_rows(pts, sample_above, buckets, c
 def test_sweep_memory_is_the_rate_tables_and_the_pareto_input():
     # At step 0.001 the (2, n, n) rate tables take 16 MB; transposed, they
     # are pareto_frontier's input, and its sampled prefilter leaves the
-    # exact reduction a few rows: the peak is 17.7 MB.
+    # exact reduction at most 70,167 records, sorted in one pass: the
+    # peak is 17.7 MB on strong_mpr and at most about 20 MB on the others.
     # Separate tables copied into (n * n, 2) pairs took it to 34.3 MB, and
     # flat witness columns with a 4-column copy to 89 MB.
+    peaks = {}
     tracemalloc.start()
     try:
-        sweep("capacity", load_channel("strong_mpr"), 0.001)
-        peak = tracemalloc.get_traced_memory()[1]
+        for channel in ("strong_mpr", "weak_mpr", "collision"):
+            for kind in ("capacity", "retrans"):
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sweep(kind, load_channel(channel), 0.001)
+                peaks[channel, kind] = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+    assert max(peaks.values()) < 24e6, peaks
 
 
 @pytest.mark.parametrize("kind", ["capacity", "retrans"])
@@ -496,10 +498,14 @@ def test_collision_capacity_frontier_contains_corners():
 
 
 def test_frontier_value_requires_nonempty():
+    # frontier_excess raises the same error, not an IndexError from the
+    # missing last point.
     none = np.empty(0)
     empty = RegionFrontier("capacity", none, none, none, none, none.astype(int))
     with pytest.raises(ValueError, match="empty frontier"):
         frontier_value(empty, 0.5)
+    with pytest.raises(ValueError, match="empty frontier"):
+        frontier_excess(empty, 0.5, 0.5)
 
 
 def test_frontier_value_extends_flat_left():
