@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from decimal import Context, Decimal, localcontext
 from functools import lru_cache
 
 import numpy as np
@@ -162,10 +163,20 @@ def subspace_pair_visits(
     every transition is enumerated explicitly.  Every transition keeps
     the pair or raises dim V1 + dim V2, so one forward pass by that sum
     gives the expected visits; the completion pair (GF(2)^K, GF(2)^K)
-    is not counted.  Results are cached: callers must not mutate them.
+    is not counted.  The pass runs in 40-digit decimals, whose exponent
+    range holds visit counts far below the smallest double without loss,
+    so each count is rounded to a double once, at the end.  Results are
+    cached: callers must not mutate them.
     """
-    q1, q2 = channel.solo(source, 1), channel.solo(source, 2)
-    j1, j2 = channel.joint(source, 1), channel.joint(source, 2)
+    with localcontext(Context(prec=40)):
+        return _subspace_pair_visits(channel, source, Decimal(p_other), K)
+
+
+def _subspace_pair_visits(
+    channel: ChannelModel, source: int, p_other: Decimal, K: int
+) -> dict[tuple[int, int, int], float]:
+    q1, q2 = Decimal(channel.solo(source, 1)), Decimal(channel.solo(source, 2))
+    j1, j2 = Decimal(channel.joint(source, 1)), Decimal(channel.joint(source, 2))
 
     def hit(q, got):
         return q if got else 1 - q
@@ -178,23 +189,23 @@ def subspace_pair_visits(
     ]
     n_vec = 1 << K
     full = (1 << n_vec) - 1
-    levels: list[dict[tuple[int, int], float]] = [{} for _ in range(2 * K + 1)]
-    levels[0][(1, 1)] = 1.0  # a generation starts with both spans {0}
-    out: dict[tuple[int, int, int], float] = {}
+    levels: list[dict[tuple[int, int], Decimal]] = [{} for _ in range(2 * K + 1)]
+    levels[0][(1, 1)] = Decimal(1)  # a generation starts with both spans {0}
+    out: dict[tuple[int, int, int], Decimal] = {}
     for level in levels[:-1]:
         for (v1, v2), inflow in level.items():
             new1 = [_span_with(v1, v) for v in range(n_vec)]
             new2 = [_span_with(v2, v) for v in range(n_vec)]
-            moves: dict[tuple[int, int], float] = {}
+            moves: dict[tuple[int, int], Decimal] = {}
             for got1, got2, w in patterns:
                 for v in range(n_vec):
                     t = (new1[v] if got1 else v1, new2[v] if got2 else v2)
-                    moves[t] = moves.get(t, 0.0) + w / n_vec
-            visits = inflow / (1.0 - moves.pop((v1, v2), 0.0))
+                    moves[t] = moves.get(t, 0) + w / n_vec
+            visits = inflow / (1 - moves.pop((v1, v2), 0))
             cls = (_dim(v1), _dim(v2), _dim(v1 & v2))
-            out[cls] = out.get(cls, 0.0) + visits
+            out[cls] = out.get(cls, 0) + visits
             for (t1, t2), prob in moves.items():
                 if (t1, t2) != (full, full):
                     nxt = levels[_dim(t1) + _dim(t2)]
-                    nxt[(t1, t2)] = nxt.get((t1, t2), 0.0) + visits * prob
-    return out
+                    nxt[(t1, t2)] = nxt.get((t1, t2), 0) + visits * prob
+    return {cls: float(visits) for cls, visits in out.items()}
