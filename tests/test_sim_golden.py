@@ -35,6 +35,15 @@ stability boundary, where services and idle periods straddle block
 edges, and lambda1 = 1, where source 1 never idles.  Their hashes were
 recorded from the slot-by-slot arrivals loop, before arrivals mode moved
 to a per-block event loop.
+
+The asymmetric keys run arrivals mode on ``conftest.ASYMMETRIC`` with
+p1 != p2 and lambda1 != lambda2, for retransmission and RLC K = 4: a
+moderate load, a pair just inside the stability boundary, and lambda2 =
+1, where source 2 never idles.  On the presets above the two sources'
+links are mirror images, so code that reads one source's queue or
+service state where it needs the other's can leave those hashes
+unchanged; here it cannot.  These hashes were recorded before the event
+loop moved each source's state into its own locals.
 """
 import hashlib
 
@@ -42,6 +51,8 @@ import pytest
 
 from ramcast.channel import AccessProbabilities, ArrivalRates, collision_channel, strong_mpr
 from ramcast.sim import SimConfig, run
+
+from conftest import ASYMMETRIC
 
 SLOTS = 20_000
 
@@ -89,9 +100,16 @@ GOLDEN = {
     ("rlc", 4, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 0.25, 0.15): "b3efb5a578be844dffc25f55294b1f738ba79d0fad10ae7d11d3178b5e9c8366",
     ("retrans", 1, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 1.0, 0.08): "527b92eeeb6c166070b80f48f38b19e02ca0c1995e3e0e662a37f40e95943606",
     ("rlc", 4, "arrivals", 7, "strong_mpr", 0.6, 0.4, 70_001, 1.0, 0.08): "97060569a7e0f1de937f99755353d7e7aac0db94cdcda65f6a63f9ed8fd91774",
+    # Arrivals runs on the asymmetric channel, keyed as above.
+    ("retrans", 1, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.2, 0.1): "6cdb11ddc3a7ad99c36623fde16fe2f97f8f37be97f3e0b51f930a9a28efb4c8",
+    ("retrans", 1, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.29, 0.1): "7bf3704e57a6d3f731181d20904dcab61c8f94afa32e8db1dd7340a92f147d4d",
+    ("retrans", 1, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.1, 1.0): "50bee06571463ae75bf0b01bb137903402254a3a120596d9775b2660bd88ffcf",
+    ("rlc", 4, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.15, 0.09): "494851f98eaf801555abcea832c6361d7d9d66b6b0a4b701e472e2a4a95ed2f1",
+    ("rlc", 4, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.2, 0.1): "2fa46cf0b1c203e0ed2ee352b22c4cde5d1792b95e1c833e92a18f040315e3ec",
+    ("rlc", 4, "arrivals", 7, "asymmetric", 0.7, 0.4, 70_001, 0.08, 1.0): "44d34197706935f1034bcc8c07ff5084a6cfea15389efb63f77ca89ce1500034",
 }
 
-CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel}
+CHANNELS = {"strong_mpr": strong_mpr, "collision": collision_channel, "asymmetric": lambda: ASYMMETRIC}
 
 
 def _digest(
