@@ -29,8 +29,9 @@ length; a finished service clears it by slice assignment from a zero
 list, and the rank is counted beside it.
 Arrivals mode couples the sources through their queues, so per block it
 runs one event loop over both: Python visits only the candidate slots of
-active sources and the activations, and the queue statistics come from
-per-block arrays.
+active sources, in one copy of the event body per source that keeps the
+source's state in local variables, reads each activation from a table of
+the block's arrival slots, and the queue statistics come from per-block arrays.
 
 Throughput runs track coefficient vectors only; payload bits never
 influence timing and are exercised in the encode/decode round-trip
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -319,12 +320,14 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
     """Queued sources, coupled through who transmits: an event loop per block.
 
     A source is active exactly while its queue holds at least K packets,
-    so its activation slot is one bisect on its cumulative arrivals.  A
-    candidate slot is one where a source transmits and some destination's
-    solo draw succeeds (joint draws succeed less often).  Python visits
-    the candidate slots of active sources in slot order.  The other
-    source interferes at slot s when it transmits and is active at s,
-    after its arrivals at s and before its departure at s.  The queue
+    so it becomes active at the arrival that lifts its queue to K, read
+    from the block's list of arrival slots.  A candidate slot is one where
+    a source transmits and some destination's solo draw succeeds (joint
+    draws succeed less often).  Python visits the candidate slots of
+    active sources in slot order, one copy of the event body per source,
+    each on that source's state in locals suffixed with its index.  The
+    other source interferes at slot s when it transmits and is active at
+    s, after its arrivals at s and before its departure at s.  The queue
     trajectory of a block, q0 + cumsum(arrivals) - K cumsum(departures),
     gives the queue statistics and drift-batch sums.
     """
@@ -332,14 +335,13 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
     arr = [0, 0]
     qsum = [0, 0]
     qmax = [0, 0]
-    svc_sum = [0, 0]
-    svc_start = [0, 0]  # read only while active
-    zero = [0] * (K + 1)
-    bases = [[zero[:], zero[:]], [zero[:], zero[:]]]
-    rank = [[0, 0], [0, 0]]
-    nrecv = [[0, 0], [0, 0]]
-    dsum = [[0, 0], [0, 0]]
     batch_dep = [np.zeros(_RATE_BATCHES + 1, dtype=np.int64) for _ in range(2)]
+    # Per source n: service start st_n (read only while active), summed service times sv_n;
+    # per destination d: rank r_nd, receptions g_nd this service, decode sum u_nd, basis b_nd.
+    st0 = st1 = sv0 = sv1 = 0
+    r00 = r01 = r10 = r11 = g00 = g01 = g10 = g11 = u00 = u01 = u10 = u11 = 0
+    zero = [0] * (K + 1)
+    b00, b01, b10, b11 = (zero[:] for _ in range(4))
 
     drift_half = slots // 2
     drift_len = max(1, (slots - drift_half) // _DRIFT_BATCHES)
@@ -347,11 +349,14 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
     drift_sums = [np.zeros(_DRIFT_BATCHES) for _ in range(2)]
 
     for block_start, nblk, tx, ur, coef in _block_draws(slots, p, rlc, K, streams):
-        cum = [np.cumsum(streams[n].random(nblk) < lam[n]) for n in (0, 1)]
+        got = [streams[n].random(nblk) < lam[n] for n in (0, 1)]
         # Per source: candidate slots (then nblk as a sentinel), a code per
         # candidate (bits 0-1 solo successes at destinations 1-2, bits 2-3
-        # joint successes, bit 4 the other source transmits), and vectors.
-        cand, code, vecs = [], [], []
+        # joint successes, bit 4 the other source transmits), vectors, and
+        # per arrival (then K sentinels) its slot and the index of the first
+        # candidate at or after it; then the slot the source is active from,
+        # the (K - queue)-th arrival's, and the index of its next candidate.
+        per = []
         for n in (0, 1):
             ok = [ur[n][d] < solo[n][d] for d in (0, 1)]
             where = np.flatnonzero(tx[n] & (ok[0] | ok[1]))
@@ -363,77 +368,102 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
                 + 8 * (u[1] < joint[n][1])
                 + 16 * tx[1 - n][where]
             )
-            code.append(bits.tolist())
-            cand.append(where.tolist() + [nblk])
-            vecs.append(coef[n][where].tolist() if rlc else None)
-        A = [c.tolist() for c in cum]  # queue at slot s is base + A[s]
-        base = queue[:]
-        act = [bisect_left(A[n], K - queue[n]) for n in (0, 1)]  # active from
-        for n in (0, 1):
-            if queue[n] < K:
-                svc_start[n] = block_start + act[n]
-        ptr = [bisect_left(cand[n], act[n]) for n in (0, 1)]
-        dep: list[list[int]] = [[], []]
-        last = [-1, -1]  # slot of the latest departure in this block
+            on = np.flatnonzero(got[n]).tolist() + [nblk] * K
+            onptr = np.searchsorted(where, on).tolist()
+            vecs = coef[n][where].tolist() if rlc else None
+            k = K - queue[n] - 1
+            act = (on[k], onptr[k]) if k >= 0 else (0, 0)
+            per.append((where.tolist() + [nblk], bits.tolist(), vecs, on, onptr, *act))
+        cand0, code0, vec0, on0, onptr0, act0, ptr0 = per[0]
+        cand1, code1, vec1, on1, onptr1, act1, ptr1 = per[1]
+        base0, base1 = queue
+        st0 = block_start + act0 if base0 < K else st0
+        st1 = block_start + act1 if base1 < K else st1
+        h0, h1 = cand0[ptr0], cand1[ptr1]  # the next candidate slots
+        dep0, dep1 = [], []
+        last0 = last1 = -1  # slot of the latest departure in this block
 
-        while True:
-            s = cand[0][ptr[0]]
-            s1 = cand[1][ptr[1]]
-            if s <= s1:
-                if s == nblk:
-                    break
-                n = 0
+        while h0 < nblk or h1 < nblk:
+            if h0 <= h1:
+                s = h0
+                c = code0[ptr0]
+                if c & 16 and (act1 <= s or last1 == s):
+                    c >>= 2
+                if not rlc:
+                    r00 |= c & 1
+                    r01 |= c >> 1 & 1
+                else:
+                    if c & 1 and r00 < K:
+                        g00 += 1
+                        r00 += basis_insert(b00, vec0[ptr0])
+                    if c & 2 and r01 < K:
+                        g01 += 1
+                        r01 += basis_insert(b01, vec0[ptr0])
+                ptr0 += 1
+                if r00 == r01 == K:
+                    dep0.append(s)
+                    last0 = s
+                    t = block_start + s
+                    sv0 += t - st0 + 1
+                    r00 = r01 = 0
+                    if rlc:
+                        u00, u01, g00, g01 = u00 + g00, u01 + g01, 0, 0
+                        b00[:] = b01[:] = zero
+                    base0 -= K
+                    k = K - base0 - 1  # the arrival that lifts the queue to K
+                    if k < 0 or on0[k] <= s:
+                        st0 = t + 1
+                    else:
+                        act0, ptr0 = on0[k], onptr0[k]
+                        st0 = block_start + act0
+                h0 = cand0[ptr0]
             else:
-                n, s = 1, s1
-            m = 1 - n
-            i = ptr[n]
-            c = code[n][i]
-            if c & 16 and (act[m] <= s or last[m] == s):
-                c >>= 2
-            r = rank[n]
-            if rlc:
-                v = vecs[n][i]
-                for d in (0, 1):
-                    if c & (1 << d) and r[d] < K:
-                        nrecv[n][d] += 1
-                        r[d] += basis_insert(bases[n][d], v)
-            else:
-                if c & 1:
-                    r[0] = 1
-                if c & 2:
-                    r[1] = 1
-            if r[0] < K or r[1] < K:
-                ptr[n] = i + 1
-                continue
-            dep[n].append(s)
-            last[n] = s
-            t = block_start + s
-            svc_sum[n] += t - svc_start[n] + 1
-            r[0] = r[1] = 0
-            if rlc:
-                for d in (0, 1):
-                    dsum[n][d] += nrecv[n][d]
-                    nrecv[n][d] = 0
-                    bases[n][d][:] = zero
-            base[n] -= K
-            if base[n] + A[n][s] >= K:
-                svc_start[n] = t + 1
-                ptr[n] = i + 1
-            else:
-                a = act[n] = bisect_left(A[n], K - base[n], s + 1)
-                svc_start[n] = block_start + a
-                ptr[n] = bisect_left(cand[n], a, i + 1)
+                s = h1
+                c = code1[ptr1]
+                if c & 16 and (act0 <= s or last0 == s):
+                    c >>= 2
+                if not rlc:
+                    r10 |= c & 1
+                    r11 |= c >> 1 & 1
+                else:
+                    if c & 1 and r10 < K:
+                        g10 += 1
+                        r10 += basis_insert(b10, vec1[ptr1])
+                    if c & 2 and r11 < K:
+                        g11 += 1
+                        r11 += basis_insert(b11, vec1[ptr1])
+                ptr1 += 1
+                if r10 == r11 == K:
+                    dep1.append(s)
+                    last1 = s
+                    t = block_start + s
+                    sv1 += t - st1 + 1
+                    r10 = r11 = 0
+                    if rlc:
+                        u10, u11, g10, g11 = u10 + g10, u11 + g11, 0, 0
+                        b10[:] = b11[:] = zero
+                    base1 -= K
+                    k = K - base1 - 1
+                    if k < 0 or on1[k] <= s:
+                        st1 = t + 1
+                    else:
+                        act1, ptr1 = on1[k], onptr1[k]
+                        st1 = block_start + act1
+                h1 = cand1[ptr1]
+        # Release this block's lists before the next block is drawn.
+        del per, cand0, cand1, code0, code1, vec0, vec1, on0, on1, onptr0, onptr1
 
         lo = max(block_start, drift_half) - block_start
         hi = min(block_start + nblk, drift_end) - block_start
-        for n in (0, 1):
-            q = queue[n] + cum[n]
-            if dep[n]:
+        for n, dep in enumerate((dep0, dep1)):
+            cum = np.cumsum(got[n])
+            q = queue[n] + cum
+            if dep:
                 steps = np.zeros(nblk, dtype=np.int64)
-                steps[dep[n]] = K
+                steps[dep] = K
                 q -= np.cumsum(steps)
-                batch_dep[n] += K * _per_batch(np.array(dep[n]) + block_start, batch_len)
-            arr[n] += A[n][-1]
+                batch_dep[n] += K * _per_batch(np.array(dep) + block_start, batch_len)
+            arr[n] += int(cum[-1])
             queue[n] = int(q[-1])
             qsum[n] += int(q.sum())
             qmax[n] = max(qmax[n], int(q.max()))
@@ -448,8 +478,8 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
                 K,
                 batch_len,
                 batch_dep[n].tolist(),
-                svc_sum[n],
-                dsum[n] if rlc else None,
+                svc_sum,
+                dsum if rlc else None,
                 arrivals=arr[n],
                 final_queue=queue[n],
                 mean_queue=qsum[n] / slots,
@@ -457,7 +487,7 @@ def _run_arrivals(slots, p, lam, rlc, K, solo, joint, streams, batch_len) -> Sim
                 drift_batch_means=[x / drift_len for x in drift_sums[n].tolist()],
                 drift_batch_slots=drift_len,
             )
-            for n in (0, 1)
+            for n, svc_sum, dsum in ((0, sv0, [u00, u01]), (1, sv1, [u10, u11]))
         )
     )
 

@@ -233,6 +233,18 @@ def _full_access(source, p_other):
     return AccessProbabilities(*((1.0, p_other) if source == 1 else (p_other, 1.0)))
 
 
+# Below the smallest normal double a visit count is a multiple of 2^-1074
+# with fewer than 53 significant bits, so a relative bound cannot hold
+# there: the chain multiplies tiny reception weights (p_other, q_joint or
+# their product near 2^-1074) into subnormal intermediates, each rounded
+# to a whole step, and the visit counts after them scale that rounding.
+# Checked against exact rational arithmetic, the chain was 0.6-121 steps
+# off on the counts that broke rtol 1e-12 over 1,000 random seeds (the
+# oracle within half a step), and 121 steps was also the largest gap over
+# 80,000 examples.  Subnormal counts must agree within 1,024 steps.
+SUBNORMAL_STEPS = 1024
+
+
 def _assert_visits_match_oracle(channel, source, p_other, K):
     # (i, j, k) is lossless: the chain's expected visits per state equal
     # those of the chain on the actual pair of spans, summed per class.
@@ -241,8 +253,12 @@ def _assert_visits_match_oracle(channel, source, p_other, K):
     states = [chain_states(chain)[n] for n in transient]
     oracle = subspace_pair_visits(channel, source, p_other, K)
     assert set(oracle) <= set(states)
-    expected = [oracle.get(s, 0.0) for s in states]
-    np.testing.assert_allclose(_visit_counts(chain)[transient], expected, rtol=1e-12, atol=0)
+    expected = np.array([oracle.get(s, 0.0) for s in states])
+    visits = _visit_counts(chain)[transient]
+    normal = expected >= np.finfo(float).smallest_normal
+    np.testing.assert_allclose(visits[normal], expected[normal], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(visits[~normal], expected[~normal], rtol=0,
+                               atol=SUBNORMAL_STEPS * 2.0**-1074)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])

@@ -253,21 +253,39 @@ def test_saturated_rates_match_analysis_on_random_channels(c, policy, K):
         assert abs(src.departure_rate - rate) <= Z_GATE * src.stderr, (src, rate)
 
 
-@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 2)])
-@pytest.mark.parametrize("c", [0, 1])
-def test_boundary_departures_match_analysis_on_random_channels(c, policy, K):
-    # Arrivals mode reads the reception probabilities in code of its own.
+def _assert_boundary_departures(channel, policy, K, slots):
     # With lambda1 = 1 source 1 never empties, and lambda2 = 0.8 mu_2b keeps
     # source 2 stable; by the dominant-system argument source 1 then departs
-    # at the stability boundary's lambda1 at that lambda2.  (On a channel
-    # with q_joint near 0 towards destination 2 the departures have read
-    # 3-4% above that bound, an open question about the bound.)
-    channel = RANDOM_CHANNELS[c]
+    # at the stability boundary's lambda1 at that lambda2.
     mu = service_rates(policy, channel, RANDOM_ACCESS, K, "exact")
     lam2 = 0.8 * mu.backlogged[1]
     res = run(SimConfig(channel=channel, access=RANDOM_ACCESS, policy=policy, K=K,
-                        slots=200_000, seed=11, mode="arrivals",
+                        slots=slots, seed=11, mode="arrivals",
                         arrivals=ArrivalRates(1.0, lam2)))
     src = res.sources[0]
     bound = stability_region_at(mu).lambda1_bound(lam2)
     assert abs(src.departure_rate - bound) <= Z_GATE * src.stderr, (src, bound)
+
+
+@pytest.mark.parametrize("policy, K", [("retrans", 1), ("rlc", 2)])
+@pytest.mark.parametrize("c", [0, 1])
+def test_boundary_departures_match_analysis_on_random_channels(c, policy, K):
+    # Arrivals mode reads the reception probabilities in code of its own.
+    _assert_boundary_departures(RANDOM_CHANNELS[c], policy, K, 200_000)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "source 1 departs about 3% above lambda1_bound here (z 6.8 at 400,000 slots); "
+    "whether the bound or the measurement is at fault is the open question of "
+    "ROADMAP item 13"))
+def test_boundary_departures_where_joint_reception_towards_destination_2_is_near_zero():
+    # Channel 3 of four drawn from default_rng(5) in whole blocks (every
+    # q_solo, then every joint fraction): q_joint towards destination 2 is
+    # 0.018 from source 1 and 0.0011 from source 2.  Not one of the 28
+    # gated comparisons above.
+    rng = np.random.default_rng(5)
+    solo = rng.uniform(0.3, 1.0, (4, 2, 2))[3]
+    joint = solo * rng.uniform(0.0, 1.0, (4, 2, 2))[3]
+    channel = ChannelModel(q_solo=tuple(map(tuple, solo.tolist())),
+                           q_joint=tuple(map(tuple, joint.tolist())))
+    _assert_boundary_departures(channel, "retrans", 1, 400_000)
